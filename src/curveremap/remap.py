@@ -21,7 +21,7 @@ import numpy as np
 from .clipping import (ClipTopologyError, CurveIntersection, intersect_curves,
                        wa_clip, _unit)
 from .geometry import SNAP_TOL, CurvedPolygon, gauss_rule_01
-from .integrate import make_tri_rule, rule_degree_for, triangulate
+from .integrate import Poly2, make_tri_rule, rule_degree_for, triangulate
 from .limiter import LimiterParams, QuadPointGroup, positivity_limit
 from .mesh import CurvilinearMesh, Field
 from .reconstruct import WenoConfig, weno_reconstruct
@@ -436,6 +436,8 @@ def apply_plan(plan: RemapPlan, averages, order: int = 3,
     t0 = time.monotonic()
     recon = weno_reconstruct(source, avg, WenoConfig(order=order))
     warnings += [f"reconstruct: {w}" for w in recon.warnings[:4]]
+    if len(recon.warnings) > 4:
+        warnings.append(f"reconstruct: {len(recon.warnings)} reduced fits")
     timings["reconstruct"] = time.monotonic() - t0
 
     polys = recon.polys
@@ -462,54 +464,88 @@ def apply_plan(plan: RemapPlan, averages, order: int = 3,
     timings["limit"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    f2_cache: dict[int, object] = {}
-    out = np.zeros(target.n_cells)
-    clip_area = np.zeros(target.n_cells)
+    loops = [(ct, pg.src, lp) for ct, per in enumerate(plan.per_target)
+             for pg in per for lp in pg.loops]
+    tgt = np.array([ct for ct, _, _ in loops], dtype=int)
+    src = np.array([s for _, s, _ in loops], dtype=int)
+    coeffs, frames = _stack_polys(polys)
+    if approach in ("A", "both"):
+        # the x-antiderivative from x = cx, in the same scaled frame
+        na = coeffs.shape[1]
+        anti = np.zeros((len(polys), na + 1, coeffs.shape[2]))
+        anti[:, 1:] = (frames[:, 2, None, None] * coeffs
+                       / np.arange(1, na + 1)[None, :, None])
+        val_a = _loop_integrals(anti, frames, src,
+                                [lp.ax for _, _, lp in loops],
+                                [lp.ay for _, _, lp in loops],
+                                [lp.awdy for _, _, lp in loops])
+    if approach in ("B", "both"):
+        val_b = _loop_integrals(coeffs, frames, src,
+                                [lp.bpts[:, 0] for _, _, lp in loops],
+                                [lp.bpts[:, 1] for _, _, lp in loops],
+                                [lp.bjw for _, _, lp in loops])
     max_gap = 0.0
-    n_pairs = 0
-    for ct, per in enumerate(plan.per_target):
-        mass = 0.0
-        carea = 0.0
-        for pg in per:
-            n_pairs += 1
-            poly = polys[pg.src]
-            for lp in pg.loops:
-                carea += lp.area
-                if approach in ("A", "both"):
-                    f2 = f2_cache.get(pg.src)
-                    if f2 is None:
-                        f2 = poly.antideriv_x()
-                        f2_cache[pg.src] = f2
-                    val_a = float(np.dot(f2.eval(lp.ax, lp.ay), lp.awdy))
-                if approach in ("B", "both"):
-                    val_b = float(np.dot(poly.eval(lp.bpts[:, 0], lp.bpts[:, 1]),
-                                         lp.bjw))
-                if approach == "A":
-                    mass += val_a
-                elif approach == "B":
-                    mass += val_b
-                else:
-                    max_gap = max(max_gap,
-                                  abs(val_a - val_b) / max(1.0, abs(val_a)))
-                    mass += val_a
-        clip_area[ct] = carea
-        if carea <= 1e-14 * plan.target.cell_areas()[ct]:
-            if per or carea > 0.0:
-                warnings.append(f"target cell {ct} has near-zero coverage")
-            out[ct] = 0.0
-        else:
-            out[ct] = mass / carea
+    if approach == "both" and loops:
+        max_gap = float(np.max(np.abs(val_a - val_b)
+                               / np.maximum(1.0, np.abs(val_a))))
+    vals = val_b if approach == "B" else val_a
+    mass = np.bincount(tgt, weights=vals, minlength=target.n_cells)
+    clip_area = np.bincount(tgt, weights=[lp.area for _, _, lp in loops],
+                            minlength=target.n_cells)
+    area_t = target.cell_areas()
+    covered = clip_area > 1e-14 * area_t
+    out = np.where(covered, mass / np.where(covered, clip_area, 1.0), 0.0)
+    for ct in np.flatnonzero(~covered):
+        if plan.per_target[ct] or clip_area[ct] > 0.0:
+            warnings.append(f"target cell {ct} has near-zero coverage")
     timings["integrate"] = time.monotonic() - t0
     timings["total"] = sum(v for k, v in timings.items() if k != "total")
 
-    area_t = target.cell_areas()
     e_area = float(np.abs(clip_area - area_t).sum())
     total_in = float(np.dot(avg, source.cell_areas()))
     total_out = float(np.dot(out, clip_area))
     e_cons = abs(total_out - total_in)
     return RemapReport(Field(out, target), e_area, e_cons,
                        float(out.min()), max_gap, plan.n_candidates,
-                       n_pairs, timings, warnings)
+                       plan.n_pairs, timings, warnings)
+
+
+def _stack_polys(polys: list[Poly2]) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (C, na, nb), zero-padded, and frames (C, 3) of (cx, cy, h)."""
+    na = max(p.coeffs.shape[0] for p in polys)
+    nb = max(p.coeffs.shape[1] for p in polys)
+    coeffs = np.zeros((len(polys), na, nb))
+    for i, p in enumerate(polys):
+        coeffs[i, :p.coeffs.shape[0], :p.coeffs.shape[1]] = p.coeffs
+    frames = np.array([(p.cx, p.cy, p.h) for p in polys]).reshape(-1, 3)
+    return coeffs, frames
+
+
+def _loop_integrals(coeffs: np.ndarray, frames: np.ndarray, src: np.ndarray,
+                    xs: list[np.ndarray], ys: list[np.ndarray],
+                    ws: list[np.ndarray]) -> np.ndarray:
+    """Per loop, the weighted sum of its source polynomial at its samples.
+
+    All loops' samples are evaluated together, term by term over the
+    gathered coefficients, and summed per loop.
+    """
+    if not xs:
+        return np.zeros(0)
+    counts = np.array([len(x) for x in xs])
+    owner = np.repeat(src, counts)
+    X = (np.concatenate(xs) - frames[owner, 0]) / frames[owner, 2]
+    Y = (np.concatenate(ys) - frames[owner, 1]) / frames[owner, 2]
+    vals = np.zeros(len(X))
+    Yb = np.ones(len(X))
+    for b in range(coeffs.shape[2]):
+        Xa = Yb.copy()
+        for a in range(coeffs.shape[1]):
+            if coeffs[:, a, b].any():
+                vals += coeffs[owner, a, b] * Xa
+            Xa *= X
+        Yb *= Y
+    vals *= np.concatenate(ws)
+    return np.add.reduceat(vals, np.cumsum(counts) - counts)
 
 
 def remap(request: RemapRequest) -> RemapReport:

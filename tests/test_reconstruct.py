@@ -6,9 +6,12 @@ import pytest
 from curveremap.geometry import polygon_from_points
 from curveremap.integrate import Poly2, poly_integral_cell
 from curveremap.mesh import exact_cell_averages, gen_deformed_square_mesh
-from curveremap.reconstruct import (ReconstructionError, WenoConfig, beta0,
-                                    build_stencil, constrained_lsq_fit,
-                                    smoothness, weno_reconstruct, weno_weights)
+from curveremap.reconstruct import (ReconstructionError, WenoConfig,
+                                    _exponents, _geometry,
+                                    _indicator_matrices, _moments,
+                                    _quadratic_form, beta0, build_stencil,
+                                    constrained_lsq_fit, smoothness,
+                                    weno_reconstruct)
 from curveremap.experiments import accuracy_meshes, cylinder_field, sin_field
 
 
@@ -93,10 +96,10 @@ def test_constant_field_weights_collapse_to_linear():
     avg = np.full(m.n_cells, 2.0)
     for order in (3, 5):
         cfg = WenoConfig(order=order)
-        w, betas = weno_weights(m, avg, 7, cfg)
+        rf = weno_reconstruct(m, avg, cfg)
+        w, betas = rf.weights[7], rf.betas[7]
         assert np.allclose(w, cfg.gammas, atol=0, rtol=0)
         assert all(b == 0.0 for b in betas)
-        rf = weno_reconstruct(m, avg, cfg)
         assert abs(rf.polys[7].eval(0.41, 0.52) - 2.0) <= 1e-13
 
 
@@ -136,8 +139,7 @@ def test_smooth_field_weights_near_linear():
     src, _tgt = accuracy_meshes(16)
     avg = exact_cell_averages(src, sin_field).averages
     cfg = WenoConfig(order=3)
-    worst = max(weno_weights(src, avg, i, cfg)[0][0]
-                for i in range(src.n_cells))
+    worst = weno_reconstruct(src, avg, cfg).weights[:, 0].max()
     assert worst <= 2.0 * cfg.gammas[0], worst / cfg.gammas[0]
 
 
@@ -159,8 +161,9 @@ def test_weight_normalization_and_positivity():
     avg = exact_cell_averages(m, cylinder_field, strict=False,
                               max_levels=4).averages
     for order in (3, 5):
+        weights = weno_reconstruct(m, avg, WenoConfig(order=order)).weights
         for i in (0, 7, 14, 21):
-            w, _ = weno_weights(m, avg, i, WenoConfig(order=order))
+            w = weights[i]
             assert all(x >= 0 for x in w)
             assert abs(sum(w) - 1.0) <= 1e-14
 
@@ -174,10 +177,11 @@ def test_discontinuity_pushes_weight_to_constant():
     avg = exact_cell_averages(m, cylinder_field, strict=False,
                               max_levels=4).averages
     cfg = WenoConfig(order=3)
+    rf = weno_reconstruct(m, avg, cfg)
     checked = 0
     for i in range(m.n_cells):
         b0 = beta0(m, avg, i)
-        w, betas = weno_weights(m, avg, i, cfg)
+        w, betas = rf.weights[i], rf.betas[i]
         if b0 <= 1e-16 and betas[1] >= 0.1:
             assert w[0] >= 20.0 * cfg.gammas[0], (i, w, betas)
             assert w[0] >= 0.2, (i, w, betas)
@@ -189,3 +193,26 @@ def test_field_length_mismatch():
     m = gen_deformed_square_mesh(3, "identity", degree=2)
     with pytest.raises(ReconstructionError):
         weno_reconstruct(m, np.zeros(5), WenoConfig(order=3))
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_indicator_quadratic_form_matches_green_route(degree):
+    # beta = c^T B c, with B from the batched self-moments, against the
+    # Green contour integrals of the squared derivatives on curved cells
+    m = gen_deformed_square_mesh(4, "gresho_like", 0.4, degree, roughen=0.1)
+    K = 4
+    geo = _geometry(m, 2 * K - 2)
+    cells = np.arange(m.n_cells)
+    B = _indicator_matrices(_moments(geo, cells, cells, 2 * K - 2),
+                            geo.h, geo.area, K)
+    rng = np.random.default_rng(7 + degree)
+    ea, eb = _exponents(K, first=0)
+    for k in range(1, K + 1):
+        coeffs = np.zeros((m.n_cells, K + 1, K + 1))
+        keep = ea + eb <= k
+        coeffs[:, ea[keep], eb[keep]] = rng.normal(size=(m.n_cells, keep.sum()))
+        got = _quadratic_form(B, coeffs, K)
+        for i in cells:
+            p = Poly2(coeffs[i, :k + 1, :k + 1], geo.cx[i], geo.cy[i], geo.h[i])
+            want = smoothness(p, m.cell_polygon(i))
+            assert abs(got[i] - want) <= 1e-12 * want, (k, i, got[i], want)

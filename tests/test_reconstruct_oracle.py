@@ -67,6 +67,8 @@ def test_batched_matches_per_cell_reference(case, order):
     assert errs.max() <= 1e-12, (name, int(errs.argmax()), errs.max())
     if interior.any():
         assert errs[interior].max() <= 1e-14, (name, errs[interior].max())
+    np.testing.assert_allclose(got.weights, ref_w, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.betas, ref_b, rtol=1e-9, atol=1e-13)
 
 
 def test_three_by_three_runs_growth_and_reduction():

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -155,3 +157,34 @@ def test_degree3_mesh_remap_end_to_end():
     assert rep.e_area_c <= 1e-10
     assert rep.max_ab_gap <= 1e-11
     assert rep.min_average >= 1e-14
+
+
+def test_apply_leaves_no_reference_cycle_on_the_source_mesh():
+    # with the cyclic collector off, the source mesh must be freed as soon
+    # as the plan and report are dropped: reconstruction keeps no state
+    # that points back at it
+    src = gen_deformed_square_mesh(4, "gresho_like", 0.3, 2)
+    tgt = gen_deformed_square_mesh(4, "taylor_green_like", 0.04, 2)
+    avg = exact_cell_averages(src, sin_field).averages
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ref = weakref.ref(src)
+        rep = apply_plan(build_plan(src, tgt), avg, order=5)
+        del src, rep
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_reduced_fits_are_counted_beyond_the_four_listed():
+    # every cell of a 3x3 mesh drops its order-5 top level a degree; the
+    # report lists four of them and counts all nine
+    m = gen_deformed_square_mesh(3, "identity", degree=2)
+    f = exact_cell_averages(m, sin_field)
+    rep = remap(RemapRequest(m, f, m, order=5))
+    recon = [w for w in rep.warnings if w.startswith("reconstruct: ")]
+    assert len(recon) == 5
+    assert all("reduced to degree" in w for w in recon[:4])
+    assert recon[4] == "reconstruct: 9 reduced fits"

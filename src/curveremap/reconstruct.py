@@ -38,9 +38,11 @@ _ORDER_DEGREE = {1: 0, 3: 2, 5: 4}
 # a nearly dependent column set (too few distinct grid lines in a truncated
 # stencil) must be treated as rank-deficient so that the stencil grows
 _RCOND = 1e-4
-# (stencil cell, frame cell) pairs per chunk; bounds the boundary-power
-# arrays of the moment products to a few MiB
+# (stencil cell, frame cell) pairs per chunk of cells, which bounds the
+# stacked least-squares systems and moments, and per block of the moment
+# products, which bounds their boundary-power arrays to well under 1 MiB
 _PAIRS_PER_CHUNK = 2048
+_PAIRS_PER_BLOCK = 256
 
 
 class ReconstructionError(RuntimeError):
@@ -174,21 +176,25 @@ def _moments(geo: _Geometry, j: np.ndarray, i: np.ndarray, q: int) -> np.ndarray
     i[p], exact for a + b <= the geometry's qmax; shape (P, q+1, q+1).
 
     The area integral is the contour integral of h X^(a+1) / (a+1) Y^b dy.
+    Pairs go through in blocks, which bounds the boundary-power arrays.
     """
-    h = geo.h[i]
-    X = (geo.x[j] - geo.cx[i][:, None]) / h[:, None]
-    Y = (geo.y[j] - geo.cy[i][:, None]) / h[:, None]
-    P, S = X.shape
-    XW = np.empty((P, q + 1, S))                 # X^(a+1) dy
-    np.multiply(X, geo.wdy[j], out=XW[:, 0])
-    for a in range(1, q + 1):
-        np.multiply(XW[:, a - 1], X, out=XW[:, a])
-    YP = np.empty((P, S, q + 1))                 # Y^b
-    YP[:, :, 0] = 1.0
-    for b in range(1, q + 1):
-        np.multiply(YP[:, :, b - 1], Y, out=YP[:, :, b])
-    M = XW @ YP
-    M *= (h[:, None] / np.arange(1, q + 2))[:, :, None]
+    M = np.empty((len(j), q + 1, q + 1))
+    for lo in range(0, len(j), _PAIRS_PER_BLOCK):
+        jb, ib = j[lo:lo + _PAIRS_PER_BLOCK], i[lo:lo + _PAIRS_PER_BLOCK]
+        h = geo.h[ib]
+        X = (geo.x[jb] - geo.cx[ib][:, None]) / h[:, None]
+        Y = (geo.y[jb] - geo.cy[ib][:, None]) / h[:, None]
+        P, S = X.shape
+        XW = np.empty((P, q + 1, S))                 # X^(a+1) dy
+        np.multiply(X, geo.wdy[jb], out=XW[:, 0])
+        for a in range(1, q + 1):
+            np.multiply(XW[:, a - 1], X, out=XW[:, a])
+        YP = np.empty((P, S, q + 1))                 # Y^b
+        YP[:, :, 0] = 1.0
+        for b in range(1, q + 1):
+            np.multiply(YP[:, :, b - 1], Y, out=YP[:, :, b])
+        np.matmul(XW, YP, out=M[lo:lo + P])
+        M[lo:lo + P] *= (h[:, None] / np.arange(1, q + 2))[:, :, None]
     return M
 
 

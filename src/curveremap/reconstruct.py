@@ -42,7 +42,7 @@ _RCOND = 1e-4
 # stacked least-squares systems and moments, and per block of the moment
 # products, which bounds their boundary-power arrays to well under 1 MiB
 _PAIRS_PER_CHUNK = 2048
-_PAIRS_PER_BLOCK = 256
+_PAIRS_PER_BLOCK = 128
 
 
 class ReconstructionError(RuntimeError):

@@ -27,6 +27,8 @@ from .mesh import CurvilinearMesh, Field
 from .reconstruct import WenoConfig, weno_reconstruct
 
 _APPROACHES = ("A", "B", "both")
+# clipped loops evaluated together in apply_plan's integration sweep
+_LOOPS_PER_CHUNK = 64
 
 
 @dataclass
@@ -475,15 +477,11 @@ def apply_plan(plan: RemapPlan, averages, order: int = 3,
         anti = np.zeros((len(polys), na + 1, coeffs.shape[2]))
         anti[:, 1:] = (frames[:, 2, None, None] * coeffs
                        / np.arange(1, na + 1)[None, :, None])
-        val_a = _loop_integrals(anti, frames, src,
-                                [lp.ax for _, _, lp in loops],
-                                [lp.ay for _, _, lp in loops],
-                                [lp.awdy for _, _, lp in loops])
+        val_a = _loop_integrals(anti, frames, src, loops,
+                                lambda lp: (lp.ax, lp.ay, lp.awdy))
     if approach in ("B", "both"):
-        val_b = _loop_integrals(coeffs, frames, src,
-                                [lp.bpts[:, 0] for _, _, lp in loops],
-                                [lp.bpts[:, 1] for _, _, lp in loops],
-                                [lp.bjw for _, _, lp in loops])
+        val_b = _loop_integrals(coeffs, frames, src, loops,
+                                lambda lp: (lp.bpts[:, 0], lp.bpts[:, 1], lp.bjw))
     max_gap = 0.0
     if approach == "both" and loops:
         max_gap = float(np.max(np.abs(val_a - val_b)
@@ -522,30 +520,34 @@ def _stack_polys(polys: list[Poly2]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _loop_integrals(coeffs: np.ndarray, frames: np.ndarray, src: np.ndarray,
-                    xs: list[np.ndarray], ys: list[np.ndarray],
-                    ws: list[np.ndarray]) -> np.ndarray:
+                    loops: list, samples) -> np.ndarray:
     """Per loop, the weighted sum of its source polynomial at its samples.
 
-    All loops' samples are evaluated together, term by term over the
-    gathered coefficients, and summed per loop.
+    samples(loop) gives the loop's sample x, y and weights. The samples of
+    a chunk of loops are evaluated together, term by term over the
+    gathered coefficients, and summed per loop. The chunks bound the
+    per-sample arrays.
     """
-    if not xs:
-        return np.zeros(0)
-    counts = np.array([len(x) for x in xs])
-    owner = np.repeat(src, counts)
-    X = (np.concatenate(xs) - frames[owner, 0]) / frames[owner, 2]
-    Y = (np.concatenate(ys) - frames[owner, 1]) / frames[owner, 2]
-    vals = np.zeros(len(X))
-    Yb = np.ones(len(X))
-    for b in range(coeffs.shape[2]):
-        Xa = Yb.copy()
-        for a in range(coeffs.shape[1]):
-            if coeffs[:, a, b].any():
-                vals += coeffs[owner, a, b] * Xa
-            Xa *= X
-        Yb *= Y
-    vals *= np.concatenate(ws)
-    return np.add.reduceat(vals, np.cumsum(counts) - counts)
+    out = np.zeros(len(loops))
+    for lo in range(0, len(loops), _LOOPS_PER_CHUNK):
+        sl = slice(lo, lo + _LOOPS_PER_CHUNK)
+        xs, ys, ws = zip(*(samples(lp) for _, _, lp in loops[sl]))
+        counts = np.array([len(x) for x in xs])
+        owner = np.repeat(src[sl], counts)
+        X = (np.concatenate(xs) - frames[owner, 0]) / frames[owner, 2]
+        Y = (np.concatenate(ys) - frames[owner, 1]) / frames[owner, 2]
+        vals = np.zeros(len(X))
+        Yb = np.ones(len(X))
+        for b in range(coeffs.shape[2]):
+            Xa = Yb.copy()
+            for a in range(coeffs.shape[1]):
+                if coeffs[:, a, b].any():
+                    vals += coeffs[owner, a, b] * Xa
+                Xa *= X
+            Yb *= Y
+        vals *= np.concatenate(ws)
+        out[sl] = np.add.reduceat(vals, np.cumsum(counts) - counts)
+    return out
 
 
 def remap(request: RemapRequest) -> RemapReport:

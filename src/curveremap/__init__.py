@@ -5,6 +5,11 @@ The pipeline clips every overlapping pair of curved cells exactly
 reconstructs per-cell polynomials with multi-resolution WENO, optionally
 applies a positivity-preserving limiter, and integrates the polynomials
 exactly over the clipped pieces, so total mass is conserved to round-off.
+
+`curveremap.remap` is the function `remap`, re-exported here; as a package
+attribute it hides the submodule of the same name. The module itself is
+`importlib.import_module("curveremap.remap")`, and `from curveremap.remap
+import build_plan` reaches into it as well.
 """
 
 from .geometry import (Aabb, CurvedPolygon, CurveSpan, GeometryError,
@@ -15,9 +20,8 @@ from .clipping import (ClipResult, ClipTopologyError, CurveIntersection,
                        classify, handle_degeneracies, intersect_curves,
                        wa_clip)
 from .integrate import (CurvedTriangle, GaussRule1D, IntegrationError, Poly2,
-                        TriangulationError, TriRule, green_area,
-                        green_integral, make_tri_rule, poly_integral_cell,
-                        tri_integral, triangulate)
+                        TriangulationError, TriRule, green_integral,
+                        make_tri_rule, tri_integral, triangulate)
 from .limiter import LimiterError, LimiterParams, QuadPointGroup, positivity_limit
 from .mesh import (Adjacency, CurvilinearMesh, Field, MeshError,
                    MeshParseError, boundary_loop, build_adjacency,

@@ -187,23 +187,26 @@ def _bezier_conversion(degree: int) -> np.ndarray:
     return np.linalg.inv(bern)
 
 
-def _decasteljau_split(ctrl: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Split a Bezier control polygon at parameter t; returns (left, right)."""
-    n = len(ctrl)
-    work = ctrl.copy()
-    left = np.empty_like(ctrl)
-    right = np.empty_like(ctrl)
-    left[0] = work[0]
-    right[-1] = work[-1]
-    for level in range(1, n):
-        work = (1.0 - t) * work[:-1] + t * work[1:]
-        left[level] = work[0]
-        right[-1 - level] = work[-1]
+def _decasteljau_split(ctrl: list, t: float) -> tuple[list, list]:
+    """Split a Bezier control polygon, a list of (x, y) pairs, at parameter
+    t; returns (left, right)."""
+    s = 1.0 - t
+    work = ctrl
+    left = [work[0]]
+    right = [work[-1]]
+    for _ in range(1, len(ctrl)):
+        work = [(s * x0 + t * x1, s * y0 + t * y1)
+                for (x0, y0), (x1, y1) in zip(work[:-1], work[1:])]
+        left.append(work[0])
+        right.append(work[-1])
+    right.reverse()
     return left, right
 
 
-def _bezier_segment(ctrl: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Control points of the Bezier restricted to [a, b] (a < b assumed)."""
+def _bezier_segment(ctrl: np.ndarray, a: float, b: float) -> list:
+    """Control points, as (x, y) pairs, of the Bezier restricted to [a, b]
+    (a < b assumed)."""
+    ctrl = [tuple(p) for p in ctrl.tolist()]
     if a > b:
         a, b = b, a
     if a > 0.0:
@@ -240,6 +243,13 @@ class ParamCurve:
         basis = _lagrange_basis(self.degree, t)
         return basis @ self.nodes
 
+    def eval_pointwise(self, t: np.ndarray) -> np.ndarray:
+        """Points at a 1-D array of parameters, each rounded as eval rounds
+        a single parameter (one vector-matrix product per point; a batched
+        eval may differ from it in the last bit)."""
+        basis = _lagrange_basis(self.degree, t)
+        return (basis[:, None, :] @ self.nodes)[:, 0, :]
+
     def deriv(self, t) -> np.ndarray:
         """Exact derivative of the Lagrange interpolant; shape (..., 2)."""
         dbasis = _lagrange_dbasis(self.degree, t)
@@ -248,6 +258,9 @@ class ParamCurve:
     @property
     def power_coeffs(self) -> np.ndarray:
         """Power-basis coefficients, shape (d+1, 2), low order first."""
+        if self._power is None and self.degree == 1:
+            # what the solve below gives: its LU factors are exact here
+            self._power = np.array([self.nodes[0], self.nodes[1] - self.nodes[0]])
         if self._power is None:
             u = _uniform_params(self.degree)
             vand = np.vander(u, self.degree + 1, increasing=True)
@@ -324,40 +337,43 @@ def _polyline_self_intersects(pts: np.ndarray, closed: bool) -> bool:
     return bool(proper.any())
 
 
-def real_roots_in(coeffs: np.ndarray, lo: float, hi: float,
-                  tol: float = PARAM_TOL) -> list[float]:
-    """Real roots of a power-basis polynomial (low order first) in [lo, hi].
-
-    Degrees 1 and 2 use closed forms; higher degrees go through the
-    companion matrix. Nearly-zero leading coefficients are trimmed so that
-    degenerate (e.g. straight stored-as-quadratic) curves are handled.
-    """
-    c = np.asarray(coeffs, float)
-    scale = np.max(np.abs(c)) if c.size else 0.0
+def _trim_leading(coeffs) -> list[float]:
+    """Power coefficients (low order first) without their nearly-zero
+    leading terms, |c_k| <= 1e-14 max |c|, so that degenerate (e.g.
+    straight stored-as-quadratic) curves keep their true degree."""
+    c = np.asarray(coeffs, float).tolist()
+    scale = max(map(abs, c), default=0.0)
     if scale == 0.0:
         return []
     k = len(c) - 1
     while k > 0 and abs(c[k]) <= 1e-14 * scale:
         k -= 1
-    c = c[:k + 1]
-    roots: list[float] = []
-    if k == 0:
+    return c[:k + 1]
+
+
+def _closed_form_roots(c: list[float]) -> list[float]:
+    """Real roots of a trimmed polynomial of degree 1 or 2."""
+    if len(c) == 2:
+        return [-c[0] / c[1]]
+    a2, a1, a0 = c[2], c[1], c[0]
+    disc = a1 * a1 - 4.0 * a2 * a0
+    if disc < 0.0:
         return []
-    if k == 1:
-        roots = [-c[0] / c[1]]
-    elif k == 2:
-        a2, a1, a0 = c[2], c[1], c[0]
-        disc = a1 * a1 - 4.0 * a2 * a0
-        if disc < 0.0:
-            return []
-        sq = math.sqrt(disc)
-        # Citardauq form for the small root avoids cancellation.
-        q = -0.5 * (a1 + math.copysign(sq, a1))
-        roots = [q / a2] if q == 0.0 else [q / a2, a0 / q]
-    else:
-        rr = npoly.polyroots(c)
-        roots = [float(r.real) for r in rr
-                 if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real))]
+    sq = math.sqrt(disc)
+    # Citardauq form for the small root avoids cancellation.
+    q = -0.5 * (a1 + math.copysign(sq, a1))
+    return [q / a2] if q == 0.0 else [q / a2, a0 / q]
+
+
+def _real_parts(eigenvalues) -> list[float]:
+    return [float(r.real) for r in eigenvalues
+            if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real))]
+
+
+def _in_window(roots: list[float], lo: float, hi: float,
+               tol: float) -> list[float]:
+    """Sorted roots in [lo - tol, hi + tol], clamped to [lo, hi], without
+    duplicates closer than 1e-12."""
     lo2, hi2 = min(lo, hi) - tol, max(lo, hi) + tol
     found = sorted(r for r in roots if lo2 <= r <= hi2)
     out: list[float] = []
@@ -366,6 +382,46 @@ def real_roots_in(coeffs: np.ndarray, lo: float, hi: float,
         if not out or abs(r - out[-1]) > 1e-12:
             out.append(r)
     return out
+
+
+def real_roots_in(coeffs: np.ndarray, lo: float, hi: float,
+                  tol: float = PARAM_TOL) -> list[float]:
+    """Real roots of a power-basis polynomial (low order first) in [lo, hi].
+
+    Degrees 1 and 2 use closed forms; higher degrees go through the
+    companion matrix. Nearly-zero leading coefficients are trimmed so that
+    degenerate (e.g. straight stored-as-quadratic) curves are handled.
+    """
+    c = _trim_leading(coeffs)
+    if len(c) < 2:
+        return []
+    if len(c) <= 3:
+        return _in_window(_closed_form_roots(c), lo, hi, tol)
+    return _in_window(_real_parts(npoly.polyroots(c)), lo, hi, tol)
+
+
+def real_roots_in_many(polys, windows,
+                       tol: float = PARAM_TOL) -> list[list[float]]:
+    """real_roots_in for several polynomials, with the same roots.
+
+    The cubics share one batched eigenvalue solve of their companion
+    matrices, built as numpy's polycompanion builds them; LAPACK treats
+    each matrix of a batch as it treats a single one.
+    """
+    trimmed = [_trim_leading(c) for c in polys]
+    roots = [_closed_form_roots(c) if 2 <= len(c) <= 3
+             else _real_parts(npoly.polyroots(c)) if len(c) > 4 else []
+             for c in trimmed]
+    cubics = [i for i, c in enumerate(trimmed) if len(c) == 4]
+    if cubics:
+        c = np.array([trimmed[i] for i in cubics])
+        comp = np.zeros((len(cubics), 3, 3))
+        comp[:, 1, 0] = 1.0
+        comp[:, 2, 1] = 1.0
+        comp[:, :, 2] -= c[:, :3] / c[:, 3:]
+        for i, ev in zip(cubics, np.linalg.eigvals(comp)):
+            roots[i] = _real_parts(ev)
+    return [_in_window(r, lo, hi, tol) for r, (lo, hi) in zip(roots, windows)]
 
 
 @dataclass(frozen=True)
@@ -416,16 +472,30 @@ class CurveSpan:
         return CurveSpan(self.curve, float(self.t_of(ua)), float(self.t_of(ub)))
 
     def bezier_points(self) -> np.ndarray:
-        return _bezier_segment(self.curve.bezier_points,
-                               min(self.t0, self.t1), max(self.t0, self.t1))
+        return np.array(_bezier_segment(self.curve.bezier_points,
+                                        min(self.t0, self.t1),
+                                        max(self.t0, self.t1)))
 
     def bbox(self) -> Aabb:
         if self.t0 == 0.0 and self.t1 == 1.0:
             return self.curve.bbox()
-        return Aabb.of_points(self.bezier_points())
+        xs, ys = zip(*_bezier_segment(self.curve.bezier_points,
+                                      min(self.t0, self.t1),
+                                      max(self.t0, self.t1)))
+        return Aabb(min(xs), min(ys), max(xs), max(ys))
 
     def flipped(self) -> "CurveSpan":
         return CurveSpan(self.curve, self.t1, self.t0)
+
+    def contour_term(self) -> float:
+        """This span's part of the contour integral of x dy - y dx, which
+        is exact with degree + 1 Gauss points."""
+        xi, w = gauss_rule_01(self.degree + 1)
+        t = self.t0 + xi * (self.t1 - self.t0)
+        p = self.curve.eval(t)
+        d = self.curve.deriv(t)
+        return (self.t1 - self.t0) * float(
+            np.dot(w, p[:, 0] * d[:, 1] - p[:, 1] * d[:, 0]))
 
 
 def straight_span(a, b) -> CurveSpan:
@@ -495,13 +565,7 @@ class CurvedPolygon:
         if self._area is None:
             total = 0.0
             for s in self.spans:
-                n = s.degree + 1
-                xi, w = gauss_rule_01(n)
-                t = s.t0 + xi * (s.t1 - s.t0)
-                p = s.curve.eval(t)
-                d = s.curve.deriv(t)
-                total += (s.t1 - s.t0) * float(
-                    np.dot(w, p[:, 0] * d[:, 1] - p[:, 1] * d[:, 0]))
+                total += s.contour_term()
             self._area = 0.5 * total
         return self._area
 

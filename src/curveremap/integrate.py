@@ -9,15 +9,16 @@ for polynomial integrands, which is what makes the remap conservative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .clipping import intersect_curves
 from .geometry import (SNAP_TOL, CurvedPolygon, CurveSpan,
-                       gauss_rule_01, straight_span)
+                       gauss_rule_01, real_roots_in_many,
+                       straight_span)
 
 
 class IntegrationError(RuntimeError):
@@ -180,16 +181,6 @@ def green_integral(f: Poly2, boundary: CurvedPolygon) -> float:
     return total
 
 
-def green_area(boundary: CurvedPolygon) -> float:
-    """Signed area from the symmetric contour form; positive for CCW."""
-    return boundary.signed_area()
-
-
-def poly_integral_cell(f: Poly2, cell: CurvedPolygon) -> float:
-    """Whole-cell specialization of green_integral (4-span loops)."""
-    return green_integral(f, cell)
-
-
 @dataclass(frozen=True)
 class TriRule:
     """Positive-weight quadrature on the reference triangle T0."""
@@ -197,10 +188,24 @@ class TriRule:
     degree: int
     points: np.ndarray   # (M, 2)
     weights: np.ndarray  # (M,), all > 0, sum = 1/2
+    # per map degree: the map's monomials and their gradients at the points
+    _bases: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         if np.any(self.weights <= 0.0):
             raise IntegrationError("triangle rule has non-positive weights")
+
+    def basis(self, map_degree: int):
+        """Monomials of a degree-d map and their xi and eta derivatives at
+        the rule's points, computed once per map degree."""
+        out = self._bases.get(map_degree)
+        if out is None:
+            xi, eta = self.points[:, 0], self.points[:, 1]
+            out = (_tri_monomials(map_degree, xi, eta),
+                   *_tri_monomials_grad(map_degree, xi, eta))
+            self._bases[map_degree] = out
+        return out
 
 
 _TRI_TABLE_DEGREES = (1, 2, 4, 6, 8, 10, 12)
@@ -254,6 +259,29 @@ def _tri_lattice(degree: int):
     return pts, np.linalg.inv(mono)
 
 
+@lru_cache(maxsize=None)
+def _edge_slots(degree: int) -> np.ndarray:
+    """Lattice slots of the nodes u = k/d, k = 1..d, along the edges
+    v0 -> v1, v1 -> v2 and v2 -> v0 (each vertex is the u = 1 node of the
+    edge that ends there)."""
+    d = degree
+
+    def slot(i, j):
+        return j * (d + 1) - j * (j - 1) // 2 + i
+
+    ks = range(1, d + 1)
+    return np.array([[slot(k, 0) for k in ks], [slot(d - k, k) for k in ks],
+                     [slot(0, d - k) for k in ks]])
+
+
+@lru_cache(maxsize=None)
+def _probe_grads(degree: int, n: int):
+    """Map-monomial gradients at the probe lattice (i/n, j/n), i + j <= n."""
+    pts = np.array([(i / n, j / n) for j in range(n + 1)
+                    for i in range(n + 1 - j)])
+    return _tri_monomials_grad(degree, pts[:, 0], pts[:, 1])
+
+
 def _tri_monomials(degree: int, xi, eta) -> np.ndarray:
     xi = np.asarray(xi, float)
     cols = []
@@ -301,66 +329,45 @@ class CurvedTriangle:
 
     @staticmethod
     def _control_net(spans, d: int) -> np.ndarray:
-        lattice, _ = _tri_lattice(d)
-        nodes = np.zeros((len(lattice), 2))
-        seen = np.zeros(len(lattice), dtype=bool)
-
-        def set_node(i, j, p):
-            idx = 0
-            for jj in range(d + 1):
-                for ii in range(d + 1 - jj):
-                    if ii == i and jj == j:
-                        nodes[idx] = p
-                        seen[idx] = True
-                        return
-                    idx += 1
-
-        for k in range(d + 1):
-            u = k / d
-            set_node(k, 0, spans[0].point_at(u))          # edge v0 -> v1
-            set_node(d - k, k, spans[1].point_at(u))      # edge v1 -> v2
-            set_node(0, d - k, spans[2].point_at(u))      # edge v2 -> v0
+        u = np.arange(d + 1) / d
+        edges = [s.curve.eval_pointwise(s.t_of(u)) for s in spans]
+        nodes = np.empty(((d + 1) * (d + 2) // 2, 2))
+        for slots, pts in zip(_edge_slots(d), edges):
+            nodes[slots] = pts[1:]
         if d == 3:
-            # bubble-free interior node: affine barycenter lifted by edges
-            edge_sum = np.zeros(2)
-            vert_sum = np.zeros(2)
-            for k in range(1, d):
-                u = k / d
-                edge_sum += spans[0].point_at(u) + spans[1].point_at(u) \
-                    + spans[2].point_at(u)
-            for s in spans:
-                vert_sum += s.start
-            set_node(1, 1, edge_sum / 4.0 - vert_sum / 6.0)
-        if not seen.all():
-            raise IntegrationError("incomplete triangle control net")
+            # bubble-free interior node (slot of (1, 1)): affine barycenter
+            # lifted by edges
+            e0, e1, e2 = edges
+            edge_sum = (e0[1] + e1[1] + e2[1]) + (e0[2] + e1[2] + e2[2])
+            vert_sum = e0[0] + e1[0] + e2[0]
+            nodes[d + 2] = edge_sum / 4.0 - vert_sum / 6.0
         return nodes
 
     def map_eval(self, xi, eta) -> np.ndarray:
         return _tri_monomials(self.degree, xi, eta) @ self._coeff
 
-    def jacobian(self, xi, eta) -> np.ndarray:
-        gx, ge = _tri_monomials_grad(self.degree, xi, eta)
+    def _det(self, gx: np.ndarray, ge: np.ndarray) -> np.ndarray:
+        """Jacobian determinant from monomial gradients at some points."""
         dxy_dxi = gx @ self._coeff
         dxy_deta = ge @ self._coeff
         return (dxy_dxi[:, 0] * dxy_deta[:, 1]
                 - dxy_dxi[:, 1] * dxy_deta[:, 0])
 
+    def jacobian(self, xi, eta) -> np.ndarray:
+        return self._det(*_tri_monomials_grad(self.degree, xi, eta))
+
     def quad_samples(self, rule: TriRule):
         """Physical quadrature points and J-scaled weights for a rule."""
-        pts = self.map_eval(rule.points[:, 0], rule.points[:, 1])
-        jac = self.jacobian(rule.points[:, 0], rule.points[:, 1])
+        mono, gx, ge = rule.basis(self.degree)
+        pts = mono @ self._coeff
+        jac = self._det(gx, ge)
         if np.any(jac <= 0.0):
             raise IntegrationError(
                 f"inverted triangle map (min J = {jac.min():.3e})")
         return pts, jac * rule.weights
 
     def min_jacobian_probe(self, n: int = 5) -> float:
-        pts = []
-        for j in range(n + 1):
-            for i in range(n + 1 - j):
-                pts.append((i / n, j / n))
-        pts = np.array(pts)
-        return float(self.jacobian(pts[:, 0], pts[:, 1]).min())
+        return float(self._det(*_probe_grads(self.degree, n)).min())
 
 
 def tri_integral(f: Poly2, tri: CurvedTriangle, rule: TriRule) -> float:
@@ -374,17 +381,12 @@ def tri_integral(f: Poly2, tri: CurvedTriangle, rule: TriRule) -> float:
     return float(np.dot(f.eval(pts[:, 0], pts[:, 1]), jw))
 
 
-def triangulated_integral(f: Poly2, tris: list[CurvedTriangle]) -> float:
-    """Approach B integral of f over a set of curved triangles."""
-    total = 0.0
-    for t in tris:
-        rule = make_tri_rule(rule_degree_for(f.degree, t.degree))
-        total += tri_integral(f, t, rule)
-    return total
-
-
 # --------------------------------------------------------------------------
 # ear-clipping triangulation of curved polygons
+
+_PROBE_U = np.array([0.25, 0.5, 0.75])    # containment samples of a piece
+_OUTLINE_U = np.linspace(0.0, 1.0, 12, endpoint=False)  # an ear's outline
+
 
 def _winding_inside(polyline: np.ndarray, pts: np.ndarray,
                     margin: float) -> np.ndarray:
@@ -415,26 +417,115 @@ def _winding_inside(polyline: np.ndarray, pts: np.ndarray,
     return inside | near
 
 
-def _chord_blocked(chord: CurveSpan, pieces, skip_touch_at) -> bool:
-    """Does the chord touch any piece away from its own endpoints?"""
-    p_from, p_to = chord.start, chord.end
-    for piece in pieces:
-        for inter in intersect_curves(chord, piece):
-            px, py = inter.point
-            da = math.hypot(px - p_from[0], py - p_from[1])
-            db = math.hypot(px - p_to[0], py - p_to[1])
-            if min(da, db) > skip_touch_at:
+class _Piece:
+    """One boundary piece of an ear pass, as its tests read it.
+
+    Built once when the piece enters the pass: the span's Bezier box
+    inflated by SNAP_TOL, its curve's power coefficients and their
+    magnitude, its parameter window and its start point (the pass's node).
+    Its containment samples at u = 1/4, 1/2, 3/4, its outline points and
+    its term of the contour area are computed on first use.
+    """
+
+    def __init__(self, span: CurveSpan, start: tuple | None = None):
+        box = span.bbox().inflate(SNAP_TOL)
+        self.span = span
+        self.degree = span.degree
+        self.box = (box.xmin, box.ymin, box.xmax, box.ymax)
+        self.coeffs = span.curve.power_coeffs.tolist()
+        self.mag = sum(abs(x) + abs(y) for x, y in self.coeffs)
+        self.lo, self.hi = min(span.t0, span.t1), max(span.t0, span.t1)
+        self.start = tuple(span.start.tolist()) if start is None else start
+
+    @cached_property
+    def probes(self) -> np.ndarray:
+        return self.span.point_at(_PROBE_U)
+
+    @cached_property
+    def outline(self) -> np.ndarray:
+        return self.span.point_at(_OUTLINE_U)
+
+    @cached_property
+    def term(self) -> float:
+        return self.span.contour_term()
+
+
+def _chord_blocked(c, a, pieces: list[_Piece], touch: float) -> bool:
+    """Does the straight chord from c to a touch any piece away from its
+    own ends by more than touch?
+
+    Decides what intersect_curves on every piece decides, in plain floats
+    on the piece table. The same inflated boxes reject a piece. The
+    crossings with the rest are the roots in their windows of
+    w(t) = (p(t) - c) x (a - c), by real_roots_in_many: the same roots as
+    intersect_curves finds. A root's point is projected on the chord and
+    clamped to it, and blocks when it lies farther than touch from both
+    chord ends. That point differs from intersect_curves' by a few ulps of
+    the coefficients, so a distance within 1e-12 of their size from touch
+    is left undecided, as is a straight piece that may lie along the chord
+    (intersect_curves reports overlap ends there, not roots). Undecided
+    pieces go through intersect_curves itself.
+    """
+    cx, cy = c
+    ax, ay = a
+    xmin, xmax = min(cx, ax) - SNAP_TOL, max(cx, ax) + SNAP_TOL
+    ymin, ymax = min(cy, ay) - SNAP_TOL, max(cy, ay) + SNAP_TOL
+    dx, dy = ax - cx, ay - cy
+    length2 = dx * dx + dy * dy
+    chord_size = 1.0 + abs(cx) + abs(cy) + abs(ax) + abs(ay)
+    crossed, polys, undecided = [], [], []
+    for p in pieces:
+        pxmin, pymin, pxmax, pymax = p.box
+        if not (xmin <= pxmax and pxmin <= xmax
+                and ymin <= pymax and pymin <= ymax):
+            continue
+        (x0, y0), *rest = p.coeffs
+        w = [(x0 - cx) * dy - (y0 - cy) * dx] + [x * dy - y * dx
+                                                 for x, y in rest]
+        near = 1e-8 * (chord_size + p.mag) * math.sqrt(length2)
+        if length2 == 0.0 or (p.degree == 1
+                              and abs(w[0] + w[1] * p.lo) <= near
+                              and abs(w[0] + w[1] * p.hi) <= near):
+            undecided.append(p)
+        else:
+            crossed.append(p)
+            polys.append(w)
+    roots = real_roots_in_many(polys, [(p.lo, p.hi) for p in crossed])
+    for p, ts in zip(crossed, roots):
+        margin = 1e-12 * (chord_size + p.mag)
+        for t in ts:
+            px = py = 0.0
+            for x, y in reversed(p.coeffs):
+                px = px * t + x
+                py = py * t + y
+            u = ((px - cx) * dx + (py - cy) * dy) / length2
+            u = min(max(u, 0.0), 1.0)
+            qx, qy = (1.0 - u) * cx + u * ax, (1.0 - u) * cy + u * ay
+            gap = min(math.hypot(qx - cx, qy - cy),
+                      math.hypot(qx - ax, qy - ay))
+            if abs(gap - touch) <= margin:
+                undecided.append(p)
+                break
+            if gap > touch:
                 return True
+    if undecided:
+        chord = straight_span(c, a)
+        for p in undecided:
+            for inter in intersect_curves(chord, p.span):
+                x, y = inter.point
+                if min(math.hypot(x - cx, y - cy),
+                       math.hypot(x - ax, y - ay)) > touch:
+                    return True
     return False
 
 
-def _subdivided_loop(poly: CurvedPolygon, level: int):
-    """Nodes and pieces for an ear-clipping pass.
+def _subdivided_loop(poly: CurvedPolygon, level: int) -> list[_Piece]:
+    """The piece table of an ear-clipping pass.
 
     Curved spans contribute 2^(level+1) pieces (one midpoint at level 0),
     straight spans stay whole until the first refinement round.
     """
-    pieces: list[CurveSpan] = []
+    pieces: list[_Piece] = []
     for span in poly.spans:
         if span.degree == 1 and level == 0:
             parts = 1
@@ -444,16 +535,15 @@ def _subdivided_loop(poly: CurvedPolygon, level: int):
             parts = 2 ** (level + 1)
         cuts = np.linspace(0.0, 1.0, parts + 1)
         for a, b in zip(cuts[:-1], cuts[1:]):
-            pieces.append(span.sub(float(a), float(b)))
-    nodes = [p.start.copy() for p in pieces]
-    return nodes, pieces
+            pieces.append(_Piece(span.sub(float(a), float(b))))
+    return pieces
 
 
-def _single_triangle(poly: CurvedPolygon) -> CurvedTriangle | None:
-    if len(poly.spans) != 3:
+def _single_triangle(spans) -> CurvedTriangle | None:
+    if len(spans) != 3:
         return None
     try:
-        tri = CurvedTriangle(poly.spans)
+        tri = CurvedTriangle(spans)
     except IntegrationError:
         return None
     if tri.min_jacobian_probe() <= 0.0:
@@ -461,67 +551,97 @@ def _single_triangle(poly: CurvedPolygon) -> CurvedTriangle | None:
     return tri
 
 
-def _ear_pass(nodes, pieces, scale: float):
-    """One full ear-clipping pass; returns triangles or None on failure."""
-    nodes = list(nodes)
+def _ear_holds_probe(pa: _Piece, pb: _Piece, chord: CurveSpan,
+                     pieces: list[_Piece], ib: int) -> bool:
+    """Containment test of the ear pa, pb, chord (pb = pieces[ib]; the
+    chord runs from the end of pb to the start of pa).
+
+    The probes are the nodes of the pieces other than pa, pb and the one
+    after pb, and the samples of the pieces other than pa and pb. Only
+    probes within twice the test's margin of the ear's box are tested: a
+    probe farther out is neither near the outline nor inside it, as the
+    outline lies in that box.
+    """
+    margin = 10.0 * SNAP_TOL
+    (cx, cy), (ax, ay) = pieces[(ib + 1) % len(pieces)].start, pa.start
+    xmin = min(pa.box[0], pb.box[0], cx, ax) - 2.0 * margin
+    ymin = min(pa.box[1], pb.box[1], cy, ay) - 2.0 * margin
+    xmax = max(pa.box[2], pb.box[2], cx, ax) + 2.0 * margin
+    ymax = max(pa.box[3], pb.box[3], cy, ay) + 2.0 * margin
+    n = len(pieces)
+    nodes, samples = [], []
+    for k in range(1, n - 1):
+        p = pieces[(ib + k) % n]
+        bx0, by0, bx1, by1 = p.box
+        if bx0 <= xmax and xmin <= bx1 and by0 <= ymax and ymin <= by1:
+            if k > 1:
+                nodes.append(p.start)
+            samples.append(p.probes)
+    if not samples:
+        return False
+    probes = np.concatenate([np.array(nodes).reshape(-1, 2)] + samples)
+    x, y = probes[:, 0], probes[:, 1]
+    probes = probes[(x >= xmin) & (x <= xmax) & (y >= ymin) & (y <= ymax)]
+    if not len(probes):
+        return False
+    outline = np.concatenate([pa.outline, pb.outline,
+                              chord.point_at(_OUTLINE_U)])
+    return bool(_winding_inside(outline, probes, margin).any())
+
+
+def _ear_pass(pieces: list[_Piece], scale: float):
+    """One full ear-clipping pass over a piece table.
+
+    Returns the triangles and their areas, or None on failure.
+    """
     pieces = list(pieces)
     tris: list[CurvedTriangle] = []
+    areas: list[float] = []
     touch_tol = 1e-7 * scale
-    guard = 4 * len(nodes) + 16
-    while len(nodes) > 3 and guard > 0:
+    guard = 4 * len(pieces) + 16
+    while len(pieces) > 3 and guard > 0:
         guard -= 1
-        n = len(nodes)
+        n = len(pieces)
         cut = None
         for i in range(n):
             ia, ib, ic = (i - 1) % n, i, (i + 1) % n
-            A, B, C = nodes[ia], nodes[ib], nodes[ic]
+            pa, pb = pieces[ia], pieces[ib]
+            A, B, C = pa.start, pb.start, pieces[ic].start
             area2 = (B[0] - A[0]) * (C[1] - A[1]) - (B[1] - A[1]) * (C[0] - A[0])
             if area2 <= 1e-14 * scale * scale:
                 continue
+            if _chord_blocked(C, A, pieces, touch_tol):
+                continue
             chord = straight_span(C, A)
-            others = [pieces[j] for j in range(n) if j not in (ia, ib)]
-            if _chord_blocked(chord, others + [pieces[ia], pieces[ib]], touch_tol):
+            area = 0.5 * (pa.term + pb.term + chord.contour_term())
+            if area <= 0.0:
                 continue
-            cand = CurvedPolygon([pieces[ia], pieces[ib], chord])
-            if cand.signed_area() <= 0.0:
+            if _ear_holds_probe(pa, pb, chord, pieces, ib):
                 continue
-            # containment: other nodes and sampled boundary points
-            probes = [nodes[j] for j in range(n) if j not in (ia, ib, ic)]
-            uu = np.array([0.25, 0.5, 0.75])
-            for j in range(n):
-                if j in (ia, ib):
-                    continue
-                probes.extend(pieces[j].point_at(uu))
-            if probes:
-                boundary = cand.boundary_points(per_span=12)
-                hit = _winding_inside(boundary, np.asarray(probes),
-                                      margin=10.0 * SNAP_TOL)
-                if hit.any():
-                    continue
-            tri = _single_triangle(cand)
+            tri = _single_triangle((pa.span, pb.span, chord))
             if tri is None:
                 continue
-            cut = (ia, ib, ic, tri, chord)
+            cut = (ia, ib, tri, chord, area)
             break
         if cut is None:
             return None
-        ia, ib, ic, tri, chord = cut
+        ia, ib, tri, chord, area = cut
         tris.append(tri)
-        pieces[ia] = chord.flipped()
+        areas.append(area)
+        pieces[ia] = _Piece(chord.flipped(), start=pieces[ia].start)
         del pieces[ib]
-        del nodes[ib]
     if guard <= 0:
         return None
-    final = _single_triangle(CurvedPolygon(pieces))
+    final = _single_triangle([p.span for p in pieces])
     if final is None:
         return None
     tris.append(final)
-    return tris
+    areas.append(0.5 * (pieces[0].term + pieces[1].term + pieces[2].term))
+    return tris, areas
 
 
-def _tiles_exactly(tris, area: float) -> bool:
-    total = sum(CurvedPolygon(t.spans).signed_area() for t in tris)
-    return abs(total - area) <= 1e-10 * max(abs(area), 1e-300)
+def _tiles_exactly(areas: list[float], area: float) -> bool:
+    return abs(sum(areas) - area) <= 1e-10 * max(abs(area), 1e-300)
 
 
 def _split_quad(poly: CurvedPolygon) -> list[CurvedTriangle] | None:
@@ -531,20 +651,24 @@ def _split_quad(poly: CurvedPolygon) -> list[CurvedTriangle] | None:
     either crosses the boundary (rejected by the exact chord test) or
     produces triangles whose areas cannot sum to the loop area.
     """
-    s = poly.spans
+    table = [_Piece(s) for s in poly.spans]
     area = poly.signed_area()
     touch = 1e-7 * max(poly.bbox().diag, 1e-30)
     for k in (0, 1):
-        a, b = s[k], s[k + 1]
-        c, d = s[(k + 2) % 4], s[(k + 3) % 4]
-        chord = straight_span(b.end, a.start)
-        if _chord_blocked(chord, s, touch):
+        a, b = table[k], table[k + 1]
+        c, d = table[(k + 2) % 4], table[(k + 3) % 4]
+        end = tuple(b.span.end.tolist())
+        if _chord_blocked(end, a.start, table, touch):
             continue
-        t1 = _single_triangle(CurvedPolygon([a, b, chord]))
-        t2 = _single_triangle(CurvedPolygon([c, d, chord.flipped()]))
+        chord = straight_span(end, a.start)
+        back = chord.flipped()
+        t1 = _single_triangle((a.span, b.span, chord))
+        t2 = _single_triangle((c.span, d.span, back))
         if t1 is None or t2 is None:
             continue
-        if _tiles_exactly([t1, t2], area):
+        if _tiles_exactly([0.5 * (a.term + b.term + chord.contour_term()),
+                           0.5 * (c.term + d.term + back.contour_term())],
+                          area):
             return [t1, t2]
     return None
 
@@ -559,7 +683,7 @@ def triangulate(poly: CurvedPolygon) -> list[CurvedTriangle]:
     valid ear exists every span is bisected and the pass restarts, up to 8
     refinement rounds.
     """
-    single = _single_triangle(poly)
+    single = _single_triangle(poly.spans)
     if single is not None:
         return [single]
     if len(poly.spans) == 4:
@@ -569,10 +693,9 @@ def triangulate(poly: CurvedPolygon) -> list[CurvedTriangle]:
     scale = max(poly.bbox().diag, 1e-30)
     area = poly.signed_area()
     for level in range(9):
-        nodes, pieces = _subdivided_loop(poly, level)
-        tris = _ear_pass(nodes, pieces, scale)
-        if tris is not None and _tiles_exactly(tris, area):
-            return tris
+        found = _ear_pass(_subdivided_loop(poly, level), scale)
+        if found is not None and _tiles_exactly(found[1], area):
+            return found[0]
     raise TriangulationError(
         f"ear clipping failed after 8 refinement rounds on {poly!r}; "
         f"bbox={poly.bbox()}, area={poly.signed_area():.6e}")

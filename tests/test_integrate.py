@@ -7,9 +7,8 @@ from curveremap.clipping import wa_clip
 from curveremap.geometry import CurvedPolygon, CurveSpan, ParamCurve, \
     polygon_from_points, straight_span
 from curveremap.integrate import (CurvedTriangle, IntegrationError, Poly2,
-                                  green_area, green_integral, make_tri_rule,
-                                  poly_integral_cell, rule_degree_for,
-                                  tri_integral, triangulate)
+                                  green_integral, make_tri_rule,
+                                  rule_degree_for, tri_integral, triangulate)
 from curveremap.experiments import REFERENCE_AREA
 
 from conftest import sample_curved_quads
@@ -23,9 +22,9 @@ def test_unit_square_monomials_exact(unit_square):
             assert abs(got - exact) <= 1e-14
 
 
-def test_green_area_equals_unit_integral(quad_pair):
+def test_signed_area_equals_unit_integral(quad_pair):
     for poly in quad_pair:
-        a = green_area(poly)
+        a = poly.signed_area()
         b = green_integral(Poly2.constant(1.0), poly)
         assert abs(a - b) <= 1e-13 * abs(a)
 
@@ -35,7 +34,7 @@ def test_worked_example_areas_both_ways(quad_pair):
     res = wa_clip(qp, qq)
     area_a = sum(green_integral(Poly2.constant(1.0), lp) for lp in res.loops)
     assert abs(area_a - REFERENCE_AREA) <= 1e-13
-    assert abs(sum(green_area(lp) for lp in res.loops)
+    assert abs(sum(lp.signed_area() for lp in res.loops)
                - 0.723453730359014) <= 1e-13
     area_b = 0.0
     for lp in res.loops:
@@ -113,12 +112,12 @@ def test_cross_method_on_curved_triangle(quad_pair):
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
-def test_poly_integral_cell_basics(quad_pair, unit_square):
+def test_green_integral_cell_basics(quad_pair, unit_square):
     from curveremap.mesh import gen_deformed_square_mesh
     m = gen_deformed_square_mesh(4, "identity", degree=2)
-    got = poly_integral_cell(Poly2.constant(1.0), m.cell_polygon(0))
+    got = green_integral(Poly2.constant(1.0), m.cell_polygon(0))
     assert abs(got - 1 / 16) <= 1e-15
-    assert abs(poly_integral_cell(Poly2.monomial(1, 0), unit_square)
+    assert abs(green_integral(Poly2.monomial(1, 0), unit_square)
                - 0.5) <= 1e-15
     # Quad P, f = y^2, Green vs triangulation
     qp, _ = quad_pair

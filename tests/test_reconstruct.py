@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curveremap.geometry import polygon_from_points
-from curveremap.integrate import Poly2, poly_integral_cell
+from curveremap.integrate import Poly2, green_integral
 from curveremap.mesh import exact_cell_averages, gen_deformed_square_mesh
 from curveremap.reconstruct import (ReconstructionError, WenoConfig,
                                     _exponents, _geometry,
@@ -151,7 +151,7 @@ def test_conservation_invariant_all_orders():
     for order in (1, 3, 5):
         rf = weno_reconstruct(m, avg, WenoConfig(order=order))
         for i in range(m.n_cells):
-            got = poly_integral_cell(rf.polys[i], m.cell_polygon(i))
+            got = green_integral(rf.polys[i], m.cell_polygon(i))
             want = avg[i] * areas[i]
             assert abs(got - want) <= 1e-12 * max(abs(want), 1e-6)
 

@@ -639,14 +639,21 @@ class _CoonsCell:
         self.p01 = self.s[2].end
 
     def eval_jac(self, xi, eta):
-        """Mapped points (n, 2) and Jacobian determinant (n,)."""
+        """Mapped points (n*m, 2) and Jacobian determinant (n*m,) on the
+        tensor grid of n nodes xi and m nodes eta, in "ij" order (xi
+        slowest).
+
+        Each boundary curve depends on one coordinate only, so it is
+        evaluated at that coordinate's nodes and broadcast over the grid.
+        """
         s0, s1, s2, s3 = self.s
-        cb, ct = s0.point_at(xi), s2.point_at(1.0 - xi)
-        cl, cr = s3.point_at(1.0 - eta), s1.point_at(eta)
-        dcb, dct = s0.tangent_at(xi), -s2.tangent_at(1.0 - xi)
-        dcl, dcr = -s3.tangent_at(1.0 - eta), s1.tangent_at(eta)
-        xi_ = xi[:, None]
-        eta_ = eta[:, None]
+        cb, ct = s0.point_at(xi)[:, None], s2.point_at(1.0 - xi)[:, None]
+        cl, cr = s3.point_at(1.0 - eta)[None], s1.point_at(eta)[None]
+        dcb = s0.tangent_at(xi)[:, None]
+        dct = -s2.tangent_at(1.0 - xi)[:, None]
+        dcl, dcr = -s3.tangent_at(1.0 - eta)[None], s1.tangent_at(eta)[None]
+        xi_ = xi[:, None, None]
+        eta_ = eta[None, :, None]
         blend = ((1 - xi_) * (1 - eta_) * self.p00 + xi_ * (1 - eta_) * self.p10
                  + (1 - xi_) * eta_ * self.p01 + xi_ * eta_ * self.p11)
         F = (1 - eta_) * cb + eta_ * ct + (1 - xi_) * cl + xi_ * cr - blend
@@ -656,17 +663,16 @@ class _CoonsCell:
         dF_deta = ((ct - cb) + (1 - xi_) * dcl + xi_ * dcr
                    - (-(1 - xi_) * self.p00 - xi_ * self.p10
                       + (1 - xi_) * self.p01 + xi_ * self.p11))
-        jac = dF_dxi[:, 0] * dF_deta[:, 1] - dF_dxi[:, 1] * dF_deta[:, 0]
-        return F, jac
+        jac = dF_dxi[..., 0] * dF_deta[..., 1] - dF_dxi[..., 1] * dF_deta[..., 0]
+        return F.reshape(-1, 2), jac.ravel()
 
     def integrate(self, func, panels: int, order: int = 8) -> float:
         xi1, w1 = gauss_rule_01(order)
         offs = np.arange(panels) / panels
         x = (offs[:, None] + xi1[None, :] / panels).ravel()
         w = np.tile(w1 / panels, panels)
-        X, Y = np.meshgrid(x, x, indexing="ij")
         WX, WY = np.meshgrid(w, w, indexing="ij")
-        pts, jac = self.eval_jac(X.ravel(), Y.ravel())
+        pts, jac = self.eval_jac(x, x)
         if jac.min() <= 0.0:
             raise MeshError("cell map is not orientation-preserving")
         vals = np.asarray(func(pts[:, 0], pts[:, 1]), float)

@@ -220,3 +220,53 @@ def test_exact_averages_nonsmooth_needs_relaxed_mode():
     assert getattr(best, "nonconverged", False)
     total = float(best.averages @ m.cell_areas())
     assert abs(total - 0.77 ** 2 / 2) < 1e-3
+
+
+def _per_point_integrate(cell, func, panels: int, order: int = 8) -> float:
+    """The Coons-map quadrature evaluated point by point on the full grid:
+    every boundary curve at all n^2 points."""
+    from curveremap.geometry import gauss_rule_01
+    xi1, w1 = gauss_rule_01(order)
+    offs = np.arange(panels) / panels
+    x = (offs[:, None] + xi1[None, :] / panels).ravel()
+    w = np.tile(w1 / panels, panels)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    WX, WY = np.meshgrid(w, w, indexing="ij")
+    xi, eta = X.ravel(), Y.ravel()
+    s0, s1, s2, s3 = cell.s
+    p00, p10, p11, p01 = cell.p00, cell.p10, cell.p11, cell.p01
+    cb, ct = s0.point_at(xi), s2.point_at(1.0 - xi)
+    cl, cr = s3.point_at(1.0 - eta), s1.point_at(eta)
+    dcb, dct = s0.tangent_at(xi), -s2.tangent_at(1.0 - xi)
+    dcl, dcr = -s3.tangent_at(1.0 - eta), s1.tangent_at(eta)
+    xi_, eta_ = xi[:, None], eta[:, None]
+    blend = ((1 - xi_) * (1 - eta_) * p00 + xi_ * (1 - eta_) * p10
+             + (1 - xi_) * eta_ * p01 + xi_ * eta_ * p11)
+    F = (1 - eta_) * cb + eta_ * ct + (1 - xi_) * cl + xi_ * cr - blend
+    dF_dxi = ((1 - eta_) * dcb + eta_ * dct + (cr - cl)
+              - (-(1 - eta_) * p00 + (1 - eta_) * p10 - eta_ * p01
+                 + eta_ * p11))
+    dF_deta = ((ct - cb) + (1 - xi_) * dcl + xi_ * dcr
+               - (-(1 - xi_) * p00 - xi_ * p10 + (1 - xi_) * p01
+                  + xi_ * p11))
+    jac = dF_dxi[:, 0] * dF_deta[:, 1] - dF_dxi[:, 1] * dF_deta[:, 0]
+    vals = np.asarray(func(F[:, 0], F[:, 1]), float)
+    return float(np.sum(vals * jac * (WX * WY).ravel()))
+
+
+@pytest.mark.parametrize("kind", ["disk", "degree3"])
+def test_coons_grid_averages_equal_per_point_form(kind, monkeypatch):
+    from curveremap import mesh as mesh_mod
+    from curveremap.experiments import accuracy_meshes, cylinder_field
+    if kind == "disk":
+        m = gen_disk_mesh(6)
+        field = lambda x, y: np.where(np.hypot(x - 0.3, y + 0.2) < 0.5,
+                                      1.0, 0.0)
+    else:
+        m = accuracy_meshes(6, degree=3)[0]
+        field = cylinder_field
+    grid = exact_cell_averages(m, field, strict=False, max_levels=3)
+    monkeypatch.setattr(mesh_mod._CoonsCell, "integrate",
+                        _per_point_integrate)
+    ref = exact_cell_averages(m, field, strict=False, max_levels=3)
+    assert np.array_equal(grid.averages, ref.averages)

@@ -20,8 +20,9 @@ import numpy as np
 
 from .clipping import (ClipTopologyError, CurveIntersection, intersect_curves,
                        wa_clip, _unit)
-from .geometry import SNAP_TOL, CurvedPolygon, gauss_rule_01
-from .integrate import Poly2, make_tri_rule, rule_degree_for, triangulate
+from .geometry import SNAP_TOL, CurvedPolygon, GeometryError, gauss_rule_01
+from .integrate import (IntegrationError, Poly2, make_tri_rule,
+                        rule_degree_for, triangulate)
 from .limiter import LimiterParams, QuadPointGroup, positivity_limit
 from .mesh import CurvilinearMesh, Field
 from .reconstruct import WenoConfig, weno_reconstruct
@@ -381,8 +382,8 @@ def build_plan(source: CurvilinearMesh, target: CurvilinearMesh,
                                                  transversal=tv))
         try:
             res = wa_clip(sub, clp, raw=raw)
-        except ClipTopologyError as exc:
-            raise ClipTopologyError(
+        except (ClipTopologyError, GeometryError) as exc:
+            raise type(exc)(
                 f"clipping failed for source cell {ci} vs target cell {ct}: "
                 f"{exc}") from exc
         if not res.loops:
@@ -397,13 +398,17 @@ def build_plan(source: CurvilinearMesh, target: CurvilinearMesh,
             geom = _LoopGeom(lp, area, ax, ay, awdy)
             if with_tris:
                 s0 = time.monotonic()
-                tris = triangulate(lp)
                 bp, bw = [], []
-                for tri in tris:
-                    rule = make_tri_rule(rule_degree_for(k_max, tri.degree))
-                    pts, jw = tri.quad_samples(rule)
-                    bp.append(pts)
-                    bw.append(jw)
+                try:
+                    for tri in triangulate(lp):
+                        rule = make_tri_rule(rule_degree_for(k_max, tri.degree))
+                        pts, jw = tri.quad_samples(rule)
+                        bp.append(pts)
+                        bw.append(jw)
+                except IntegrationError as exc:
+                    raise type(exc)(
+                        f"triangulation failed for source cell {ci} vs "
+                        f"target cell {ct}: {exc}") from exc
                 geom.bpts = np.vstack(bp)
                 geom.bjw = np.concatenate(bw)
                 t_tri += time.monotonic() - s0

@@ -188,3 +188,31 @@ def test_reduced_fits_are_counted_beyond_the_four_listed():
     assert len(recon) == 5
     assert all("reduced to degree" in w for w in recon[:4])
     assert recon[4] == "reconstruct: 9 reduced fits"
+
+
+def test_plan_failure_names_the_cell_pair():
+    # this pair raised a point-location GeometryError that named no cells
+    from curveremap import (ClipTopologyError, GeometryError,
+                            IntegrationError)
+    from curveremap.experiments import accuracy_meshes
+    try:
+        build_plan(*accuracy_meshes(5, degree=3), k_max=2, with_tris=True)
+    except (ClipTopologyError, GeometryError, IntegrationError) as exc:
+        assert "source cell" in str(exc)
+        assert exc.__cause__ is not None
+
+
+def test_triangulation_failure_keeps_its_type_and_names_the_pair(monkeypatch):
+    import importlib
+    from curveremap.integrate import TriangulationError
+    # the package attribute curveremap.remap is the function
+    remap_module = importlib.import_module("curveremap.remap")
+
+    def fail(poly):
+        raise TriangulationError("no ear")
+
+    monkeypatch.setattr(remap_module, "triangulate", fail)
+    m = gen_deformed_square_mesh(2, "identity", degree=2)
+    with pytest.raises(TriangulationError,
+                       match=r"source cell \d+ vs target cell \d+: no ear"):
+        build_plan(m, m, k_max=2, with_tris=True)

@@ -388,33 +388,30 @@ _PROBE_U = np.array([0.25, 0.5, 0.75])    # containment samples of a piece
 _OUTLINE_U = np.linspace(0.0, 1.0, 12, endpoint=False)  # an ear's outline
 
 
-def _winding_inside(polyline: np.ndarray, pts: np.ndarray,
-                    margin: float) -> np.ndarray:
-    """Strictly-inside test of points vs a closed sampled polyline.
+def _holds_any(polyline: np.ndarray, pts: np.ndarray, margin: float) -> bool:
+    """Is any point strictly inside a closed sampled polyline, or closer
+    than margin to it?
 
-    A point closer than margin to the polyline counts as inside, which is
-    the conservative direction for ear rejection.
+    A point near the polyline counts as inside, which is the conservative
+    direction for ear rejection.
     """
-    a = polyline
-    b = np.roll(polyline, -1, axis=0)
+    ax, ay = polyline[:, 0], polyline[:, 1]
+    bx, by = np.roll(ax, -1), np.roll(ay, -1)
+    dx, dy = bx - ax, by - ay
     px = pts[:, 0][:, None]
     py = pts[:, 1][:, None]
-    ax, ay = a[:, 0][None, :], a[:, 1][None, :]
-    bx, by = b[:, 0][None, :], b[:, 1][None, :]
     # crossing-number parity with a +x ray
-    cond = (ay > py) != (by > py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xint = ax + (py - ay) * (bx - ax) / np.where(by == ay, 1.0, by - ay)
-    crossing = cond & (xint > px)
-    inside = (crossing.sum(axis=1) % 2) == 1
+    rel_y = py - ay
+    xint = ax + rel_y * dx / np.where(dy == 0.0, 1.0, dy)
+    crossing = ((ay > py) != (by > py)) & (xint > px)
+    if (crossing.sum(axis=1) % 2 == 1).any():
+        return True
     # distance to segments
-    dx, dy = bx - ax, by - ay
     L2 = dx * dx + dy * dy
-    tpar = ((px - ax) * dx + (py - ay) * dy) / np.where(L2 == 0.0, 1.0, L2)
-    tpar = np.clip(tpar, 0.0, 1.0)
+    tpar = ((px - ax) * dx + rel_y * dy) / np.where(L2 == 0.0, 1.0, L2)
+    tpar = np.minimum(np.maximum(tpar, 0.0), 1.0)
     d2 = (ax + tpar * dx - px) ** 2 + (ay + tpar * dy - py) ** 2
-    near = d2.min(axis=1) <= margin * margin
-    return inside | near
+    return bool(d2.min() <= margin * margin)
 
 
 class _Piece:
@@ -427,7 +424,8 @@ class _Piece:
     its term of the contour area are computed on first use.
     """
 
-    def __init__(self, span: CurveSpan, start: tuple | None = None):
+    def __init__(self, span: CurveSpan, start: tuple | None = None,
+                 term: float | None = None):
         box = span.bbox().inflate(SNAP_TOL)
         self.span = span
         self.degree = span.degree
@@ -436,6 +434,8 @@ class _Piece:
         self.mag = sum(abs(x) + abs(y) for x, y in self.coeffs)
         self.lo, self.hi = min(span.t0, span.t1), max(span.t0, span.t1)
         self.start = tuple(span.start.tolist()) if start is None else start
+        if term is not None:
+            self.term = term
 
     @cached_property
     def probes(self) -> np.ndarray:
@@ -534,8 +534,11 @@ def _subdivided_loop(poly: CurvedPolygon, level: int) -> list[_Piece]:
         else:
             parts = 2 ** (level + 1)
         cuts = np.linspace(0.0, 1.0, parts + 1)
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            pieces.append(_Piece(span.sub(float(a), float(b))))
+        subs = [span.sub(float(a), float(b))
+                for a, b in zip(cuts[:-1], cuts[1:])]
+        starts = span.curve.eval_pointwise(np.array([s.t0 for s in subs]))
+        pieces += [_Piece(s, start=tuple(p))
+                   for s, p in zip(subs, starts.tolist())]
     return pieces
 
 
@@ -586,7 +589,7 @@ def _ear_holds_probe(pa: _Piece, pb: _Piece, chord: CurveSpan,
         return False
     outline = np.concatenate([pa.outline, pb.outline,
                               chord.point_at(_OUTLINE_U)])
-    return bool(_winding_inside(outline, probes, margin).any())
+    return _holds_any(outline, probes, margin)
 
 
 def _ear_pass(pieces: list[_Piece], scale: float):
@@ -651,7 +654,8 @@ def _split_quad(poly: CurvedPolygon) -> list[CurvedTriangle] | None:
     either crosses the boundary (rejected by the exact chord test) or
     produces triangles whose areas cannot sum to the loop area.
     """
-    table = [_Piece(s) for s in poly.spans]
+    table = [_Piece(s, term=t)
+             for s, t in zip(poly.spans, poly.contour_terms())]
     area = poly.signed_area()
     touch = 1e-7 * max(poly.bbox().diag, 1e-30)
     for k in (0, 1):

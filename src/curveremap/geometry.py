@@ -392,21 +392,17 @@ def real_roots_in(coeffs: np.ndarray, lo: float, hi: float,
     companion matrix. Nearly-zero leading coefficients are trimmed so that
     degenerate (e.g. straight stored-as-quadratic) curves are handled.
     """
-    c = _trim_leading(coeffs)
-    if len(c) < 2:
-        return []
-    if len(c) <= 3:
-        return _in_window(_closed_form_roots(c), lo, hi, tol)
-    return _in_window(_real_parts(npoly.polyroots(c)), lo, hi, tol)
+    return real_roots_in_many([coeffs], [(lo, hi)], tol)[0]
 
 
 def real_roots_in_many(polys, windows,
                        tol: float = PARAM_TOL) -> list[list[float]]:
-    """real_roots_in for several polynomials, with the same roots.
+    """real_roots_in for several polynomials, each with its window.
 
     The cubics share one batched eigenvalue solve of their companion
-    matrices, built as numpy's polycompanion builds them; LAPACK treats
-    each matrix of a batch as it treats a single one.
+    matrices, built as numpy's polycompanion builds them; LAPACK solves
+    each matrix of a batch as it solves a single one, so the roots do not
+    depend on the batch. Higher degrees go through polyroots one by one.
     """
     trimmed = [_trim_leading(c) for c in polys]
     roots = [_closed_form_roots(c) if 2 <= len(c) <= 3
@@ -470,11 +466,6 @@ class CurveSpan:
     def sub(self, ua: float, ub: float) -> "CurveSpan":
         """Sub-span between local parameters ua < ub (traversal order kept)."""
         return CurveSpan(self.curve, float(self.t_of(ua)), float(self.t_of(ub)))
-
-    def bezier_points(self) -> np.ndarray:
-        return np.array(_bezier_segment(self.curve.bezier_points,
-                                        min(self.t0, self.t1),
-                                        max(self.t0, self.t1)))
 
     def bbox(self) -> Aabb:
         if self.t0 == 0.0 and self.t1 == 1.0:

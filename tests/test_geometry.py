@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from curveremap.geometry import (Aabb, CurvedPolygon, CurveSpan, GeometryError,
                                  ParamCurve, Point2, curve_bbox, curve_deriv,
                                  curve_eval, point_in_polygon,
-                                 polygon_from_points, straight_span,
+                                 polygon_from_points, real_roots_in,
+                                 real_roots_in_many, straight_span,
                                  validate_curve)
 
 
@@ -190,3 +191,48 @@ def test_interior_point_is_inside(quad_pair):
     for poly in quad_pair:
         x, y = poly.interior_point()
         assert poly.locate(x, y) == "inside"
+
+
+def _roots_one_by_one(coeffs, lo, hi, tol=1e-9):
+    """The per-polynomial root finder real_roots_in_many must match:
+    trim, closed forms below degree 3, numpy's polyroots from degree 3."""
+    c = list(map(float, coeffs))
+    scale = max(map(abs, c))
+    k = len(c) - 1
+    while k > 0 and abs(c[k]) <= 1e-14 * scale:
+        k -= 1
+    if k == 0:
+        return []
+    if k == 1:
+        roots = [-c[0] / c[1]]
+    elif k == 2:
+        disc = c[1] * c[1] - 4.0 * c[2] * c[0]
+        if disc < 0.0:
+            return []
+        q = -0.5 * (c[1] + math.copysign(math.sqrt(disc), c[1]))
+        roots = [q / c[2]] if q == 0.0 else [q / c[2], c[0] / q]
+    else:
+        roots = [float(r.real) for r in np.polynomial.polynomial.polyroots(
+            c[:k + 1]) if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real))]
+    out = []
+    for r in sorted(r for r in roots if lo - tol <= r <= hi + tol):
+        r = min(max(r, lo), hi)
+        if not out or abs(r - out[-1]) > 1e-12:
+            out.append(r)
+    return out
+
+
+def test_batched_roots_equal_one_by_one_roots():
+    rng = np.random.default_rng(12)
+    P = np.polynomial.polynomial
+    polys = [rng.normal(size=rng.integers(2, 6)) * 10.0 ** rng.uniform(-6, 3)
+             for _ in range(400)]
+    polys += [P.polyfromroots([r, r + 1e-9 * rng.normal(), rng.normal()])
+              for r in rng.uniform(0.0, 1.0, 100)]
+    polys += [np.array([1e-3, -2.0, 1.0, 1e-17])]  # trimmed to a quadratic
+    windows = [tuple(sorted(rng.uniform(-1.5, 1.5, 2))) for _ in polys]
+    got = real_roots_in_many(polys, windows)
+    assert any(len(r) > 1 for r in got)
+    for c, (lo, hi), roots in zip(polys, windows, got):
+        assert roots == _roots_one_by_one(c, lo, hi)
+        assert real_roots_in(c, lo, hi) == roots

@@ -533,14 +533,13 @@ class CurvedPolygon:
     self-intersect (sampling check).
     """
 
-    __slots__ = ("spans", "_bbox", "_terms", "_area", "_interior")
+    __slots__ = ("spans", "_bbox", "_area", "_interior")
 
     def __init__(self, spans):
         self.spans = tuple(spans)
         if len(self.spans) < 2:
             raise GeometryError("polygon needs at least 2 spans")
         self._bbox = None
-        self._terms = None
         self._area = None
         self._interior = None
 
@@ -552,18 +551,12 @@ class CurvedPolygon:
             self._bbox = box
         return self._bbox
 
-    def contour_terms(self) -> list[float]:
-        """Each span's contour integral of x dy - y dx."""
-        if self._terms is None:
-            self._terms = [s.contour_term() for s in self.spans]
-        return self._terms
-
     def signed_area(self) -> float:
         """Area via the symmetric contour form 1/2 * integral(x y' - y x')."""
         if self._area is None:
             total = 0.0
-            for term in self.contour_terms():
-                total += term
+            for s in self.spans:
+                total += s.contour_term()
             self._area = 0.5 * total
         return self._area
 

@@ -424,8 +424,7 @@ class _Piece:
     its term of the contour area are computed on first use.
     """
 
-    def __init__(self, span: CurveSpan, start: tuple | None = None,
-                 term: float | None = None):
+    def __init__(self, span: CurveSpan, start: tuple | None = None):
         box = span.bbox().inflate(SNAP_TOL)
         self.span = span
         self.degree = span.degree
@@ -434,8 +433,6 @@ class _Piece:
         self.mag = sum(abs(x) + abs(y) for x, y in self.coeffs)
         self.lo, self.hi = min(span.t0, span.t1), max(span.t0, span.t1)
         self.start = tuple(span.start.tolist()) if start is None else start
-        if term is not None:
-            self.term = term
 
     @cached_property
     def probes(self) -> np.ndarray:
@@ -654,8 +651,7 @@ def _split_quad(poly: CurvedPolygon) -> list[CurvedTriangle] | None:
     either crosses the boundary (rejected by the exact chord test) or
     produces triangles whose areas cannot sum to the loop area.
     """
-    table = [_Piece(s, term=t)
-             for s, t in zip(poly.spans, poly.contour_terms())]
+    table = [_Piece(s) for s in poly.spans]
     area = poly.signed_area()
     touch = 1e-7 * max(poly.bbox().diag, 1e-30)
     for k in (0, 1):

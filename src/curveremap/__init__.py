@@ -13,8 +13,7 @@ import build_plan` reaches into it as well.
 """
 
 from .geometry import (Aabb, CurvedPolygon, CurveSpan, GeometryError,
-                       ParamCurve, Point2, curve_bbox, curve_deriv,
-                       curve_eval, point_in_polygon, polygon_from_points,
+                       ParamCurve, point_in_polygon, polygon_from_points,
                        straight_span, validate_curve)
 from .clipping import (ClipResult, ClipTopologyError, CurveIntersection,
                        classify, handle_degeneracies, intersect_curves,

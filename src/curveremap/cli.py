@@ -23,16 +23,6 @@ _RUNTIME_ERRORS = (MeshError, MeshParseError, ClipTopologyError,
                    IntegrationError, ValueError)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("CURVEREMAP_THREADS", "0")
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"CURVEREMAP_THREADS={env!r} is not an integer")
-
-
 def _say(args, msg: str) -> None:
     if not args.quiet:
         print(msg)
@@ -60,7 +50,7 @@ def cmd_remap(args) -> int:
     fld = read_field(args.src_field, src)
     req = RemapRequest(src, fld, dst, order=args.order,
                        positivity=args.positivity == "on",
-                       approach=args.approach, threads=_threads(args))
+                       approach=args.approach)
     rep = remap(req)
     write_field(Field(rep.field.averages), args.field_out)
     if args.report:
@@ -137,8 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="curveremap",
         description="Conservative remapping between curvilinear quad meshes")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="worker hint (0 = auto; execution is currently serial)")
     ap.add_argument("--quiet", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -207,7 +195,6 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        _threads(args)
         return args.func(args)
     except _RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

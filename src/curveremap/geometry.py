@@ -1,4 +1,4 @@
-"""Points, parametric Lagrange curves, curve spans, and curved polygons.
+"""Parametric Lagrange curves, curve spans, and curved polygons.
 
 Everything downstream (meshes, clipping, quadrature) is built on three
 primitives: ParamCurve (a degree-d Lagrange curve), CurveSpan (an oriented
@@ -25,24 +25,6 @@ _RAY_ANGLES = (0.0, 0.7391, 1.8473, 2.9517, 3.8621, 4.7137, 5.5309,
 
 class GeometryError(ValueError):
     """Invalid geometric object or operation."""
-
-
-@dataclass(frozen=True, slots=True)
-class Point2:
-    """A point in the plane. Coordinates must be finite."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise GeometryError(f"non-finite point ({self.x}, {self.y})")
-
-    def dist(self, other: "Point2") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y])
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,27 +261,8 @@ class ParamCurve:
             self._bbox = Aabb.of_points(self.bezier_points)
         return self._bbox
 
-    def reversed_nodes(self) -> np.ndarray:
-        return self.nodes[::-1]
-
     def __repr__(self):
         return f"ParamCurve(degree={self.degree})"
-
-
-def curve_eval(c: ParamCurve, t: float) -> Point2:
-    """Evaluate the Lagrange interpolant at parameter t."""
-    p = c.eval(float(t))
-    return Point2(float(p[0]), float(p[1]))
-
-def curve_deriv(c: ParamCurve, t: float) -> tuple[float, float]:
-    """Exact derivative (x'(t), y'(t)) of the interpolant."""
-    d = c.deriv(float(t))
-    return float(d[0]), float(d[1])
-
-
-def curve_bbox(c: ParamCurve) -> Aabb:
-    """Bounding box from the Bezier control hull (a true bound)."""
-    return c.bbox()
 
 
 def validate_curve(c: ParamCurve, samples: int = 257) -> None:
@@ -683,9 +646,8 @@ class CurvedPolygon:
 
 
 def point_in_polygon(poly: CurvedPolygon, p) -> str:
-    """Classify p against poly: 'inside', 'outside' or 'boundary'."""
-    if isinstance(p, Point2):
-        return poly.locate(p.x, p.y)
+    """Classify the point p = (x, y) against poly: 'inside', 'outside' or
+    'boundary'."""
     return poly.locate(float(p[0]), float(p[1]))
 
 

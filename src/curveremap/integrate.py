@@ -139,14 +139,6 @@ class Poly2:
         out[:other.coeffs.shape[0], :other.coeffs.shape[1]] += other.coeffs
         return Poly2(out, self.cx, self.cy, self.h)
 
-    def shift_constant(self, delta: float) -> "Poly2":
-        c = self.coeffs.copy()
-        c[0, 0] += delta
-        return Poly2(c, self.cx, self.cy, self.h)
-
-    def scaled(self, factor: float) -> "Poly2":
-        return Poly2(self.coeffs * factor, self.cx, self.cy, self.h)
-
     def __repr__(self):
         return (f"Poly2(degree={self.degree}, center=({self.cx:.3g}, "
                 f"{self.cy:.3g}), h={self.h:.3g})")
@@ -342,9 +334,6 @@ class CurvedTriangle:
             vert_sum = e0[0] + e1[0] + e2[0]
             nodes[d + 2] = edge_sum / 4.0 - vert_sum / 6.0
         return nodes
-
-    def map_eval(self, xi, eta) -> np.ndarray:
-        return _tri_monomials(self.degree, xi, eta) @ self._coeff
 
     def _det(self, gx: np.ndarray, ge: np.ndarray) -> np.ndarray:
         """Jacobian determinant from monomial gradients at some points."""

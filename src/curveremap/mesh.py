@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (Aabb, CurvedPolygon, CurveSpan, GeometryError,
-                       ParamCurve, gauss_rule_01)
+from .geometry import (CurvedPolygon, CurveSpan, GeometryError, ParamCurve,
+                       gauss_rule_01)
 
 
 class MeshError(ValueError):
@@ -110,10 +110,6 @@ class CurvilinearMesh:
         if self._adjacency is None:
             self._adjacency = build_adjacency(self)
         return self._adjacency
-
-    def domain_bbox(self) -> Aabb:
-        return Aabb(float(self.points[:, 0].min()), float(self.points[:, 1].min()),
-                    float(self.points[:, 0].max()), float(self.points[:, 1].max()))
 
     def __repr__(self):
         return (f"CurvilinearMesh({self.n_cells} cells, {self.n_edges} edges, "

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clipping import (ClipTopologyError, CurveIntersection, intersect_curves,
-                       wa_clip, _unit)
+from .clipping import (DEDUP_PARAM, ClipTopologyError, CurveIntersection,
+                       curve_flip, intersect_curves, newton_roots,
+                       transversal, wa_clip)
 from .geometry import SNAP_TOL, CurvedPolygon, GeometryError, gauss_rule_01
 from .integrate import (IntegrationError, Poly2, make_tri_rule,
                         rule_degree_for, triangulate)
@@ -40,7 +41,6 @@ class RemapRequest:
     order: int = 3
     positivity: bool = False
     approach: str = "A"
-    threads: int = 0  # accepted for interface stability; execution is serial
 
     def averages(self) -> np.ndarray:
         if isinstance(self.source_field, Field):
@@ -137,64 +137,6 @@ def candidate_pairs(source: CurvilinearMesh,
 # --------------------------------------------------------------------------
 # batched edge-pair intersection
 
-def _batch_newton(coefa: np.ndarray, coefb: np.ndarray, max_iter: int = 30):
-    """Vectorized Newton for P edge pairs; returns (pair_idx, t, s) roots.
-
-    coefa: (P, da+1, 2), coefb: (P, db+1, 2) power coefficients. Roots are
-    deduplicated per pair at parameter distance 1e-8 by the caller.
-    """
-    P = coefa.shape[0]
-    da = coefa.shape[1] - 1
-    db = coefb.shape[1] - 1
-    m = da * db + 2
-    g = np.linspace(0.0, 1.0, m)
-    T0, S0 = np.meshgrid(g, g)
-    t = np.broadcast_to(T0.ravel(), (P, m * m)).copy()
-    s = np.broadcast_to(S0.ravel(), (P, m * m)).copy()
-
-    def horner(c, w):
-        x = np.broadcast_to(c[:, -1, 0][:, None], w.shape).copy()
-        y = np.broadcast_to(c[:, -1, 1][:, None], w.shape).copy()
-        for k in range(c.shape[1] - 2, -1, -1):
-            x = x * w + c[:, k, 0][:, None]
-            y = y * w + c[:, k, 1][:, None]
-        return x, y
-
-    dca = coefa[:, 1:] * np.arange(1, da + 1)[None, :, None]
-    dcb = coefb[:, 1:] * np.arange(1, db + 1)[None, :, None]
-    alive = np.ones(t.shape, dtype=bool)
-    for _ in range(max_iter):
-        ax, ay = horner(coefa, t)
-        bx, by = horner(coefb, s)
-        rx, ry = ax - bx, ay - by
-        dax, day = horner(dca, t)
-        dbx, dby = horner(dcb, s)
-        det = dbx * day - dax * dby
-        ok = alive & (np.abs(det) > 1e-300)
-        if not ok.any():
-            break
-        saf = np.where(ok, det, 1.0)
-        dt = np.where(ok, (rx * dby - dbx * ry) / saf, 0.0)
-        ds = np.where(ok, (rx * day - dax * ry) / saf, 0.0)
-        mag = np.maximum(np.abs(dt), np.abs(ds))
-        lim = np.where(mag > 0.5, 0.5 / np.maximum(mag, 1e-300), 1.0)
-        t = t + dt * lim * ok
-        s = s + ds * lim * ok
-        alive = ok & (np.abs(t - 0.5) < 1.2) & (np.abs(s - 0.5) < 1.2)
-        if not alive.any():
-            break
-        if bool(np.all(~alive | (np.hypot(rx, ry) < 1e-15))):
-            break
-    ax, ay = horner(coefa, t)
-    bx, by = horner(coefb, s)
-    res = np.hypot(ax - bx, ay - by)
-    slack = 1e-9
-    good = (res <= 1e-12) & (t > -slack) & (t < 1 + slack) & \
-        (s > -slack) & (s < 1 + slack)
-    pair_idx, seed_idx = np.nonzero(good)
-    return pair_idx, np.clip(t[good], 0.0, 1.0), np.clip(s[good], 0.0, 1.0)
-
-
 def _edge_pair_roots(source: CurvilinearMesh, target: CurvilinearMesh,
                      pairs: list[tuple[int, int]]):
     """Roots of every candidate (source edge, target edge) pair.
@@ -224,15 +166,12 @@ def _edge_pair_roots(source: CurvilinearMesh, target: CurvilinearMesh,
                 if sbox[key[0]].overlaps(tbox[key[1]]):
                     order.append(key)
     result: dict[tuple[int, int], list | None] = {}
-    scale = max(1.0, float(np.max(np.abs(source.points))),
-                float(np.max(np.abs(target.points))))
+    tol = SNAP_TOL * max(1.0, float(np.max(np.abs(source.points))),
+                         float(np.max(np.abs(target.points))))
     todo = []
     for (es, et) in order:
-        na = source.points[source.edges[es]]
-        nb = target.points[target.edges[et]]
-        if na.shape == nb.shape and (
-                np.max(np.abs(na - nb)) <= SNAP_TOL * scale
-                or np.max(np.abs(na - nb[::-1])) <= SNAP_TOL * scale):
+        if curve_flip(source.points[source.edges[es]],
+                      target.points[target.edges[et]], tol) is not None:
             result[(es, et)] = None  # same curve: overlap handled locally
         else:
             todo.append((es, et))
@@ -240,19 +179,18 @@ def _edge_pair_roots(source: CurvilinearMesh, target: CurvilinearMesh,
         return result, False
     coefa = np.stack([source.edge_curve(e).power_coeffs for (e, _) in todo])
     coefb = np.stack([target.edge_curve(e).power_coeffs for (_, e) in todo])
-    m2 = (d_s * d_t + 2) ** 2
-    chunk = max(1, 400_000 // m2)
+    whole = np.tile([0.0, 1.0], (len(todo), 1))
+    pair, tt, ss, _res = newton_roots(coefa, coefb, whole, whole)
     rows: list[list] = [[] for _ in todo]
-    for lo in range(0, len(todo), chunk):
-        hi = min(lo + chunk, len(todo))
-        pidx, tt, ss = _batch_newton(coefa[lo:hi], coefb[lo:hi])
-        for k in range(len(pidx)):
-            rows[lo + int(pidx[k])].append((float(tt[k]), float(ss[k])))
+    for k, t, s in zip(pair.tolist(), tt.tolist(), ss.tolist()):
+        rows[k].append((t, s))
     for (key, roots) in zip(todo, rows):
+        # keep the first of close roots (intersect_curves says why it
+        # keeps another)
         roots.sort()
         dedup: list[tuple[float, float]] = []
         for (t, s) in roots:
-            if any(abs(t - t2) <= 1e-8 and abs(s - s2) <= 1e-8
+            if any(abs(t - t2) <= DEDUP_PARAM and abs(s - s2) <= DEDUP_PARAM
                    for (t2, s2) in dedup):
                 continue
             dedup.append((t, s))
@@ -262,10 +200,8 @@ def _edge_pair_roots(source: CurvilinearMesh, target: CurvilinearMesh,
         entries = []
         for (t, s) in dedup:
             p = ca.eval(t)
-            ua = _unit(ca.deriv(t))
-            ub = _unit(cb.deriv(s))
-            cross = abs(ua[0] * ub[1] - ua[1] * ub[0])
-            entries.append((t, s, float(p[0]), float(p[1]), cross > 1e-8))
+            entries.append((t, s, float(p[0]), float(p[1]),
+                            transversal(ca.deriv(t), cb.deriv(s))))
         result[key] = entries
     return result, False
 
@@ -360,16 +296,8 @@ def build_plan(source: CurvilinearMesh, target: CurvilinearMesh,
                                           source.cell_dirs[ci])):
             for kc, (et, dt_) in enumerate(zip(target.cell_edges[ct],
                                                target.cell_dirs[ct])):
-                key = (int(es), int(et))
-                if local_only or key not in roots:
-                    if local_only:
-                        for inter in intersect_curves(sub.spans[ks], clp.spans[kc]):
-                            inter.subject_span = ks
-                            inter.clip_span = kc
-                            raw.append(inter)
-                    continue
-                entry = roots[key]
-                if entry is None:
+                entry = roots.get((int(es), int(et)), [])
+                if local_only or entry is None:
                     for inter in intersect_curves(sub.spans[ks], clp.spans[kc]):
                         inter.subject_span = ks
                         inter.clip_span = kc

@@ -127,17 +127,6 @@ def test_accuracy_smoke_and_determinism(tmp_path):
     assert (out1 / "conservation.csv").exists()
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("CURVEREMAP_THREADS", "not-an-int")
-    out = tmp_path / "m.curvemesh"
-    code = run_cli("--quiet", "gen", "--kind", "identity", "--n", "2",
-                   "--out", str(out))
-    assert code == 3
-    monkeypatch.setenv("CURVEREMAP_THREADS", "2")
-    assert run_cli("--quiet", "gen", "--kind", "identity", "--n", "2",
-                   "--out", str(out)) == 0
-
-
 def test_clipdemo_matches_golden(tmp_path):
     out = tmp_path / "demo"
     assert run_cli("--quiet", "clipdemo", "--out", str(out)) == 0

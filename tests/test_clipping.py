@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from curveremap.clipping import (ClipTopologyError, classify,
+from curveremap.clipping import (ClipTopologyError, classify, curve_flip,
                                  handle_degeneracies, intersect_curves,
-                                 wa_clip, _raw_intersections)
-from curveremap.geometry import (CurvedPolygon, CurveSpan, ParamCurve,
-                                 polygon_from_points, straight_span)
-from curveremap.experiments import demo_quads, REFERENCE_AREA
+                                 newton_roots, wa_clip, _raw_intersections)
+from curveremap.geometry import (SNAP_TOL, CurvedPolygon, CurveSpan,
+                                 ParamCurve, polygon_from_points,
+                                 straight_span)
+from curveremap.experiments import accuracy_meshes, demo_quads, REFERENCE_AREA
+from curveremap.mesh import gen_disk_mesh, rotate_mesh
+from curveremap.remap import _edge_pair_roots, candidate_pairs
 
 from conftest import sample_curved_quads
 
@@ -178,3 +181,81 @@ def test_topology_error_reports_points():
     sq = polygon_from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
     with pytest.raises(ClipTopologyError):
         raise ClipTopologyError("synthetic")
+
+
+# --------------------------------------------------------------------------
+# the batched Newton kernel
+
+def _mesh_pairs():
+    """(name, source, target) of the meshes the kernel tests run on."""
+    base = gen_disk_mesh(8)
+    return [("cubic_n8", *accuracy_meshes(8, degree=3)),
+            ("disk_rotation", base, rotate_mesh(base, math.pi / 4.0))]
+
+
+def _curved_edge_pairs(src, tgt):
+    """Every (source edge, target edge) pair of two curved meshes whose
+    boxes overlap and whose curves differ."""
+    sbox = [src.edge_curve(e).bbox().inflate(SNAP_TOL)
+            for e in range(src.n_edges)]
+    tbox = [tgt.edge_curve(e).bbox().inflate(SNAP_TOL)
+            for e in range(tgt.n_edges)]
+    return [(es, et) for es in range(src.n_edges) for et in range(tgt.n_edges)
+            if sbox[es].overlaps(tbox[et])
+            and curve_flip(src.points[src.edges[es]],
+                           tgt.points[tgt.edges[et]], SNAP_TOL) is None]
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_reversed_window_gives_roots_at_one_minus_u(degree):
+    sub, clp = demo_quads(degree)
+    compared = 0
+    for a in sub.spans:
+        for b in clp.spans:
+            for t0, t1 in ((0.0, 1.0), (0.05, 0.9)):
+                span = CurveSpan(a.curve, t0, t1)
+                fwd = sorted((r.s, r.t) for r in intersect_curves(span, b))
+                rev = sorted((r.s, r.t) for r in intersect_curves(
+                    CurveSpan(a.curve, t1, t0), b))
+                assert len(fwd) == len(rev)
+                for (v, u), (v2, u2) in zip(fwd, rev):
+                    assert abs(v2 - v) <= 1e-14
+                    assert abs(u2 - (1.0 - u)) <= 1e-14
+                compared += len(fwd)
+    assert compared >= 8
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_batched_roots_equal_roots_of_each_pair_alone(case):
+    _name, src, tgt = _mesh_pairs()[case]
+    pairs = _curved_edge_pairs(src, tgt)
+    ca = np.stack([src.edge_curve(es).power_coeffs for es, _ in pairs])
+    cb = np.stack([tgt.edge_curve(et).power_coeffs for _, et in pairs])
+    whole = np.tile([0.0, 1.0], (len(pairs), 1))
+    pair, u, v, _res = newton_roots(ca, cb, whole, whole)
+    found = 0
+    for k in range(len(pairs)):
+        _p, u1, v1, _r = newton_roots(ca[k:k + 1], cb[k:k + 1],
+                                      whole[:1], whole[:1])
+        mine = pair == k
+        assert mine.sum() == len(u1)
+        assert np.abs(u[mine] - u1).max(initial=0.0) <= 1e-12
+        assert np.abs(v[mine] - v1).max(initial=0.0) <= 1e-12
+        found += len(u1)
+    assert found > len(pairs)
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_intersect_curves_counts_the_plan_edge_roots(case):
+    _name, src, tgt = _mesh_pairs()[case]
+    roots, local_only = _edge_pair_roots(src, tgt, candidate_pairs(src, tgt))
+    assert not local_only
+    checked = 0
+    for (es, et), entry in roots.items():
+        if entry is None:
+            continue
+        got = intersect_curves(CurveSpan(src.edge_curve(es)),
+                               CurveSpan(tgt.edge_curve(et)))
+        assert len(got) == len(entry), (es, et)
+        checked += len(entry)
+    assert checked > 0

@@ -216,3 +216,20 @@ def test_triangulation_failure_keeps_its_type_and_names_the_pair(monkeypatch):
     with pytest.raises(TriangulationError,
                        match=r"source cell \d+ vs target cell \d+: no ear"):
         build_plan(m, m, k_max=2, with_tris=True)
+
+
+def test_traced_benchmark_finds_every_name_it_wraps(monkeypatch):
+    # the traced benchmark run wraps owner.__dict__[attr] for each target,
+    # so a refactor that drops one of these bindings must fail here
+    import importlib.util
+    import sys
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    targets = spans._targets()
+    assert targets
+    for owner, attr, _name, _count in targets:
+        assert attr in owner.__dict__, f"{owner.__name__}.{attr}"

@@ -92,11 +92,10 @@ def newton_roots(ca: np.ndarray, cb: np.ndarray, wa: np.ndarray,
     out = [(np.zeros(0, int), np.zeros(0), np.zeros(0), np.zeros(0))]
     for lo in range(0, P, chunk):
         sl = slice(lo, lo + chunk)
+        a, b, ad, bd = ca[sl], cb[sl], dca[sl], dcb[sl]
         ta, la = wa[sl, 0, None], wa[sl, 1, None]
         tb, lb = wb[sl, 0, None], wb[sl, 1, None]
-        a, b, ad, bd = ca[sl], cb[sl], dca[sl], dcb[sl]
-        u = np.broadcast_to(u0, (len(ta), m * m))
-        v = np.broadcast_to(v0, (len(ta), m * m))
+        u, v = np.tile(u0, (len(a), 1)), np.tile(v0, (len(a), 1))
         alive = np.ones(u.shape, dtype=bool)
         for _ in range(max_iter):
             t, s = ta + u * la, tb + v * lb
@@ -105,6 +104,9 @@ def newton_roots(ca: np.ndarray, cb: np.ndarray, wa: np.ndarray,
             rx, ry = ax - bx, ay - by
             dax, day = _horner(ad, t)
             dbx, dby = _horner(bd, s)
+            # arrays are dropped once dead, so that a chunk's memory stays
+            # near one step's live arrays
+            del t, s, ax, ay, bx, by
             dax, day, dbx, dby = dax * la, day * la, dbx * lb, dby * lb
             det = dbx * day - dax * dby
             ok = alive & (np.abs(det) > 1e-300)
@@ -113,11 +115,13 @@ def newton_roots(ca: np.ndarray, cb: np.ndarray, wa: np.ndarray,
             saf = np.where(ok, det, 1.0)
             du = np.where(ok, (rx * dby - dbx * ry) / saf, 0.0)
             dv = np.where(ok, (rx * day - dax * ry) / saf, 0.0)
+            del det, saf, dax, day, dbx, dby
             # limit the step so wild seeds cannot shoot to infinity
             mag = np.maximum(np.abs(du), np.abs(dv))
             lim = np.where(mag > 0.5, 0.5 / np.maximum(mag, 1e-300), 1.0)
             u = u + du * lim * ok
             v = v + dv * lim * ok
+            del du, dv, mag, lim
             alive = ok & (np.abs(u - 0.5) < 1.2) & (np.abs(v - 0.5) < 1.2)
             if not alive.any():
                 break

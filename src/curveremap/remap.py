@@ -181,15 +181,12 @@ def _edge_pair_roots(source: CurvilinearMesh, target: CurvilinearMesh,
     coefb = np.stack([target.edge_curve(e).power_coeffs for (_, e) in todo])
     whole = np.tile([0.0, 1.0], (len(todo), 1))
     pair, tt, ss, _res = newton_roots(coefa, coefb, whole, whole)
-    rows: list[list] = [[] for _ in todo]
-    for k, t, s in zip(pair.tolist(), tt.tolist(), ss.tolist()):
-        rows[k].append((t, s))
-    for (key, roots) in zip(todo, rows):
+    bounds = np.searchsorted(pair, np.arange(len(todo) + 1))
+    for key, lo, hi in zip(todo, bounds[:-1], bounds[1:]):
         # keep the first of close roots (intersect_curves says why it
         # keeps another)
-        roots.sort()
         dedup: list[tuple[float, float]] = []
-        for (t, s) in roots:
+        for (t, s) in sorted(zip(tt[lo:hi].tolist(), ss[lo:hi].tolist())):
             if any(abs(t - t2) <= DEDUP_PARAM and abs(s - s2) <= DEDUP_PARAM
                    for (t2, s2) in dedup):
                 continue

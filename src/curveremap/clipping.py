@@ -4,9 +4,17 @@ Curve-curve intersections are located by one seeded Newton kernel,
 newton_roots, on the 2x2 parametric system x_a(t) = x_b(s),
 y_a(t) = y_b(s). It iterates a batch of span pairs at once, each with its
 own parameter window: the remap plan passes every candidate pair of whole
-mesh edges, intersect_curves a single span pair. Entry/exit labels come
-from boundary-arc state probes, which also resolve the degenerate
-configurations (corner touches, shared or overlapping edges, containment).
+mesh edges, intersect_curves a single span pair.
+
+Entry/exit labels follow one rule, the sign of the cross product of the
+clip and subject tangents at a crossing (Weiler & Atherton 1977; Greiner &
+Hormann 1998). When every event of a pair is a transversal crossing away
+from the corners of both polygons and the labels alternate around the
+subject boundary, that rule labels them all. Otherwise boundary-arc state
+probes label the whole list: they alone resolve corners, tangencies and
+shared or overlapping edges. A pair without crossings is nested or
+disjoint; a corner outside the other polygon's hull box settles it, and
+point probes settle the rest.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (SNAP_TOL, CurvedPolygon, CurveSpan,
+from .geometry import (SNAP_TOL, CurvedPolygon, CurveSpan, _poly_at,
                        real_roots_in)
 
 NEWTON_TOL = 1e-12     # accepted residual for curve-curve roots
@@ -152,6 +160,26 @@ def _unit_cross(da, db) -> float:
     """Cross product of the unit tangents along da and db."""
     ua, ub = _unit(da), _unit(db)
     return ua[0] * ub[1] - ua[1] * ub[0]
+
+
+def _span_tangent(span: CurveSpan, u: float) -> tuple[float, float]:
+    """Tangent of a span at local parameter u, in traversal direction."""
+    _px, _py, dx, dy = span.curve.plain_coeffs
+    h = span.t1 - span.t0
+    t = span.t0 + u * h
+    return _poly_at(dx, t) * h, _poly_at(dy, t) * h
+
+
+def _tangent_kind(subject: CurveSpan, t: float, clip: CurveSpan,
+                  s: float) -> str | None:
+    """Label of a crossing of subject (at local t) and clip (at local s):
+    'entry' when the subject passes to the left of the counterclockwise
+    clip boundary, 'exit' to its right, None when the tangents are nearly
+    parallel."""
+    cross = _unit_cross(_span_tangent(clip, s), _span_tangent(subject, t))
+    if abs(cross) <= CROSS_TOL:
+        return None
+    return "entry" if cross > 0.0 else "exit"
 
 
 def transversal(da, db) -> bool:
@@ -431,11 +459,57 @@ def handle_degeneracies(subject: CurvedPolygon, clip: CurvedPolygon,
 
 def _label_events(subject: CurvedPolygon, clip: CurvedPolygon,
                   events: list[_Event]) -> list[_Event]:
-    """Assign entry/exit by boundary-arc states; drop non-transition events."""
+    """Assign entry/exit labels, sorted by subject boundary coordinate;
+    drop non-transition events.
+
+    The tangent rule labels the list when it can (_tangent_labels);
+    otherwise the arc-state probes label all of it (_probe_labels).
+    """
     if not events:
         return []
-    ns = len(subject.spans)
     events = sorted(events, key=lambda e: e.sig_s)
+    kinds = _tangent_labels(subject, clip, events)
+    if kinds is None:
+        return _probe_labels(subject, clip, events)
+    for e, kind in zip(events, kinds):
+        e.kind = kind
+    return events
+
+
+def _span_coord(poly: CurvedPolygon,
+                sig: float) -> tuple[CurveSpan, float] | None:
+    """(span, local parameter) at boundary coordinate sig, or None within
+    _SIG_TOL of a corner."""
+    k = int(sig)
+    u = sig - k
+    if u <= _SIG_TOL or 1.0 - u <= _SIG_TOL:
+        return None
+    return poly.spans[k % len(poly.spans)], u
+
+
+def _tangent_labels(subject: CurvedPolygon, clip: CurvedPolygon,
+                    events: list[_Event]) -> list[str] | None:
+    """Labels of events sorted by sig_s by the tangent rule, or None unless
+    every event is transversal, away from the corners of both polygons,
+    with tangents not nearly parallel, and the labels alternate."""
+    kinds: list[str] = []
+    for e in events:
+        at_s = _span_coord(subject, e.sig_s)
+        at_c = _span_coord(clip, e.sig_c)
+        if not e.transversal or at_s is None or at_c is None:
+            return None
+        kind = _tangent_kind(*at_s, *at_c)
+        if kind is None or (kinds and kind == kinds[-1]):
+            return None
+        kinds.append(kind)
+    return kinds if kinds[0] != kinds[-1] else None
+
+
+def _probe_labels(subject: CurvedPolygon, clip: CurvedPolygon,
+                  events: list[_Event]) -> list[_Event]:
+    """Labels of events sorted by sig_s from the states of the boundary
+    arcs between them; events with no state change are dropped."""
+    ns = len(subject.spans)
     m = len(events)
     states = []
     for i in range(m):
@@ -460,14 +534,14 @@ def classify(inter: CurveIntersection, subject: CurvedPolygon,
     """Label a transversal intersection 'entry' or 'exit'.
 
     Entry means the subject boundary passes from outside to inside the clip
-    polygon. Decided by the tangent cross product (counterclockwise
-    convention), falling back to point probes at parameter offsets 1e-4
-    when the tangents are nearly parallel.
+    polygon. Decided by the tangent rule (_tangent_kind), falling back to
+    point probes at parameter offsets 1e-4 when the tangents are nearly
+    parallel.
     """
-    cross = _unit_cross(clip.spans[inter.clip_span].tangent_at(inter.s),
-                        subject.spans[inter.subject_span].tangent_at(inter.t))
-    if abs(cross) > CROSS_TOL:
-        return "entry" if cross > 0.0 else "exit"
+    kind = _tangent_kind(subject.spans[inter.subject_span], inter.t,
+                         clip.spans[inter.clip_span], inter.s)
+    if kind is not None:
+        return kind
     ns = len(subject.spans)
     sig = (inter.subject_span + inter.t) % ns
     delta = 1e-4
@@ -501,6 +575,14 @@ def _pieces_between(poly: CurvedPolygon, sig_a: float, sig_b: float) -> list[Cur
     return pieces
 
 
+def _corners_in_hull(inner: CurvedPolygon, outer: CurvedPolygon) -> bool:
+    """Whether every corner of inner lies in outer's hull box, inflated by
+    SNAP_TOL. Corners lie on inner's boundary and the hull box contains
+    outer, so inner cannot lie inside outer otherwise."""
+    box = outer.bbox().inflate(SNAP_TOL)
+    return all(box.contains(*s.start) for s in inner.spans)
+
+
 def _robust_inside(inner: CurvedPolygon, outer: CurvedPolygon) -> bool:
     """Whether a representative interior point of inner lies inside outer."""
     x, y = inner.interior_point()
@@ -526,12 +608,13 @@ def wa_clip(subject: CurvedPolygon, clip: CurvedPolygon,
             raw: list[CurveIntersection] | None = None) -> ClipResult:
     """Intersection of two curved polygons by Weiler-Atherton traversal.
 
-    Without intersections, containment is resolved via an interior
-    representative point. Otherwise entry/exit events are placed in two
-    circular lists and loops are traced by walking the subject list from
-    each entry to the next exit, then the clip list to the next entry,
-    until the loop closes; unused entries seed further loops. Loop geometry
-    reuses sub-spans of the original edges, never a re-approximation.
+    Without intersections, containment is resolved by the corners' hull
+    box test and then an interior representative point. Otherwise
+    entry/exit events are placed in two circular lists and loops are traced
+    by walking the subject list from each entry to the next exit, then the
+    clip list to the next entry, until the loop closes; unused entries seed
+    further loops. Loop geometry reuses sub-spans of the original edges,
+    never a re-approximation.
     """
     if not subject.bbox().inflate(SNAP_TOL).overlaps(clip.bbox().inflate(SNAP_TOL)):
         return ClipResult()
@@ -544,8 +627,10 @@ def wa_clip(subject: CurvedPolygon, clip: CurvedPolygon,
         # single representative point cannot tell which polygon is the
         # inner one (both probes land inside for nested cells), so probe
         # both ways and return the smaller region when nested.
-        sub_in = _robust_inside(subject, clip)
-        clip_in = _robust_inside(clip, subject)
+        sub_in = (_corners_in_hull(subject, clip)
+                  and _robust_inside(subject, clip))
+        clip_in = (_corners_in_hull(clip, subject)
+                   and _robust_inside(clip, subject))
         if sub_in and clip_in:
             if subject.signed_area() <= clip.signed_area():
                 return ClipResult([subject], "subject_in_clip")

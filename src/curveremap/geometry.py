@@ -199,6 +199,19 @@ def _bezier_segment(ctrl: np.ndarray, a: float, b: float) -> list:
     return ctrl
 
 
+def _poly_deriv(c: list) -> list:
+    """Derivative of a power-basis polynomial given as a list."""
+    return [k * a for k, a in enumerate(c)][1:]
+
+
+def _poly_at(c: list, t: float) -> float:
+    """Value at t of a power-basis polynomial given as a list."""
+    v = 0.0
+    for a in reversed(c):
+        v = v * t + a
+    return v
+
+
 class ParamCurve:
     """Degree-d Lagrange parametric curve through d+1 nodes at t = j/d.
 
@@ -206,7 +219,7 @@ class ParamCurve:
     clamping is the caller's responsibility.
     """
 
-    __slots__ = ("degree", "nodes", "_power", "_bezier", "_bbox")
+    __slots__ = ("degree", "nodes", "_power", "_plain", "_bezier", "_bbox")
 
     def __init__(self, nodes):
         nodes = np.ascontiguousarray(nodes, dtype=float)
@@ -217,6 +230,7 @@ class ParamCurve:
         self.nodes = nodes
         self.degree = nodes.shape[0] - 1
         self._power = None
+        self._plain = None
         self._bezier = None
         self._bbox = None
 
@@ -248,6 +262,16 @@ class ParamCurve:
             vand = np.vander(u, self.degree + 1, increasing=True)
             self._power = np.linalg.solve(vand, self.nodes)
         return self._power
+
+    @property
+    def plain_coeffs(self) -> tuple[list, list, list, list]:
+        """Power coefficients of x and y and of their derivatives, as
+        Python float lists (low order first), for Horner evaluation in
+        plain floats where a value only feeds a decision."""
+        if self._plain is None:
+            px, py = self.power_coeffs.T.tolist()
+            self._plain = (px, py, _poly_deriv(px), _poly_deriv(py))
+        return self._plain
 
     @property
     def bezier_points(self) -> np.ndarray:
@@ -458,19 +482,34 @@ def straight_span(a, b) -> CurveSpan:
 
 
 def _span_closest(span: CurveSpan, x: float, y: float) -> tuple[float, float]:
-    """(distance, local parameter) of the closest point of a span to (x, y)."""
-    cx, cy = span.curve.power_coeffs[:, 0].copy(), span.curve.power_coeffs[:, 1].copy()
-    cx[0] -= x
-    cy[0] -= y
-    # d/dt |c(t) - p|^2 = 2 (cx*cx' + cy*cy')
-    g = npoly.polyadd(npoly.polymul(cx, npoly.polyder(cx)),
-                      npoly.polymul(cy, npoly.polyder(cy)))
+    """(distance, local parameter) of the closest point of a span to (x, y).
+
+    The candidates are the roots of g = d/dt |c(t) - p|^2 / 2 in the
+    span's window, then the window's ends. Each root is polished by two
+    Newton steps on the untrimmed g: a straight edge stored as a cubic has
+    power terms of round-off size that leave g a tiny leading coefficient,
+    and its companion root can sit 1e-9 off.
+    """
+    px, py, dx, dy = span.curve.plain_coeffs
+    cx = [px[0] - x] + px[1:]
+    cy = [py[0] - y] + py[1:]
+    g = [0.0] * (len(cx) + len(dx) - 1)
+    for i, (ax, ay) in enumerate(zip(cx, cy)):
+        for j, (bx, by) in enumerate(zip(dx, dy)):
+            g[i + j] += ax * bx + ay * by
+    dg = _poly_deriv(g)
     lo, hi = min(span.t0, span.t1), max(span.t0, span.t1)
-    cand = real_roots_in(g, lo, hi) + [lo, hi]
+    cand = []
+    for t in real_roots_in(g, lo, hi):
+        for _ in range(2):
+            slope = _poly_at(dg, t)
+            if slope == 0.0:
+                break
+            t = min(max(t - _poly_at(g, t) / slope, lo), hi)
+        cand.append(t)
     best = (math.inf, 0.0)
-    for t in cand:
-        p = span.curve.eval(t)
-        d = math.hypot(p[0] - x, p[1] - y)
+    for t in cand + [lo, hi]:
+        d = math.hypot(_poly_at(cx, t), _poly_at(cy, t))
         if d < best[0]:
             best = (d, t)
     u = (best[1] - span.t0) / (span.t1 - span.t0)
@@ -577,25 +616,22 @@ class CurvedPolygon:
     def _ray_parity(self, x: float, y: float, ex: float, ey: float) -> int | None:
         count = 0
         for s in self.spans:
-            pc = s.curve.power_coeffs
-            wc = (pc[:, 0].copy(), pc[:, 1].copy())
-            wc[0][0] -= x
-            wc[1][0] -= y
+            px, py, _dx, _dy = s.curve.plain_coeffs
             # perpendicular component along the ray direction
-            w = wc[0] * ey - wc[1] * ex
-            wscale = float(np.max(np.abs(w)))
+            w = [a * ey - b * ex for a, b in zip(px, py)]
+            w[0] = (px[0] - x) * ey - (py[0] - y) * ex
+            wscale = max(map(abs, w))
             if wscale == 0.0:
                 return None  # span lies on the ray line: retry
+            dw = _poly_deriv(w)
             lo, hi = min(s.t0, s.t1), max(s.t0, s.t1)
             for r in real_roots_in(w, lo, hi):
                 span_len = hi - lo
                 if r - lo < 1e-9 * span_len or hi - r < 1e-9 * span_len:
                     return None  # crossing at a span endpoint: retry
-                dw = float(npoly.polyval(r, npoly.polyder(w)))
-                if abs(dw) <= 1e-8 * wscale:
+                if abs(_poly_at(dw, r)) <= 1e-8 * wscale:
                     return None  # tangential crossing: retry
-                p = s.curve.eval(r)
-                fwd = (p[0] - x) * ex + (p[1] - y) * ey
+                fwd = (_poly_at(px, r) - x) * ex + (_poly_at(py, r) - y) * ey
                 if abs(fwd) <= SNAP_TOL:
                     return None
                 if fwd > 0.0:

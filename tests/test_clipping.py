@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from curveremap import clipping
 from curveremap.clipping import (ClipTopologyError, classify, curve_flip,
                                  handle_degeneracies, intersect_curves,
                                  newton_roots, wa_clip, _raw_intersections)
@@ -10,8 +12,9 @@ from curveremap.geometry import (SNAP_TOL, CurvedPolygon, CurveSpan,
                                  ParamCurve, polygon_from_points,
                                  straight_span)
 from curveremap.experiments import accuracy_meshes, demo_quads, REFERENCE_AREA
-from curveremap.mesh import gen_disk_mesh, rotate_mesh
-from curveremap.remap import _edge_pair_roots, candidate_pairs
+from curveremap.mesh import (gen_deformed_square_mesh, gen_disk_mesh,
+                             rotate_mesh)
+from curveremap.remap import _edge_pair_roots, build_plan, candidate_pairs
 
 from conftest import sample_curved_quads
 
@@ -149,6 +152,111 @@ def test_nested_squares_both_orders():
     r2 = wa_clip(inner, outer)
     assert r2.containment == "subject_in_clip"
     assert math.isclose(r2.total_area, 1.0, rel_tol=1e-14)
+
+
+def _curved_quad(corners, bulge):
+    """A counterclockwise quad whose edges bow outward by bulge times
+    their length (quadratic edges)."""
+    corners = np.asarray(corners, float)
+    spans = []
+    for k in range(4):
+        a, b = corners[k], corners[(k + 1) % 4]
+        d = b - a
+        mid = 0.5 * (a + b) + bulge * np.array([d[1], -d[0]])
+        spans.append(CurveSpan(ParamCurve([a, mid, b])))
+    return CurvedPolygon(spans)
+
+
+@pytest.mark.parametrize("curved", [False, True])
+def test_nested_cells_without_crossings_return_the_inner_cell(curved,
+                                                              monkeypatch):
+    square = [(0, 0), (4, 0), (4, 4), (0, 4)]
+    small = [(1, 1), (2, 1), (2, 2), (1, 2)]
+    if curved:
+        outer, inner = _curved_quad(square, 0.1), _curved_quad(small, -0.15)
+    else:
+        outer, inner = polygon_from_points(square), polygon_from_points(small)
+    probed = []
+    robust = clipping._robust_inside
+    monkeypatch.setattr(clipping, "_robust_inside",
+                        lambda a, b: probed.append(a) or robust(a, b))
+    for res, kind in ((wa_clip(inner, outer), "subject_in_clip"),
+                      (wa_clip(outer, inner), "clip_in_subject")):
+        assert res.containment == kind
+        assert res.loops == [inner]
+    # outer's corners lie outside inner's hull box, so only inner is probed
+    assert probed == [inner, inner]
+
+
+@pytest.mark.parametrize("curved", [False, True])
+def test_disjoint_cells_with_overlapping_boxes_return_no_loops(curved,
+                                                              monkeypatch):
+    # a small quad in the notch under a dart: all of its corners lie in
+    # the dart's box, so only the point probes can tell it is outside
+    dart = [(0, 0), (2, 1), (4, 0), (2, 4)]
+    small = [(1.8, 0.1), (2.2, 0.1), (2.2, 0.5), (1.8, 0.5)]
+    if curved:
+        dart, small = _curved_quad(dart, -0.02), _curved_quad(small, 0.1)
+    else:
+        dart, small = polygon_from_points(dart), polygon_from_points(small)
+    probed = []
+    robust = clipping._robust_inside
+    monkeypatch.setattr(clipping, "_robust_inside",
+                        lambda a, b: probed.append(a) or robust(a, b))
+    for a, b in ((dart, small), (small, dart)):
+        res = wa_clip(a, b)
+        assert res.loops == [] and res.containment == "none"
+    assert probed == [small, small]
+
+
+def test_tangent_rule_needs_alternating_labels(quad_pair):
+    qp, qq = quad_pair
+    events = sorted(clipping._build_events(qp, qq, _raw_intersections(qp, qq)),
+                    key=lambda e: e.sig_s)
+    kinds = clipping._tangent_labels(qp, qq, events)
+    assert kinds == ["exit", "entry"] * 4 or kinds == ["entry", "exit"] * 4
+    # with a crossing missing, two neighbours carry the same label
+    assert clipping._tangent_labels(qp, qq, events[:3] + events[4:]) is None
+    assert clipping._tangent_labels(qp, qq, events[:1]) is None
+
+
+def _label_cases():
+    """(name, source, target) of the plans whose event lists the label
+    oracle checks."""
+    disk = gen_disk_mesh(8)
+    square = gen_deformed_square_mesh(4, "identity", degree=2)
+    return ([("accuracy_n8", *accuracy_meshes(8)),
+             ("cubic_n8", *accuracy_meshes(8, degree=3))]
+            + [(f"disk_turned_{a:.3g}", disk, rotate_mesh(disk, a))
+               for a in (math.pi / 4.0, 1e-9, 1e-12)]
+            + [("identity", square, square)])
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_tangent_labels_equal_the_arc_state_labels(case, monkeypatch):
+    name, src, tgt = _label_cases()[case]
+    label = clipping._label_events
+    counts = {"tangent": 0, "probes": 0}
+
+    def checked(subject, clip, events):
+        ordered = sorted(events, key=lambda e: e.sig_s)
+        if ordered:
+            rule = clipping._tangent_labels(subject, clip, ordered)
+            counts["probes" if rule is None else "tangent"] += 1
+        oracle = clipping._probe_labels(
+            subject, clip, [dataclasses.replace(e) for e in ordered])
+        got = label(subject, clip, events)
+        assert [(e.sig_s, e.sig_c, e.kind) for e in got] == \
+            [(e.sig_s, e.sig_c, e.kind) for e in oracle]
+        return got
+
+    monkeypatch.setattr(clipping, "_label_events", checked)
+    build_plan(src, tgt, k_max=0)
+    # every plan has corner events, which the probes label; the identity
+    # remap and the tiny turns have nothing else
+    assert counts["probes"] > 0
+    assert (counts["tangent"] > 0) == (name in ("accuracy_n8", "cubic_n8",
+                                                "disk_turned_0.785"))
 
 
 def test_clip_symmetry_and_boundedness_random():

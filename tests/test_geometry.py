@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curveremap.geometry import (Aabb, CurvedPolygon, CurveSpan, GeometryError,
-                                 ParamCurve, point_in_polygon,
+from curveremap.experiments import accuracy_meshes
+from curveremap.geometry import (SNAP_TOL, Aabb, CurvedPolygon, CurveSpan,
+                                 GeometryError, ParamCurve, _span_closest,
+                                 point_in_polygon,
                                  polygon_from_points, real_roots_in,
                                  real_roots_in_many, straight_span,
                                  validate_curve)
@@ -229,3 +231,55 @@ def test_batched_roots_equal_one_by_one_roots():
     for c, (lo, hi), roots in zip(polys, windows, got):
         assert roots == _roots_one_by_one(c, lo, hi)
         assert real_roots_in(c, lo, hi) == roots
+
+
+def _closest_cases():
+    """Spans of degrees 1-3, straight edges stored as cubics among them,
+    each in a forward and a reversed window, with points near them."""
+    rng = np.random.default_rng(31)
+    curves = [ParamCurve(rng.uniform(-1.0, 1.0, (d + 1, 2)))
+              for d in (1, 2, 3) for _ in range(6)]
+    for _ in range(6):
+        a, b = rng.uniform(-1.0, 1.0, (2, 2))
+        curves.append(ParamCurve([a + k / 3.0 * (b - a) for k in range(4)]))
+    curves.append(ParamCurve([(k / 3.0, 0.0) for k in range(4)]))
+    for c in curves:
+        t0, t1 = sorted(rng.uniform(0.0, 1.0, 2))
+        for span in (CurveSpan(c, t0, t1), CurveSpan(c, t1, t0),
+                     CurveSpan(c, 1.0, 0.0)):
+            for _ in range(4):
+                p = span.point_at(rng.uniform(-0.2, 1.2))
+                yield span, p + rng.normal(scale=0.1, size=2)
+            yield span, span.point_at(rng.uniform(0.0, 1.0))
+
+
+def test_span_closest_matches_dense_sampling():
+    u = np.linspace(0.0, 1.0, 20001)
+    for span, (x, y) in _closest_cases():
+        d, uc = _span_closest(span, float(x), float(y))
+        pts = span.point_at(u)
+        dense = float(np.min(np.hypot(pts[:, 0] - x, pts[:, 1] - y)))
+        # every point of the span lies within half a sample step of a sample
+        step = float(np.max(np.hypot(*np.diff(pts, axis=0).T)))
+        assert dense - 0.51 * step <= d <= dense + 1e-13
+        q = span.point_at(uc)
+        assert math.isclose(math.hypot(q[0] - x, q[1] - y), d,
+                            rel_tol=1e-9, abs_tol=1e-13)
+
+
+@pytest.mark.parametrize("n", (5, 7))
+def test_span_closest_on_a_straight_boundary_edge_stored_as_a_cubic(n):
+    # the companion root of the distance polynomial sat 9e-10 off on
+    # accuracy_meshes(5, degree=3), so a point of the edge read 1.9e-10
+    # away, above SNAP_TOL, and every probe ray hit the edge
+    src, _ = accuracy_meshes(n, degree=3)
+    edges = [e for e in range(src.n_edges)
+             if np.all(src.points[src.edges[e], 1] == 0.0)
+             and src.points[src.edges[e], 0].min() < 0.5
+             < src.points[src.edges[e], 0].max()]
+    assert edges
+    for e in edges:
+        c = src.edge_curve(e)
+        for span in (CurveSpan(c, 0.0, 1.0), CurveSpan(c, 1.0, 0.0)):
+            d, _u = _span_closest(span, 0.5000000000000001, 0.0)
+            assert d <= 1e-15 < SNAP_TOL

@@ -190,16 +190,43 @@ def test_reduced_fits_are_counted_beyond_the_four_listed():
     assert recon[4] == "reconstruct: 9 reduced fits"
 
 
-def test_plan_failure_names_the_cell_pair():
-    # this pair raised a point-location GeometryError that named no cells
-    from curveremap import (ClipTopologyError, GeometryError,
-                            IntegrationError)
-    from curveremap.experiments import accuracy_meshes
-    try:
-        build_plan(*accuracy_meshes(5, degree=3), k_max=2, with_tris=True)
-    except (ClipTopologyError, GeometryError, IntegrationError) as exc:
-        assert "source cell" in str(exc)
-        assert exc.__cause__ is not None
+def test_plan_failure_names_the_cell_pair(monkeypatch):
+    import importlib
+    from curveremap import ClipTopologyError, GeometryError
+    # the package attribute curveremap.remap is the function
+    remap_module = importlib.import_module("curveremap.remap")
+    m = gen_deformed_square_mesh(2, "identity", degree=2)
+    for error in (GeometryError, ClipTopologyError):
+        def fail(subject, clip, raw=None, error=error):
+            raise error("no label")
+
+        monkeypatch.setattr(remap_module, "wa_clip", fail)
+        with pytest.raises(error, match=r"source cell \d+ vs target cell "
+                                        r"\d+: no label") as info:
+            build_plan(m, m, k_max=2)
+        assert type(info.value) is error
+        assert isinstance(info.value.__cause__, error)
+        assert str(info.value.__cause__) == "no label"
+
+
+@pytest.mark.parametrize("n", (5, 7))
+def test_degree3_plans_with_triangles_at_odd_sizes(n):
+    # both plans raised GeometryError from a point probe on the straight
+    # boundary edge y = 0 (stored as a cubic); see
+    # test_span_closest_on_a_straight_boundary_edge_stored_as_a_cubic
+    from curveremap.experiments import accuracy_meshes, cylinder_field
+    src, tgt = accuracy_meshes(n, degree=3)
+    plan = build_plan(src, tgt, k_max=2, with_tris=True)
+    area_t = tgt.cell_areas()
+    cover = np.array([sum(lp.area for pg in per for lp in pg.loops)
+                      for per in plan.per_target])
+    assert np.max(np.abs(cover - area_t) / area_t) <= 1e-13
+    f = exact_cell_averages(src, cylinder_field, strict=False, max_levels=5)
+    rep = apply_plan(plan, f.averages, order=3, positivity=True,
+                     approach="both")
+    assert rep.e_cons <= 1e-15 * float(np.abs(f.averages) @ src.cell_areas())
+    assert rep.max_ab_gap <= 1e-15
+    assert rep.min_average > 0.0
 
 
 def test_triangulation_failure_keeps_its_type_and_names_the_pair(monkeypatch):

@@ -199,13 +199,13 @@ def _bezier_segment(ctrl: np.ndarray, a: float, b: float) -> list:
     return ctrl
 
 
-def _poly_deriv(c: list) -> list:
-    """Derivative of a power-basis polynomial given as a list."""
-    return [k * a for k, a in enumerate(c)][1:]
+def _poly_deriv(c) -> tuple:
+    """Derivative of a power-basis polynomial given as a sequence."""
+    return tuple(k * a for k, a in enumerate(c))[1:]
 
 
-def _poly_at(c: list, t: float) -> float:
-    """Value at t of a power-basis polynomial given as a list."""
+def _poly_at(c, t: float) -> float:
+    """Value at t of a power-basis polynomial given as a sequence."""
     v = 0.0
     for a in reversed(c):
         v = v * t + a
@@ -264,12 +264,14 @@ class ParamCurve:
         return self._power
 
     @property
-    def plain_coeffs(self) -> tuple[list, list, list, list]:
+    def plain_coeffs(self) -> tuple[tuple, tuple, tuple, tuple]:
         """Power coefficients of x and y and of their derivatives, as
-        Python float lists (low order first), for Horner evaluation in
-        plain floats where a value only feeds a decision."""
+        tuples of Python floats (low order first), for Horner evaluation
+        in plain floats where a value only feeds a decision. Tuples of
+        floats drop out of the cyclic collector's tracking; lists would
+        add five tracked objects per curve."""
         if self._plain is None:
-            px, py = self.power_coeffs.T.tolist()
+            px, py = map(tuple, self.power_coeffs.T.tolist())
             self._plain = (px, py, _poly_deriv(px), _poly_deriv(py))
         return self._plain
 
@@ -491,8 +493,8 @@ def _span_closest(span: CurveSpan, x: float, y: float) -> tuple[float, float]:
     and its companion root can sit 1e-9 off.
     """
     px, py, dx, dy = span.curve.plain_coeffs
-    cx = [px[0] - x] + px[1:]
-    cy = [py[0] - y] + py[1:]
+    cx = (px[0] - x, *px[1:])
+    cy = (py[0] - y, *py[1:])
     g = [0.0] * (len(cx) + len(dx) - 1)
     for i, (ax, ay) in enumerate(zip(cx, cy)):
         for j, (bx, by) in enumerate(zip(dx, dy)):

@@ -4,7 +4,9 @@ Curve-curve intersections are located by one seeded Newton kernel,
 newton_roots, on the 2x2 parametric system x_a(t) = x_b(s),
 y_a(t) = y_b(s). It iterates a batch of span pairs at once, each with its
 own parameter window: the remap plan passes every candidate pair of whole
-mesh edges, intersect_curves a single span pair.
+mesh edges, intersect_curves a single span pair. A seed stops at an exact
+fixed point of its step, and once few seeds move only those are iterated,
+so the roots are those of running every seed to the end.
 
 Entry/exit labels follow one rule, the sign of the cross product of the
 clip and subject tangents at a crossing (Weiler & Atherton 1977; Greiner &
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (SNAP_TOL, CurvedPolygon, CurveSpan, _poly_at,
-                       real_roots_in)
+                       fill_areas, real_roots_in)
 
 NEWTON_TOL = 1e-12     # accepted residual for curve-curve roots
 DEDUP_PARAM = 1e-8     # parameter radius separating distinct roots
@@ -64,12 +66,18 @@ class ClipResult:
         return sum(lp.signed_area() for lp in self.loops)
 
 
-def _horner(c: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) of P power-basis curves c (P, d+1, 2) at parameters w (P, n)."""
-    x, y = c[:, -1, 0, None], c[:, -1, 1, None]
+def _horner(c: np.ndarray, w: np.ndarray,
+            at=np.s_[:, None]) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) of power-basis curves c (P, d+1, 2) at parameters w.
+
+    By default w is (P, n), a row of parameters per curve. With at=(rows,)
+    w is (M,), and rows (M,) names the curve of each parameter; each term's
+    coefficients are gathered by row, never copied per parameter.
+    """
+    x, y = c[(*at, -1, 0)], c[(*at, -1, 1)]
     for k in range(c.shape[1] - 2, -1, -1):
-        x = x * w + c[:, k, 0, None]
-        y = y * w + c[:, k, 1, None]
+        x = x * w + c[(*at, k, 0)]
+        y = y * w + c[(*at, k, 1)]
     return x, y
 
 
@@ -86,6 +94,14 @@ def newton_roots(ca: np.ndarray, cb: np.ndarray, wa: np.ndarray,
     seeds converge. Seeds whose Jacobian turns singular or that leave the
     square are abandoned, not errors.
 
+    A seed whose step leaves its (u, v, alive) unchanged is at a fixed
+    point: every later step would repeat that step, so it stops, and the
+    result is the same as if it had run on. A chunk's seeds are iterated
+    as a rectangle, a row of seeds per pair, until fewer than a quarter of
+    them move; from then on only the moving seeds are, one per row. A
+    chunk ends once no seed moves; a flag keeps a stopped seed that is
+    alive but not converged in the convergence test.
+
     Returns arrays (pair, u, v, residual) of every accepted seed, ordered
     by pair and then by unclamped u, with u and v clamped to [0, 1].
     Duplicate roots are the caller's to remove.
@@ -100,26 +116,27 @@ def newton_roots(ca: np.ndarray, cb: np.ndarray, wa: np.ndarray,
     out = [(np.zeros(0, int), np.zeros(0), np.zeros(0), np.zeros(0))]
     for lo in range(0, P, chunk):
         sl = slice(lo, lo + chunk)
-        a, b, ad, bd = ca[sl], cb[sl], dca[sl], dcb[sl]
-        ta, la = wa[sl, 0, None], wa[sl, 1, None]
-        tb, lb = wb[sl, 0, None], wb[sl, 1, None]
+        a, b, ad, bd, wac, wbc = ca[sl], cb[sl], dca[sl], dcb[sl], wa[sl], wb[sl]
         u, v = np.tile(u0, (len(a), 1)), np.tile(v0, (len(a), 1))
-        alive = np.ones(u.shape, dtype=bool)
+        # the seeds iterated: all of u, v, or those at flat indices idx
+        at, idx = np.s_[:, None], None
+        uk, vk, alive = u, v, np.ones(u.shape, dtype=bool)
+        held_open = False  # a stopped seed is alive and not converged
         for _ in range(max_iter):
-            t, s = ta + u * la, tb + v * lb
-            ax, ay = _horner(a, t)
-            bx, by = _horner(b, s)
+            ta, la = wac[(*at, 0)], wac[(*at, 1)]
+            tb, lb = wbc[(*at, 0)], wbc[(*at, 1)]
+            t, s = ta + uk * la, tb + vk * lb
+            ax, ay = _horner(a, t, at)
+            bx, by = _horner(b, s, at)
             rx, ry = ax - bx, ay - by
-            dax, day = _horner(ad, t)
-            dbx, dby = _horner(bd, s)
+            dax, day = _horner(ad, t, at)
+            dbx, dby = _horner(bd, s, at)
             # arrays are dropped once dead, so that a chunk's memory stays
             # near one step's live arrays
             del t, s, ax, ay, bx, by
             dax, day, dbx, dby = dax * la, day * la, dbx * lb, dby * lb
             det = dbx * day - dax * dby
             ok = alive & (np.abs(det) > 1e-300)
-            if not ok.any():
-                break
             saf = np.where(ok, det, 1.0)
             du = np.where(ok, (rx * dby - dbx * ry) / saf, 0.0)
             dv = np.where(ok, (rx * day - dax * ry) / saf, 0.0)
@@ -127,14 +144,33 @@ def newton_roots(ca: np.ndarray, cb: np.ndarray, wa: np.ndarray,
             # limit the step so wild seeds cannot shoot to infinity
             mag = np.maximum(np.abs(du), np.abs(dv))
             lim = np.where(mag > 0.5, 0.5 / np.maximum(mag, 1e-300), 1.0)
-            u = u + du * lim * ok
-            v = v + dv * lim * ok
+            un = uk + du * lim * ok
+            vn = vk + dv * lim * ok
             del du, dv, mag, lim
-            alive = ok & (np.abs(u - 0.5) < 1.2) & (np.abs(v - 0.5) < 1.2)
-            if not alive.any():
+            alive = ok & (np.abs(un - 0.5) < 1.2) & (np.abs(vn - 0.5) < 1.2)
+            moving = alive & ((un != uk) | (vn != vk))
+            if idx is None:
+                u, v = un, vn
+            else:
+                uf[idx], vf[idx] = un, vn
+            conv = np.hypot(rx, ry) < 1e-15
+            if not held_open and bool(np.all(~alive | conv)):
                 break
-            if bool(np.all(~alive | (np.hypot(rx, ry) < 1e-15))):
+            n_moving = np.count_nonzero(moving)
+            if n_moving == 0:
                 break
+            if idx is None and 4 * n_moving >= u.size:
+                uk, vk = u, v
+                continue
+            held_open = held_open or bool((alive & ~moving & ~conv).any())
+            if idx is None:
+                uf, vf = u.reshape(-1), v.reshape(-1)
+                idx = np.flatnonzero(moving)
+            else:
+                idx = idx[moving]
+            at, uk, vk, alive = (idx // (m * m),), un[moving], vn[moving], True
+        ta, la = wac[:, 0, None], wac[:, 1, None]
+        tb, lb = wbc[:, 0, None], wbc[:, 1, None]
         ax, ay = _horner(a, ta + u * la)
         bx, by = _horner(b, tb + v * lb)
         res = np.hypot(ax - bx, ay - by)
@@ -368,9 +404,8 @@ def _sigma_point(poly: CurvedPolygon, sig: float) -> np.ndarray:
 def _snap_sigma(poly: CurvedPolygon, sig: float, point) -> float:
     """Snap a boundary coordinate to the nearest corner within SNAP_TOL."""
     n = len(poly.spans)
-    k = int(round(sig)) % n
-    c = poly.spans[k].start
-    if math.hypot(point[0] - c[0], point[1] - c[1]) <= SNAP_TOL:
+    cx, cy = poly.corners[int(round(sig)) % n]
+    if math.hypot(point[0] - cx, point[1] - cy) <= SNAP_TOL:
         return float(round(sig) % n)
     return sig % n
 
@@ -580,7 +615,7 @@ def _corners_in_hull(inner: CurvedPolygon, outer: CurvedPolygon) -> bool:
     SNAP_TOL. Corners lie on inner's boundary and the hull box contains
     outer, so inner cannot lie inside outer otherwise."""
     box = outer.bbox().inflate(SNAP_TOL)
-    return all(box.contains(*s.start) for s in inner.spans)
+    return all(box.contains(x, y) for x, y in inner.corners)
 
 
 def _robust_inside(inner: CurvedPolygon, outer: CurvedPolygon) -> bool:
@@ -691,6 +726,7 @@ def wa_clip(subject: CurvedPolygon, clip: CurvedPolygon,
 
     scale = min(abs(subject.signed_area()), abs(clip.signed_area()))
     drop_tol = 1e-12 * max(scale, 1e-30)
+    fill_areas(loops)
     final = []
     for lp in loops:
         area = lp.signed_area()

@@ -159,6 +159,13 @@ def _lagrange_dbasis(degree: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def eval_rows(basis: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Rows (k, 2) of basis (k, d+1) times nodes, (k, d+1, 2) or one
+    (d+1, 2) for all rows, each rounded as ParamCurve.eval or deriv rounds
+    one parameter: one vector-matrix product per row."""
+    return (basis[:, None, :] @ nodes)[:, 0, :]
+
+
 @lru_cache(maxsize=None)
 def _bezier_conversion(degree: int) -> np.ndarray:
     """Matrix mapping uniform Lagrange nodes to Bezier control points."""
@@ -243,8 +250,7 @@ class ParamCurve:
         """Points at a 1-D array of parameters, each rounded as eval rounds
         a single parameter (one vector-matrix product per point; a batched
         eval may differ from it in the last bit)."""
-        basis = _lagrange_basis(self.degree, t)
-        return (basis[:, None, :] @ self.nodes)[:, 0, :]
+        return eval_rows(_lagrange_basis(self.degree, t), self.nodes)
 
     def deriv(self, t) -> np.ndarray:
         """Exact derivative of the Lagrange interpolant; shape (..., 2)."""
@@ -529,6 +535,55 @@ def gauss_rule_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _GAUSS_CACHE[n]
 
 
+def by_degree(spans):
+    """(degree, indices) of each group of the spans with one degree."""
+    groups: dict[int, list[int]] = {}
+    for i, s in enumerate(spans):
+        groups.setdefault(s.degree, []).append(i)
+    return groups.items()
+
+
+def span_gauss(spans, npts: int):
+    """Samples of spans of one degree at the npts-point Gauss rule of
+    their windows: points and curve derivatives (k, npts, 2), the weights
+    (npts,) and the window lengths t1 - t0 (k,).
+
+    One stacked (npts, d+1) @ (d+1, 2) product per span, so every span's
+    samples are bitwise those of curve.eval and curve.deriv on its own
+    parameters.
+    """
+    xi, w = gauss_rule_01(npts)
+    win = np.array([(s.t0, s.t1 - s.t0) for s in spans])
+    h = win[:, 1]
+    t = win[:, :1] + xi * win[:, 1:]
+    nodes = np.array([s.curve.nodes for s in spans])
+    d = spans[0].degree
+    return _lagrange_basis(d, t) @ nodes, _lagrange_dbasis(d, t) @ nodes, w, h
+
+
+def fill_areas(polys) -> None:
+    """Cache the signed area of every polygon that has none yet.
+
+    The contour terms of all their spans come from one stacked pass per
+    degree, each bitwise CurveSpan.contour_term: its weight dot is a
+    (1, q) @ (q, 1) product, as np.dot of two vectors computes it. Each
+    area sums its terms in span order.
+    """
+    todo = [p for p in polys if p._area is None]
+    spans = [s for p in todo for s in p.spans]
+    terms = np.empty(len(spans))
+    for d, ids in by_degree(spans):
+        pt, dp, w, h = span_gauss([spans[i] for i in ids], d + 1)
+        f = pt[..., 0] * dp[..., 1] - pt[..., 1] * dp[..., 0]
+        terms[ids] = h * (w[None, :] @ f[:, :, None])[:, 0, 0]
+    it = iter(terms.tolist())
+    for p in todo:
+        total = 0.0
+        for _ in p.spans:
+            total += next(it)
+        p._area = 0.5 * total
+
+
 class CurvedPolygon:
     """Closed counterclockwise loop of curve spans.
 
@@ -537,7 +592,7 @@ class CurvedPolygon:
     self-intersect (sampling check).
     """
 
-    __slots__ = ("spans", "_bbox", "_area", "_interior")
+    __slots__ = ("spans", "_bbox", "_area", "_interior", "_corners")
 
     def __init__(self, spans):
         self.spans = tuple(spans)
@@ -546,6 +601,7 @@ class CurvedPolygon:
         self._bbox = None
         self._area = None
         self._interior = None
+        self._corners = None
 
     def bbox(self) -> Aabb:
         if self._bbox is None:
@@ -558,11 +614,17 @@ class CurvedPolygon:
     def signed_area(self) -> float:
         """Area via the symmetric contour form 1/2 * integral(x y' - y x')."""
         if self._area is None:
-            total = 0.0
-            for s in self.spans:
-                total += s.contour_term()
-            self._area = 0.5 * total
+            fill_areas([self])
         return self._area
+
+    @property
+    def corners(self) -> tuple[tuple[float, float], ...]:
+        """Start points of the spans as float tuples. They come from the
+        Lagrange evaluation (CurveSpan.start), not from nodes[0]: at t=0 a
+        cubic's basis is not exactly (1, 0, 0, 0)."""
+        if self._corners is None:
+            self._corners = tuple(tuple(s.start.tolist()) for s in self.spans)
+        return self._corners
 
     def boundary_points(self, per_span: int = 16, include_ends: bool = True) -> np.ndarray:
         pts = []

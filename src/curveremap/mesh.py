@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (CurvedPolygon, CurveSpan, GeometryError, ParamCurve,
-                       gauss_rule_01)
+                       fill_areas, gauss_rule_01)
 
 
 class MeshError(ValueError):
@@ -93,8 +93,9 @@ class CurvilinearMesh:
 
     def cell_areas(self) -> np.ndarray:
         if self._areas is None:
-            self._areas = np.array(
-                [self.cell_polygon(i).signed_area() for i in range(self.n_cells)])
+            polys = [self.cell_polygon(i) for i in range(self.n_cells)]
+            fill_areas(polys)
+            self._areas = np.array([p.signed_area() for p in polys])
         return self._areas
 
     def cell_corners(self, i: int) -> list[int]:
@@ -233,6 +234,8 @@ def validate_mesh(mesh: CurvilinearMesh, check_cells: bool = True) -> None:
     if not np.all(np.abs(mesh.cell_dirs) == 1):
         raise MeshError("cell edge directions must be +1 or -1")
     mesh.adjacency  # builds and checks manifoldness
+    # every area in one pass, which validate() below reads from the cache
+    total = float(mesh.cell_areas().sum())
     if check_cells:
         bad = []
         for i in range(mesh.n_cells):
@@ -243,7 +246,6 @@ def validate_mesh(mesh: CurvilinearMesh, check_cells: bool = True) -> None:
         if bad:
             raise MeshError(f"invalid cells: {bad[:8]}"
                             + (" ..." if len(bad) > 8 else ""))
-    total = float(mesh.cell_areas().sum())
     domain = boundary_loop(mesh).signed_area()
     if abs(total - domain) > 1e-10 * abs(domain):
         raise MeshError(

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clipping import (DEDUP_PARAM, ClipTopologyError, CurveIntersection,
-                       curve_flip, intersect_curves, newton_roots,
+                       intersect_curves, newton_roots,
                        transversal, wa_clip)
-from .geometry import SNAP_TOL, CurvedPolygon, GeometryError, gauss_rule_01
+from .geometry import (SNAP_TOL, CurvedPolygon, GeometryError, _lagrange_basis,
+                       _lagrange_dbasis, by_degree, eval_rows, span_gauss)
 from .integrate import (IntegrationError, Poly2, make_tri_rule,
                         rule_degree_for, triangulate)
 from .limiter import LimiterParams, QuadPointGroup, positivity_limit
@@ -141,66 +142,97 @@ def _edge_pair_roots(source: CurvilinearMesh, target: CurvilinearMesh,
                      pairs: list[tuple[int, int]]):
     """Roots of every candidate (source edge, target edge) pair.
 
-    Returns dict (es, et) -> list of (t, s, x, y, transversal), or None for
-    pairs flagged as overlapping (same geometric curve), which the per-pair
-    clipper resolves locally. Computing at the edge level (not per cell
-    pair) makes shared cut parameters bitwise consistent across neighboring
-    cells, so clipped pieces tile each source cell exactly.
+    Returns (roots, local_only). roots maps (es, et) to a list of
+    (t, s, x, y, transversal), or to None for pairs flagged as overlapping
+    (same geometric curve), which the per-pair clipper resolves locally.
+    local_only is True when either mesh has straight edges: the clipper's
+    exact line paths then handle every pair and roots is empty. Computing
+    at the edge level (not per cell pair) makes shared cut parameters
+    bitwise consistent across neighboring cells, so clipped pieces tile
+    each source cell exactly.
     """
     d_s, d_t = source.edge_degree, target.edge_degree
     if d_s == 1 or d_t == 1:
         return {}, True  # local exact line paths are cheap and complete
-    seen: set[tuple[int, int]] = set()
-    order: list[tuple[int, int]] = []
-    sbox = [source.edge_curve(e).bbox().inflate(SNAP_TOL)
-            for e in range(source.n_edges)]
-    tbox = [target.edge_curve(e).bbox().inflate(SNAP_TOL)
-            for e in range(target.n_edges)]
-    for (ci, ct) in pairs:
-        for es in source.cell_edges[ci]:
-            for et in target.cell_edges[ct]:
-                key = (int(es), int(et))
-                if key in seen:
-                    continue
-                seen.add(key)
-                if sbox[key[0]].overlaps(tbox[key[1]]):
-                    order.append(key)
     result: dict[tuple[int, int], list | None] = {}
-    tol = SNAP_TOL * max(1.0, float(np.max(np.abs(source.points))),
-                         float(np.max(np.abs(target.points))))
-    todo = []
-    for (es, et) in order:
-        if curve_flip(source.points[source.edges[es]],
-                      target.points[target.edges[et]], tol) is not None:
-            result[(es, et)] = None  # same curve: overlap handled locally
-        else:
-            todo.append((es, et))
-    if not todo:
+    if not pairs:
         return result, False
-    coefa = np.stack([source.edge_curve(e).power_coeffs for (e, _) in todo])
-    coefb = np.stack([target.edge_curve(e).power_coeffs for (_, e) in todo])
-    whole = np.tile([0.0, 1.0], (len(todo), 1))
+    # every edge pair of the cell pairs, in first-seen order (the Newton
+    # chunks, and so the roots, depend on it), with overlapping boxes
+    cells = np.array(pairs)
+    ce_s = source.cell_edges[cells[:, 0]]
+    ce_t = target.cell_edges[cells[:, 1]]
+    es = np.repeat(ce_s, ce_t.shape[1], axis=1).ravel()
+    et = np.tile(ce_t, (1, ce_s.shape[1])).ravel()
+    first = np.sort(np.unique(es * target.n_edges + et, return_index=True)[1])
+    es, et = es[first], et[first]
+    bs, bt = _edge_boxes(source)[es], _edge_boxes(target)[et]
+    hit = ((bs[:, 0] <= bt[:, 2]) & (bt[:, 0] <= bs[:, 2])
+           & (bs[:, 1] <= bt[:, 3]) & (bt[:, 1] <= bs[:, 3]))
+    es, et = es[hit], et[hit]
+    na, nb = source.points[source.edges[es]], target.points[target.edges[et]]
+    if d_s == d_t:
+        # clipping.curve_flip's test, over all pairs at once: the same
+        # curve in either direction
+        tol = SNAP_TOL * max(1.0, float(np.max(np.abs(source.points))),
+                             float(np.max(np.abs(target.points))))
+        same = ((np.abs(na - nb).max(axis=(1, 2)) <= tol)
+                | (np.abs(na - nb[:, ::-1]).max(axis=(1, 2)) <= tol))
+        result.update(dict.fromkeys(zip(es[same].tolist(), et[same].tolist())))
+        es, et, na, nb = es[~same], et[~same], na[~same], nb[~same]
+    if len(es) == 0:
+        return result, False
+    coefa = np.stack([source.edge_curve(e).power_coeffs for e in es.tolist()])
+    coefb = np.stack([target.edge_curve(e).power_coeffs for e in et.tolist()])
+    whole = np.tile([0.0, 1.0], (len(es), 1))
     pair, tt, ss, _res = newton_roots(coefa, coefb, whole, whole)
-    bounds = np.searchsorted(pair, np.arange(len(todo) + 1))
-    for key, lo, hi in zip(todo, bounds[:-1], bounds[1:]):
-        # keep the first of close roots (intersect_curves says why it
-        # keeps another)
-        dedup: list[tuple[float, float]] = []
-        for (t, s) in sorted(zip(tt[lo:hi].tolist(), ss[lo:hi].tolist())):
-            if any(abs(t - t2) <= DEDUP_PARAM and abs(s - s2) <= DEDUP_PARAM
-                   for (t2, s2) in dedup):
-                continue
-            dedup.append((t, s))
-        es, et = key
-        ca = source.edge_curve(es)
-        cb = target.edge_curve(et)
-        entries = []
-        for (t, s) in dedup:
-            p = ca.eval(t)
-            entries.append((t, s, float(p[0]), float(p[1]),
-                            transversal(ca.deriv(t), cb.deriv(s))))
-        result[key] = entries
+    order = np.lexsort((ss, tt, pair))
+    pair, tt, ss = pair[order], tt[order], ss[order]
+    keep = _first_of_close(pair, tt, ss)
+    pair, tt, ss = pair[keep], tt[keep], ss[keep]
+    pa, pb = na[pair], nb[pair]
+    pts = eval_rows(_lagrange_basis(d_s, tt), pa)
+    da = eval_rows(_lagrange_dbasis(d_s, tt), pa).tolist()
+    db = eval_rows(_lagrange_dbasis(d_t, ss), pb).tolist()
+    entries: list[list] = [[] for _ in range(len(es))]
+    for k, t, s, (x, y), ta, tb in zip(pair.tolist(), tt.tolist(), ss.tolist(),
+                                       pts.tolist(), da, db):
+        entries[k].append((t, s, x, y, transversal(ta, tb)))
+    result.update(zip(zip(es.tolist(), et.tolist()), entries))
     return result, False
+
+
+def _edge_boxes(mesh: CurvilinearMesh) -> np.ndarray:
+    """(E, 4) hull boxes (xmin, ymin, xmax, ymax) of the edges, inflated by
+    SNAP_TOL."""
+    boxes = np.array([[b.xmin, b.ymin, b.xmax, b.ymax] for b in
+                      (mesh.edge_curve(e).bbox() for e in range(mesh.n_edges))])
+    boxes[:, :2] -= SNAP_TOL
+    boxes[:, 2:] += SNAP_TOL
+    return boxes
+
+
+def _first_of_close(pair: np.ndarray, t: np.ndarray,
+                    s: np.ndarray) -> np.ndarray:
+    """Mask of the roots kept of seeds sorted by (pair, t, s): a seed is
+    kept unless it lies within DEDUP_PARAM in both t and s of a kept seed
+    of its pair (intersect_curves says why it keeps another).
+
+    Runs in rounds: each keeps every pair's first remaining seed and drops
+    the remaining seeds of that pair close to it. A seed before the one
+    kept was dropped by an earlier kept seed, so this is the greedy rule.
+    """
+    keep = np.zeros(len(pair), dtype=bool)
+    rem = np.arange(len(pair))
+    while len(rem):
+        p = pair[rem]
+        head = np.ones(len(rem), dtype=bool)
+        head[1:] = p[1:] != p[:-1]
+        keep[rem[head]] = True
+        h = rem[head][np.cumsum(head) - 1]
+        rem = rem[(np.abs(t[rem] - t[h]) > DEDUP_PARAM)
+                  | (np.abs(s[rem] - s[h]) > DEDUP_PARAM)]
+    return keep
 
 
 # --------------------------------------------------------------------------
@@ -243,19 +275,22 @@ class RemapPlan:
         return sum(len(p) for p in self.per_target)
 
 
-def _loop_a_samples(poly: CurvedPolygon, k_max: int):
-    xs, ys, wdy = [], [], []
-    for span in poly.spans:
-        d = span.degree
-        n = max(1, math.ceil(((k_max + 2) * d) / 2))
-        xi, w = gauss_rule_01(n)
-        t = span.t0 + xi * (span.t1 - span.t0)
-        p = span.curve.eval(t)
-        dv = span.curve.deriv(t)
-        xs.append(p[:, 0])
-        ys.append(p[:, 1])
-        wdy.append(dv[:, 1] * w * (span.t1 - span.t0))
-    return np.concatenate(xs), np.concatenate(ys), np.concatenate(wdy)
+def _a_samples(polys: list[CurvedPolygon], k_max: int):
+    """Approach A samples (x, y, w dy) of each polygon, in span order: the
+    Gauss points of each span, enough for degree k_max + 1 integrands along
+    it. One stacked pass per span degree serves all polygons."""
+    spans = [s for p in polys for s in p.spans]
+    npts = [max(1, math.ceil(((k_max + 2) * s.degree) / 2)) for s in spans]
+    start = np.cumsum([0] + npts)
+    x, y, wdy = np.empty(start[-1]), np.empty(start[-1]), np.empty(start[-1])
+    for d, ids in by_degree(spans):
+        n = npts[ids[0]]
+        p, dp, w, h = span_gauss([spans[i] for i in ids], n)
+        at = start[ids][:, None] + np.arange(n)
+        x[at], y[at] = p[..., 0], p[..., 1]
+        wdy[at] = dp[..., 1] * w * h[:, None]
+    cut = start[np.cumsum([len(p.spans) for p in polys], dtype=int)[:-1]]
+    return zip(np.split(x, cut), np.split(y, cut), np.split(wdy, cut))
 
 
 def build_plan(source: CurvilinearMesh, target: CurvilinearMesh,
@@ -283,17 +318,16 @@ def build_plan(source: CurvilinearMesh, target: CurvilinearMesh,
     timings["newton"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    t_tri = 0.0
-    per_target: list[list[_PairGeom]] = [[] for _ in range(target.n_cells)]
+    clipped = []  # (source cell, target cell, loops kept)
+    edges_s = list(zip(source.cell_edges.tolist(), source.cell_dirs.tolist()))
+    edges_t = list(zip(target.cell_edges.tolist(), target.cell_dirs.tolist()))
     for (ci, ct) in pairs:
         sub = source.cell_polygon(ci)
         clp = target.cell_polygon(ct)
         raw: list[CurveIntersection] = []
-        for ks, (es, ds) in enumerate(zip(source.cell_edges[ci],
-                                          source.cell_dirs[ci])):
-            for kc, (et, dt_) in enumerate(zip(target.cell_edges[ct],
-                                               target.cell_dirs[ct])):
-                entry = roots.get((int(es), int(et)), [])
+        for ks, (es, ds) in enumerate(zip(*edges_s[ci])):
+            for kc, (et, dt_) in enumerate(zip(*edges_t[ct])):
+                entry = roots.get((es, et), [])
                 if local_only or entry is None:
                     for inter in intersect_curves(sub.spans[ks], clp.spans[kc]):
                         inter.subject_span = ks
@@ -311,16 +345,18 @@ def build_plan(source: CurvilinearMesh, target: CurvilinearMesh,
             raise type(exc)(
                 f"clipping failed for source cell {ci} vs target cell {ct}: "
                 f"{exc}") from exc
-        if not res.loops:
-            continue
         drop = 1e-14 * min(area_s[ci], area_t[ct])
-        loops = []
-        for lp in res.loops:
-            area = lp.signed_area()
-            if area <= drop:
-                continue
-            ax, ay, awdy = _loop_a_samples(lp, k_max)
-            geom = _LoopGeom(lp, area, ax, ay, awdy)
+        loops = [lp for lp in res.loops if lp.signed_area() > drop]
+        if loops:
+            clipped.append((ci, ct, loops))
+    samples = _a_samples([lp for _, _, loops in clipped for lp in loops],
+                         k_max)
+    t_tri = 0.0
+    per_target: list[list[_PairGeom]] = [[] for _ in range(target.n_cells)]
+    for (ci, ct, loops) in clipped:
+        geoms = []
+        for lp, (ax, ay, awdy) in zip(loops, samples):
+            geom = _LoopGeom(lp, lp.signed_area(), ax, ay, awdy)
             if with_tris:
                 s0 = time.monotonic()
                 bp, bw = [], []
@@ -337,9 +373,8 @@ def build_plan(source: CurvilinearMesh, target: CurvilinearMesh,
                 geom.bpts = np.vstack(bp)
                 geom.bjw = np.concatenate(bw)
                 t_tri += time.monotonic() - s0
-            loops.append(geom)
-        if loops:
-            per_target[ct].append(_PairGeom(ci, loops))
+            geoms.append(geom)
+        per_target[ct].append(_PairGeom(ci, geoms))
     timings["clip"] = time.monotonic() - t0 - t_tri
     if with_tris:
         timings["triangulate"] = t_tri

@@ -283,12 +283,19 @@ def test_degree3_worked_example_consistency():
     assert abs(res.total_area - res2.total_area) <= 1e-12
 
 
-def test_topology_error_reports_points():
-    # force an odd event set through the degeneracy handler by lying about
-    # transversality on a tangent configuration
-    sq = polygon_from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
-    with pytest.raises(ClipTopologyError):
-        raise ClipTopologyError("synthetic")
+def test_topology_error_reports_points(monkeypatch):
+    # two real crossings of the squares, both labelled entry: wa_clip must
+    # refuse the unbalanced list and name its points
+    sub = polygon_from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
+    clp = polygon_from_points([(1, 1), (3, 1), (3, 3), (1, 3)])
+    events = [clipping._Event((2.0, 1.0), 1.5, 0.5, True, "entry"),
+              clipping._Event((1.0, 2.0), 2.5, 3.5, True, "entry")]
+    monkeypatch.setattr(clipping, "_label_events", lambda *args: events)
+    with pytest.raises(ClipTopologyError) as info:
+        wa_clip(sub, clp)
+    msg = str(info.value)
+    assert "2 entries, 0 exits" in msg
+    assert "(2.0, 1.0)" in msg and "(1.0, 2.0)" in msg
 
 
 # --------------------------------------------------------------------------

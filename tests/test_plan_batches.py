@@ -1,0 +1,177 @@
+"""The plan's batched passes against the per-element code they replace.
+
+The Newton kernel stops seeds at fixed points and iterates only the moving
+ones; `reference_newton.py` keeps the kernel that stepped every seed. The
+edge roots are deduplicated in rounds and evaluated in stacked products;
+loop areas, cell areas and Approach A samples come from one stacked pass
+per span degree. Every output must be bitwise the per-element one.
+"""
+
+import importlib
+import math
+
+import numpy as np
+import pytest
+
+from curveremap import clipping
+from curveremap.clipping import DEDUP_PARAM, transversal
+from curveremap.experiments import accuracy_meshes
+from curveremap.geometry import gauss_rule_01
+from curveremap.mesh import gen_disk_mesh, rotate_mesh
+
+import reference_newton
+from reference_newton import reference_newton_roots
+
+remap = importlib.import_module("curveremap.remap")
+
+
+def _mesh_pair(name):
+    if name == "accuracy":
+        return accuracy_meshes(8)
+    if name == "cubic":
+        return accuracy_meshes(8, degree=3)
+    base = gen_disk_mesh(8)
+    if name == "identity":
+        return base, base
+    angle = {"disk_pi4": math.pi / 4.0, "disk_1e-9": 1e-9}[name]
+    return base, rotate_mesh(base, angle)
+
+
+_KERNEL_ARGS = {}
+
+
+def _kernel_args(name, monkeypatch):
+    """The arguments the plan passes to newton_roots on a mesh pair."""
+    if name not in _KERNEL_ARGS:
+        calls = []
+        kernel = remap.newton_roots
+        with monkeypatch.context() as mp:
+            mp.setattr(remap, "newton_roots",
+                       lambda *args: calls.append(args) or kernel(*args))
+            src, tgt = _mesh_pair(name)
+            remap._edge_pair_roots(src, tgt, remap.candidate_pairs(src, tgt))
+        [_KERNEL_ARGS[name]] = calls
+    return _KERNEL_ARGS[name]
+
+
+@pytest.mark.parametrize("lanes", [400_000, 5_000, 37])
+@pytest.mark.parametrize("name", ["accuracy", "cubic", "disk_pi4",
+                                  "disk_1e-9", "identity"])
+def test_newton_roots_equal_the_reference_bitwise(name, lanes, monkeypatch):
+    args = _kernel_args(name, monkeypatch)
+    monkeypatch.setattr(clipping, "_SEED_LANES", lanes)
+    monkeypatch.setattr(reference_newton, "_SEED_LANES", lanes)
+    got = clipping.newton_roots(*args)
+    ref = reference_newton_roots(*args)
+    assert len(ref[0]) > 0
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype and g.shape == r.shape
+        assert g.tobytes() == r.tobytes()
+
+
+def test_stopped_unconverged_seeds_keep_their_chunk_running(monkeypatch):
+    # Scaled by 100, accuracy edge pair 12 has seeds whose step rounds to
+    # zero with a residual above the 1e-15 convergence test; pair 20 has
+    # converged seeds that still move in the last ulp. In one chunk the
+    # first must keep the second stepping, as the reference does.
+    ca, cb, wa, _wb = _kernel_args("accuracy", monkeypatch)
+    a = np.stack([ca[20], 100.0 * ca[12]])
+    b = np.stack([cb[20], 100.0 * cb[12]])
+    got = clipping.newton_roots(a, b, wa[:2], wa[:2])
+    ref = reference_newton_roots(a, b, wa[:2], wa[:2])
+    assert len(ref[0]) > 0
+    for g, r in zip(got, ref):
+        assert g.tobytes() == r.tobytes()
+
+
+def _greedy(pair, t, s):
+    """The plain keep-first rule over seeds sorted by (pair, t, s)."""
+    kept = []
+    for i in range(len(pair)):
+        if not any(pair[j] == pair[i] and abs(t[i] - t[j]) <= DEDUP_PARAM
+                   and abs(s[i] - s[j]) <= DEDUP_PARAM for j in kept):
+            kept.append(i)
+    return kept
+
+
+def test_round_dedup_keeps_the_first_and_third_of_a_chain():
+    # 0.6e-8 apart: the second is close to both others, the third only to
+    # the second, which is dropped
+    t = np.array([0.0, 0.6e-8, 1.2e-8])
+    keep = remap._first_of_close(np.zeros(3, int), t, np.zeros(3))
+    assert np.flatnonzero(keep).tolist() == [0, 2]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_round_dedup_is_the_greedy_rule(seed):
+    rng = np.random.default_rng(seed)
+    pair, t, s = [], [], []
+    for p in range(12):
+        for _ in range(rng.integers(0, 4)):
+            ct, cs = rng.uniform(0.0, 1.0, 2)
+            k = int(rng.integers(1, 12))
+            pair += [p] * k
+            t += (ct + rng.uniform(-3e-8, 3e-8, k)).tolist()
+            s += (cs + rng.uniform(-3e-8, 3e-8, k)).tolist()
+    pair, t, s = np.array(pair), np.array(t), np.array(s)
+    order = np.lexsort((s, t, pair))
+    pair, t, s = pair[order], t[order], s[order]
+    keep = remap._first_of_close(pair, t, s)
+    assert np.flatnonzero(keep).tolist() == _greedy(pair, t, s)
+    assert keep.sum() < len(pair)
+
+
+@pytest.mark.parametrize("name", ["accuracy", "cubic"])
+def test_edge_roots_are_the_curves_own_points_and_tangents(name):
+    src, tgt = _mesh_pair(name)
+    roots, _local = remap._edge_pair_roots(src, tgt,
+                                           remap.candidate_pairs(src, tgt))
+    checked = 0
+    for (es, et), entry in roots.items():
+        ca, cb = src.edge_curve(es), tgt.edge_curve(et)
+        for (t, s, x, y, tv) in entry or ():
+            assert [x, y] == ca.eval(t).tolist()
+            assert tv == transversal(ca.deriv(t), cb.deriv(s))
+            checked += 1
+    assert checked > 100
+
+
+def _mixed_plan():
+    """A degree-2 to degree-3 plan: its loops mix span degrees."""
+    src, _ = accuracy_meshes(8)
+    _, tgt = accuracy_meshes(8, degree=3)
+    return remap.build_plan(src, tgt, k_max=4)
+
+
+def _area_by_span(poly):
+    total = 0.0
+    for span in poly.spans:
+        total += span.contour_term()
+    return 0.5 * total
+
+
+def test_batched_areas_and_samples_equal_per_span_evaluation():
+    plan = _mixed_plan()
+    loops = [lp for per in plan.per_target for pg in per for lp in pg.loops]
+    mixed = sum(len({s.degree for s in lp.poly.spans}) > 1 for lp in loops)
+    assert mixed > len(loops) // 2
+    for lp in loops:
+        poly = lp.poly
+        assert lp.area == poly.signed_area() == _area_by_span(poly)
+        assert poly.corners == tuple(tuple(s.start.tolist())
+                                     for s in poly.spans)
+        xs, ys, wdy = [], [], []
+        for span in poly.spans:
+            n = max(1, math.ceil(((plan.k_max + 2) * span.degree) / 2))
+            xi, w = gauss_rule_01(n)
+            t = span.t0 + xi * (span.t1 - span.t0)
+            p, dv = span.curve.eval(t), span.curve.deriv(t)
+            xs.append(p[:, 0])
+            ys.append(p[:, 1])
+            wdy.append(dv[:, 1] * w * (span.t1 - span.t0))
+        assert lp.ax.tobytes() == np.concatenate(xs).tobytes()
+        assert lp.ay.tobytes() == np.concatenate(ys).tobytes()
+        assert lp.awdy.tobytes() == np.concatenate(wdy).tobytes()
+    for mesh in (plan.source, plan.target):
+        assert mesh.cell_areas().tolist() == [
+            _area_by_span(mesh.cell_polygon(i)) for i in range(mesh.n_cells)]

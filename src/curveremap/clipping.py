@@ -116,7 +116,8 @@ def newton_roots(ca: np.ndarray, cb: np.ndarray, wa: np.ndarray,
     out = [(np.zeros(0, int), np.zeros(0), np.zeros(0), np.zeros(0))]
     for lo in range(0, P, chunk):
         sl = slice(lo, lo + chunk)
-        a, b, ad, bd, wac, wbc = ca[sl], cb[sl], dca[sl], dcb[sl], wa[sl], wb[sl]
+        a, b, ad, bd = ca[sl], cb[sl], dca[sl], dcb[sl]
+        wac, wbc = wa[sl], wb[sl]
         u, v = np.tile(u0, (len(a), 1)), np.tile(v0, (len(a), 1))
         # the seeds iterated: all of u, v, or those at flat indices idx
         at, idx = np.s_[:, None], None

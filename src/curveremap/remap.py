@@ -206,11 +206,11 @@ def _edge_pair_roots(source: CurvilinearMesh, target: CurvilinearMesh,
 def _edge_boxes(mesh: CurvilinearMesh) -> np.ndarray:
     """(E, 4) hull boxes (xmin, ymin, xmax, ymax) of the edges, inflated by
     SNAP_TOL."""
-    boxes = np.array([[b.xmin, b.ymin, b.xmax, b.ymax] for b in
-                      (mesh.edge_curve(e).bbox() for e in range(mesh.n_edges))])
-    boxes[:, :2] -= SNAP_TOL
-    boxes[:, 2:] += SNAP_TOL
-    return boxes
+    boxes = [mesh.edge_curve(e).bbox() for e in range(mesh.n_edges)]
+    out = np.array([[b.xmin, b.ymin, b.xmax, b.ymax] for b in boxes])
+    out[:, :2] -= SNAP_TOL
+    out[:, 2:] += SNAP_TOL
+    return out
 
 
 def _first_of_close(pair: np.ndarray, t: np.ndarray,

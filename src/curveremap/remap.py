@@ -280,8 +280,8 @@ def _a_samples(polys: list[CurvedPolygon], k_max: int):
     """Approach A samples (x, y, w dy) of each polygon, in span order: the
     Gauss points of each span, enough for degree k_max + 1 integrands along
     it. The polygons are sampled _LOOPS_PER_CHUNK at a time, one stacked
-    pass per span degree: arrays the size of a whole plan's samples raised
-    the benchmark's peak RSS by a few MiB."""
+    pass per span degree: work arrays the size of a whole plan's samples
+    raised the traced memory peak of an n=32 accuracy plan by 5.5 MiB."""
     for lo in range(0, len(polys), _LOOPS_PER_CHUNK):
         chunk = polys[lo:lo + _LOOPS_PER_CHUNK]
         spans = [s for p in chunk for s in p.spans]

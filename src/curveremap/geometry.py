@@ -301,35 +301,36 @@ def validate_curve(c: ParamCurve, samples: int = 257) -> None:
     """Sampling-based check that the curve does not self-intersect on [0, 1]."""
     ts = np.linspace(0.0, 1.0, samples)
     pts = c.eval(ts)
-    if _polyline_self_intersects(pts, closed=False):
+    if _polyline_self_intersects(pts[None], closed=False)[0]:
         raise GeometryError("curve self-intersects")
 
 
-def _polyline_self_intersects(pts: np.ndarray, closed: bool) -> bool:
-    """All-pairs proper-crossing test on a sampled polyline (vectorized)."""
-    a = pts[:-1]
-    b = pts[1:]
-    n = len(a)
-    if n < 3:
-        return False
-    d = b - a
-    # Segment pair (i, j) crosses if endpoints of each straddle the other.
-    ax, ay = a[:, 0], a[:, 1]
-    dx, dy = d[:, 0], d[:, 1]
-    # cross_i(p) = dx_i*(py-ay_i) - dy_i*(px-ax_i), sign straddle both ways
-    ca = dx[:, None] * (ay[None, :] - ay[:, None]) - dy[:, None] * (ax[None, :] - ax[:, None])
-    cb = dx[:, None] * (ay[None, :] + dy[None, :] - ay[:, None]) - \
-        dy[:, None] * (ax[None, :] + dx[None, :] - ax[:, None])
-    cc = ca.T
-    cd = cb.T
-    proper = (ca * cb < 0) & (cc * cd < 0)
-    # ignore adjacent segments (and the wrap pair when closed)
-    idx = np.arange(n)
-    adj = np.abs(idx[:, None] - idx[None, :]) <= 1
+def _polyline_self_intersects(pts: np.ndarray, closed: bool) -> np.ndarray:
+    """All-pairs proper-crossing test on sampled polylines, one per row of
+    pts (B, m, 2); returns (B,) bools. A closed polyline has m segments,
+    the last one from pts[:, -1] back to pts[:, 0]."""
     if closed:
-        adj |= (np.abs(idx[:, None] - idx[None, :]) == n - 1)
+        pts = np.concatenate([pts, pts[:, :1]], axis=1)
+    a = pts[:, :-1]
+    n = a.shape[1]
+    if n < 3:
+        return np.zeros(len(pts), bool)
+    d = pts[:, 1:] - a
+    # Segment pair (i, j) crosses if endpoints of each straddle the other.
+    ax, ay = a[:, None, :, 0], a[:, None, :, 1]
+    axi, ayi = a[:, :, None, 0], a[:, :, None, 1]
+    dx, dy = d[:, None, :, 0], d[:, None, :, 1]
+    dxi, dyi = d[:, :, None, 0], d[:, :, None, 1]
+    # cross_i(p) = dx_i*(py-ay_i) - dy_i*(px-ax_i), sign straddle both ways
+    ca = dxi * (ay - ayi) - dyi * (ax - axi)
+    cb = dxi * (ay + dy - ayi) - dyi * (ax + dx - axi)
+    straddle = ca * cb < 0
+    proper = straddle & straddle.transpose(0, 2, 1)
+    # ignore adjacent segments (and the wrap pair when closed)
+    gap = np.abs(np.arange(n)[:, None] - np.arange(n))
+    adj = (gap <= 1) | (gap == n - 1) if closed else gap <= 1
     proper &= ~adj
-    return bool(proper.any())
+    return proper.any(axis=(1, 2))
 
 
 def _trim_leading(coeffs) -> list[float]:
@@ -460,7 +461,8 @@ class CurveSpan:
 
     def sub(self, ua: float, ub: float) -> "CurveSpan":
         """Sub-span between local parameters ua < ub (traversal order kept)."""
-        return CurveSpan(self.curve, float(self.t_of(ua)), float(self.t_of(ub)))
+        t0, h = float(self.t0), float(self.t1 - self.t0)
+        return CurveSpan(self.curve, t0 + float(ua) * h, t0 + float(ub) * h)
 
     def bbox(self) -> Aabb:
         if self.t0 == 0.0 and self.t1 == 1.0:
@@ -653,7 +655,7 @@ class CurvedPolygon:
                 f"polygon not counterclockwise: signed area {self.signed_area():.3e}")
         if check_self_intersection:
             pts = self.boundary_points(per_span=16)
-            if _polyline_self_intersects(pts, closed=True):
+            if _polyline_self_intersects(pts[None], closed=True)[0]:
                 raise GeometryError("polygon boundary self-intersects (sampled)")
 
     def locate(self, x: float, y: float) -> str:

@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (CurvedPolygon, CurveSpan, GeometryError, ParamCurve,
-                       fill_areas, gauss_rule_01)
+from .geometry import (SNAP_TOL, Aabb, CurvedPolygon, CurveSpan, ParamCurve,
+                       _bezier_conversion, _lagrange_basis, _lagrange_dbasis,
+                       _polyline_self_intersects, eval_rows, fill_areas,
+                       gauss_rule_01)
 
 
 class MeshError(ValueError):
@@ -218,12 +220,30 @@ def boundary_loop(mesh: CurvilinearMesh) -> CurvedPolygon:
     return CurvedPolygon(ordered)
 
 
-def validate_mesh(mesh: CurvilinearMesh, check_cells: bool = True) -> None:
-    """Structural and geometric mesh validation.
+# cells per chunk of the sampled crossing test; each cell's test holds a
+# few 64 x 64 arrays
+_CROSSING_CHUNK = 16
 
-    Checks index ranges, manifoldness, per-cell loop validity (closure, CCW
-    orientation, sampled non-self-intersection) and the partition property:
-    cell areas must sum to the area enclosed by the boundary loop.
+
+def _span_params(u: np.ndarray, rev: np.ndarray) -> np.ndarray:
+    """Curve parameters (..., len(u)) of the local parameters u on spans
+    that run forward (t = u) or reversed (t = 1 - u), as CurveSpan.t_of
+    rounds them."""
+    h = np.where(rev, -1.0, 1.0)[..., None]
+    return np.where(rev, 1.0, 0.0)[..., None] + u * h
+
+
+def validate_mesh(mesh: CurvilinearMesh, check_cells: bool = True) -> None:
+    """Structural and geometric mesh validation, in whole-mesh array passes.
+
+    Exact checks: index ranges, manifoldness, and the partition property
+    (cell areas must sum to the area enclosed by the boundary loop). Per
+    cell, as CurvedPolygon.validate checks one loop: closure (span ends
+    meet the next span's start within 10 SNAP_TOL of the Bezier hull
+    diagonal, at least 1), counterclockwise orientation (the batched cell
+    areas), and a sampled crossing test on each cell's closed 64-point
+    polyline, 16 points per span, run on chunks of cells. The error lists
+    the first 8 invalid cells with the reason of each.
     """
     if mesh.edges.min() < 0 or mesh.edges.max() >= mesh.n_points:
         raise MeshError("edge point index out of range")
@@ -234,15 +254,10 @@ def validate_mesh(mesh: CurvilinearMesh, check_cells: bool = True) -> None:
     if not np.all(np.abs(mesh.cell_dirs) == 1):
         raise MeshError("cell edge directions must be +1 or -1")
     mesh.adjacency  # builds and checks manifoldness
-    # every area in one pass, which validate() below reads from the cache
-    total = float(mesh.cell_areas().sum())
+    areas = mesh.cell_areas()
+    total = float(areas.sum())
     if check_cells:
-        bad = []
-        for i in range(mesh.n_cells):
-            try:
-                mesh.cell_polygon(i).validate()
-            except GeometryError as exc:
-                bad.append((i, str(exc)))
+        bad = _invalid_cells(mesh, areas)
         if bad:
             raise MeshError(f"invalid cells: {bad[:8]}"
                             + (" ..." if len(bad) > 8 else ""))
@@ -251,6 +266,62 @@ def validate_mesh(mesh: CurvilinearMesh, check_cells: bool = True) -> None:
         raise MeshError(
             f"cell areas ({total!r}) do not partition the domain "
             f"({domain!r}); relative gap {abs(total - domain) / abs(domain):.3e}")
+
+
+def _hypot(v: np.ndarray) -> np.ndarray:
+    """Lengths of the vectors v (..., 2), each rounded as math.hypot rounds
+    it (np.hypot may differ in the last bit)."""
+    return np.array([math.hypot(x, y) for x, y in v.reshape(-1, 2).tolist()]
+                    ).reshape(v.shape[:-1])
+
+
+def _cell_samples(mesh: CurvilinearMesh) -> np.ndarray:
+    """Points (C, 4, 17, 2) of every cell's spans at the local parameters
+    k/16, k = 0..16: the first 16 of each span are bitwise its
+    CurvedPolygon.boundary_points(16), the last is its end."""
+    t = _span_params(np.arange(17) / 16.0, mesh.cell_dirs < 0)
+    return (_lagrange_basis(mesh.edge_degree, t)
+            @ mesh.points[mesh.edges][mesh.cell_edges])
+
+
+def _invalid_cells(mesh: CurvilinearMesh, areas: np.ndarray) -> list:
+    """(cell, reason) of every cell that fails a loop check, in cell order.
+
+    Also gives each edge curve its Bezier points and hull box, and each
+    cell polygon its box, the union of its spans' hull boxes, from the
+    hulls that scale the closure check.
+    """
+    samples = _cell_samples(mesh)
+    ends, starts = samples[:, :, 16], np.roll(samples[:, :, 0], -1, axis=1)
+    gap = _hypot(ends - starts).max(axis=1)
+    bez = _bezier_conversion(mesh.edge_degree) @ mesh.points[mesh.edges]
+    boxes = np.hstack([bez.min(axis=1), bez.max(axis=1)])
+    for e, box in enumerate(boxes.tolist()):
+        curve = mesh.edge_curve(e)
+        curve._bezier, curve._bbox = bez[e], Aabb(*box)
+    low = boxes[mesh.cell_edges, :2].min(axis=1)
+    high = boxes[mesh.cell_edges, 2:].max(axis=1)
+    for i, box in enumerate(np.hstack([low, high]).tolist()):
+        mesh.cell_polygon(i)._bbox = Aabb(*box)
+    scale = np.maximum(_hypot(high - low), 1.0)
+    open_ = gap > 10.0 * SNAP_TOL * scale
+    cw = ~open_ & (areas <= 0.0)
+    loops = samples[:, :, :16].reshape(-1, 64, 2)
+    crossed = np.zeros(len(loops), bool)
+    todo = np.flatnonzero(~open_ & ~cw)
+    for lo in range(0, len(todo), _CROSSING_CHUNK):
+        ids = todo[lo:lo + _CROSSING_CHUNK]
+        crossed[ids] = _polyline_self_intersects(loops[ids], closed=True)
+    bad = []
+    for i in np.flatnonzero(open_ | cw | crossed).tolist():
+        if open_[i]:
+            bad.append((i, f"polygon not closed: max endpoint gap {gap[i]:.3e}"))
+        elif cw[i]:
+            bad.append((i, "polygon not counterclockwise: signed area "
+                           f"{areas[i]:.3e}"))
+        else:
+            bad.append((i, "polygon boundary self-intersects (sampled)"))
+    return bad
 
 
 # --------------------------------------------------------------------------
@@ -274,7 +345,8 @@ def _index_noise(i: np.ndarray, j: np.ndarray, salt: int) -> np.ndarray:
 
 
 def _structured_mesh(n: int, degree: int, phi, lo: float, hi: float,
-                     roughen: float = 0.0, salt: int = 0) -> CurvilinearMesh:
+                     roughen: float = 0.0, salt: int = 0,
+                     validate: bool = True) -> CurvilinearMesh:
     """n x n grid of quads on [lo, hi]^2, edges sampled through the map phi.
 
     roughen displaces interior reference vertices by that fraction of a
@@ -350,7 +422,8 @@ def _structured_mesh(n: int, degree: int, phi, lo: float, hi: float,
             c = j * n + i
             cell_edges[c] = (he(i, j), ve(i + 1, j), he(i, j + 1), ve(i, j))
             cell_dirs[c] = (1, 1, -1, -1)
-    return CurvilinearMesh(points, np.array(edge_rows), cell_edges, cell_dirs)
+    return CurvilinearMesh(points, np.array(edge_rows), cell_edges, cell_dirs,
+                           validate=validate)
 
 
 def _phi_identity(p: np.ndarray) -> np.ndarray:
@@ -429,7 +502,8 @@ def gen_disk_mesh(n: int, degree: int = 2) -> CurvilinearMesh:
         x, y = p[:, 0], p[:, 1]
         return np.column_stack([x * np.sqrt(1.0 - 0.5 * y * y),
                                 y * np.sqrt(1.0 - 0.5 * x * x)])
-    mesh = _structured_mesh(n, degree, phi, -1.0, 1.0)
+    # only the mesh with the uniform boundary is validated
+    mesh = _structured_mesh(n, degree, phi, -1.0, 1.0, validate=False)
     _uniformize_disk_boundary(mesh)
     return CurvilinearMesh(mesh.points, mesh.edges, mesh.cell_edges,
                            mesh.cell_dirs)
@@ -624,93 +698,116 @@ def read_field(path, mesh: CurvilinearMesh | None = None) -> Field:
 # --------------------------------------------------------------------------
 # exact cell averages via the transfinite (Coons) cell map
 
-class _CoonsCell:
-    """Transfinite interpolation of a 4-span cell; exact boundary match."""
+# quadrature points per evaluation chunk of exact_cell_averages; a cell with
+# more points than this is a chunk of its own
+_AVERAGE_CHUNK_POINTS = 2 ** 14
 
-    def __init__(self, poly: CurvedPolygon):
-        if len(poly.spans) != 4:
-            raise MeshError("Coons map needs a 4-span cell")
-        self.s = poly.spans
-        self.p00 = self.s[0].start
-        self.p10 = self.s[0].end
-        self.p11 = self.s[1].end
-        self.p01 = self.s[2].end
 
-    def eval_jac(self, xi, eta):
-        """Mapped points (n*m, 2) and Jacobian determinant (n*m,) on the
-        tensor grid of n nodes xi and m nodes eta, in "ij" order (xi
-        slowest).
+def _coons_integrals(nodes, rev, func, panels: int, order: int = 8):
+    """Integrals of func over the Coons (transfinite) maps of k cells, and
+    the minimum Jacobian determinant of each map at the nodes.
 
-        Each boundary curve depends on one coordinate only, so it is
-        evaluated at that coordinate's nodes and broadcast over the grid.
-        """
-        s0, s1, s2, s3 = self.s
-        cb, ct = s0.point_at(xi)[:, None], s2.point_at(1.0 - xi)[:, None]
-        cl, cr = s3.point_at(1.0 - eta)[None], s1.point_at(eta)[None]
-        dcb = s0.tangent_at(xi)[:, None]
-        dct = -s2.tangent_at(1.0 - xi)[:, None]
-        dcl, dcr = -s3.tangent_at(1.0 - eta)[None], s1.tangent_at(eta)[None]
-        xi_ = xi[:, None, None]
-        eta_ = eta[None, :, None]
-        blend = ((1 - xi_) * (1 - eta_) * self.p00 + xi_ * (1 - eta_) * self.p10
-                 + (1 - xi_) * eta_ * self.p01 + xi_ * eta_ * self.p11)
-        F = (1 - eta_) * cb + eta_ * ct + (1 - xi_) * cl + xi_ * cr - blend
-        dF_dxi = ((1 - eta_) * dcb + eta_ * dct + (cr - cl)
-                  - (-(1 - eta_) * self.p00 + (1 - eta_) * self.p10
-                     - eta_ * self.p01 + eta_ * self.p11))
-        dF_deta = ((ct - cb) + (1 - xi_) * dcl + xi_ * dcr
-                   - (-(1 - xi_) * self.p00 - xi_ * self.p10
-                      + (1 - xi_) * self.p01 + xi_ * self.p11))
-        jac = dF_dxi[..., 0] * dF_deta[..., 1] - dF_dxi[..., 1] * dF_deta[..., 0]
-        return F.reshape(-1, 2), jac.ravel()
+    nodes (k, 4, d+1, 2) and rev (k, 4) give each cell's four spans. The
+    unit square carries panels x panels panels of order x order Gauss
+    points. Each boundary curve depends on one coordinate only, so it is
+    evaluated at that coordinate's nodes and broadcast over the grid ("ij"
+    order, xi slowest). func is called once, on 1-D arrays of every point.
+    """
+    k = len(nodes)
+    d = nodes.shape[2] - 1
+    xi1, w1 = gauss_rule_01(order)
+    offs = np.arange(panels) / panels
+    x = (offs[:, None] + xi1[None, :] / panels).ravel()
+    w = np.tile(w1 / panels, panels)
+    WX, WY = np.meshgrid(w, w, indexing="ij")
 
-    def integrate(self, func, panels: int, order: int = 8) -> float:
-        xi1, w1 = gauss_rule_01(order)
-        offs = np.arange(panels) / panels
-        x = (offs[:, None] + xi1[None, :] / panels).ravel()
-        w = np.tile(w1 / panels, panels)
-        WX, WY = np.meshgrid(w, w, indexing="ij")
-        pts, jac = self.eval_jac(x, x)
-        if jac.min() <= 0.0:
-            raise MeshError("cell map is not orientation-preserving")
-        vals = np.asarray(func(pts[:, 0], pts[:, 1]), float)
-        return float(np.sum(vals * jac * (WX * WY).ravel()))
+    def curve(s, u):
+        t = _span_params(u, rev[:, s])
+        h = np.where(rev[:, s], -1.0, 1.0)[:, None, None]
+        return (_lagrange_basis(d, t) @ nodes[:, s],
+                _lagrange_dbasis(d, t) @ nodes[:, s] * h)
+
+    def corner(s, t):  # one point per cell, rounded as ParamCurve.eval
+        return eval_rows(_lagrange_basis(d, t), nodes[:, s])[:, None, None]
+
+    end = np.where(rev, 0.0, 1.0)  # each span's t1
+    p00 = corner(0, 1.0 - end[:, 0])
+    p10, p11, p01 = (corner(s, end[:, s]) for s in range(3))
+    (cb, dcb), (ct, dct) = curve(0, x), curve(2, 1.0 - x)
+    (cl, dcl), (cr, dcr) = curve(3, 1.0 - x), curve(1, x)
+    # xi runs along axis 1 of the grid and eta along axis 2
+    cb, ct, dcb, dct = (a[:, :, None] for a in (cb, ct, dcb, -dct))
+    cl, cr, dcl, dcr = (a[:, None] for a in (cl, cr, -dcl, dcr))
+    xi_ = x[None, :, None, None]
+    eta_ = x[None, None, :, None]
+    blend = ((1 - xi_) * (1 - eta_) * p00 + xi_ * (1 - eta_) * p10
+             + (1 - xi_) * eta_ * p01 + xi_ * eta_ * p11)
+    F = (1 - eta_) * cb + eta_ * ct + (1 - xi_) * cl + xi_ * cr - blend
+    dF_dxi = ((1 - eta_) * dcb + eta_ * dct + (cr - cl)
+              - (-(1 - eta_) * p00 + (1 - eta_) * p10
+                 - eta_ * p01 + eta_ * p11))
+    dF_deta = ((ct - cb) + (1 - xi_) * dcl + xi_ * dcr
+               - (-(1 - xi_) * p00 - xi_ * p10
+                  + (1 - xi_) * p01 + xi_ * p11))
+    jac = (dF_dxi[..., 0] * dF_deta[..., 1]
+           - dF_dxi[..., 1] * dF_deta[..., 0]).reshape(k, -1)
+    pts = F.reshape(-1, 2)
+    vals = np.asarray(func(pts[:, 0], pts[:, 1]), float)
+    if vals.ndim:
+        vals = vals.reshape(k, -1)
+    return np.sum(vals * jac * (WX * WY).ravel(), axis=1), jac.min(axis=1)
 
 
 def exact_cell_averages(mesh: CurvilinearMesh, func, rel_tol: float = 1e-13,
                         max_levels: int = 10, strict: bool = True) -> Field:
     """Cell averages of an analytic field by adaptive cell-map quadrature.
 
-    func must accept numpy arrays (x, y) and evaluate elementwise. Panels
-    are doubled per level until two successive levels agree to rel_tol
-    relative; running out of levels is an error in strict mode and a
-    best-effort result (the field is then typically discontinuous) otherwise.
+    func must accept numpy arrays (x, y) and evaluate elementwise. Each
+    cell's Coons map carries 8 x 8 Gauss points per panel; panels are
+    doubled per level until two successive levels agree to rel_tol
+    relative, up to 128 x 128 panels. Running out of levels is an error in
+    strict mode (naming the lowest-index such cell) and a best-effort
+    result (the field is then typically discontinuous) otherwise. A map
+    with J <= 0 at a Gauss point is an error.
+
+    Each level evaluates all cells that have not converged yet at once, in
+    chunks of about 2^14 quadrature points, with the same elementwise
+    arithmetic and the same per-cell sums as a cell-by-cell loop, so the
+    averages do not depend on the chunking.
     """
     areas = mesh.cell_areas()
-    out = np.empty(mesh.n_cells)
-    warned = False
-    for i in range(mesh.n_cells):
-        cell = _CoonsCell(mesh.cell_polygon(i))
-        prev = cell.integrate(func, 1)
-        converged = False
-        for level in range(1, max_levels + 1):
-            panels = 2 ** level
-            if panels * 8 > 1200:
-                break
-            cur = cell.integrate(func, panels)
-            if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-3 * areas[i]):
-                prev = cur
-                converged = True
-                break
-            prev = cur
-        if not converged:
-            if strict:
-                raise MeshError(
-                    f"cell {i}: average quadrature did not converge after "
-                    f"{max_levels} levels (last value {prev!r})")
-            warned = True
-        out[i] = prev / areas[i]
-    fld = Field(out, mesh)
-    if warned:
+    nodes = mesh.points[mesh.edges][mesh.cell_edges]
+    rev = mesh.cell_dirs < 0
+    prev = np.empty(mesh.n_cells)
+    flipped = np.zeros(mesh.n_cells, bool)
+    active = np.arange(mesh.n_cells)
+    levels = [2 ** lv for lv in range(max_levels + 1) if 2 ** lv * 8 <= 1200]
+    for lv, panels in enumerate(levels):
+        chunk = max(1, _AVERAGE_CHUNK_POINTS // (8 * panels) ** 2)
+        cur = np.empty(len(active))
+        for lo in range(0, len(active), chunk):
+            ids = active[lo:lo + chunk]
+            cur[lo:lo + chunk], jmin = _coons_integrals(
+                nodes[ids], rev[ids], func, panels)
+            flipped[ids] = jmin <= 0.0
+        keep = ~flipped[active]
+        if lv:
+            keep &= ~(np.abs(cur - prev[active]) <= rel_tol * np.maximum(
+                np.abs(cur), 1e-3 * areas[active]))
+        prev[active] = cur
+        active = active[keep]
+        if flipped.any():
+            # an error is raised; only a cell before the first flipped one
+            # can change which
+            active = active[active < np.argmax(flipped)]
+    if strict and len(active):
+        i = int(active[0])  # below every flipped cell
+        raise MeshError(
+            f"cell {i}: average quadrature did not converge after "
+            f"{max_levels} levels (last value {float(prev[i])!r})")
+    if flipped.any():
+        raise MeshError("cell map is not orientation-preserving")
+    fld = Field(prev / areas, mesh)
+    if len(active):
         fld.nonconverged = True  # best-effort averages (discontinuous field)
     return fld

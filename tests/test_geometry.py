@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from curveremap.experiments import accuracy_meshes
 from curveremap.geometry import (SNAP_TOL, Aabb, CurvedPolygon, CurveSpan,
-                                 GeometryError, ParamCurve, _span_closest,
+                                 GeometryError, ParamCurve,
+                                 _polyline_self_intersects, _span_closest,
                                  point_in_polygon,
                                  polygon_from_points, real_roots_in,
                                  real_roots_in_many, straight_span,
@@ -168,6 +169,45 @@ def test_polygon_validation_catches_clockwise(unit_square):
     with pytest.raises(GeometryError):
         cw.validate()
     unit_square.validate()
+
+
+def test_polygon_validation_tests_the_closing_segment():
+    # sides p1 -> p2 and p3 -> p0 cross on the sampled polyline's closing
+    # segment, from its last point back to p0; the signed area is positive,
+    # so only the crossing test can catch it
+    bow = polygon_from_points([(-0.236, -0.375), (-0.839, 0.566),
+                               (0.144, -0.845), (0.954, -0.779)])
+    assert bow.signed_area() > 0.0
+    with pytest.raises(GeometryError, match="self-intersects"):
+        bow.validate()
+    pts = bow.boundary_points(per_span=16)
+    assert _polyline_self_intersects(pts[None], closed=True).tolist() == [True]
+    # open, the same points miss the closing segment
+    assert _polyline_self_intersects(pts[None], closed=False).tolist() == [False]
+
+
+def test_batched_crossing_test_equals_one_polyline_at_a_time():
+    rng = np.random.default_rng(5)
+    base = np.column_stack([np.cos(np.linspace(0, 2 * np.pi, 24, endpoint=False)),
+                            np.sin(np.linspace(0, 2 * np.pi, 24, endpoint=False))])
+    loops = base + rng.normal(scale=0.12, size=(40, 24, 2))
+    for closed in (True, False):
+        got = _polyline_self_intersects(loops, closed)
+        one = [_polyline_self_intersects(p[None], closed)[0] for p in loops]
+        assert got.tolist() == one
+        assert 0 < got.sum() < len(loops)
+
+
+def test_sub_span_parameters_equal_t_of():
+    c = ParamCurve([(0, 0), (0.5, 1.0), (1, 0)])
+    rng = np.random.default_rng(8)
+    for t0, t1 in [(0.0, 1.0), (1.0, 0.0), (0.3, 0.71), (0.9, 0.125)]:
+        span = CurveSpan(c, t0, t1)
+        for ua, ub in rng.uniform(size=(20, 2)):
+            sub = span.sub(ua, np.float64(ub))
+            assert type(sub.t0) is float and type(sub.t1) is float
+            assert (sub.t0, sub.t1) == (float(span.t_of(ua)),
+                                        float(span.t_of(ub)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,12 +4,12 @@ import os
 import numpy as np
 import pytest
 
-from curveremap.geometry import CurvedPolygon
+from curveremap.geometry import CurvedPolygon, GeometryError
 from curveremap.mesh import (CurvilinearMesh, Field, MeshError, MeshParseError,
                              boundary_loop, build_adjacency, cell_polygon,
                              exact_cell_averages, gen_deformed_square_mesh,
                              gen_disk_mesh, read_field, read_mesh, rotate_mesh,
-                             write_field, write_mesh)
+                             validate_mesh, write_field, write_mesh)
 from curveremap.experiments import QUAD_P
 
 
@@ -222,9 +222,9 @@ def test_exact_averages_nonsmooth_needs_relaxed_mode():
     assert abs(total - 0.77 ** 2 / 2) < 1e-3
 
 
-def _per_point_integrate(cell, func, panels: int, order: int = 8) -> float:
-    """The Coons-map quadrature evaluated point by point on the full grid:
-    every boundary curve at all n^2 points."""
+def _per_point_integrate(poly, func, panels: int, order: int = 8) -> float:
+    """The Coons-map quadrature of one 4-span cell evaluated point by point
+    on the full grid: every boundary curve at all n^2 points."""
     from curveremap.geometry import gauss_rule_01
     xi1, w1 = gauss_rule_01(order)
     offs = np.arange(panels) / panels
@@ -233,8 +233,8 @@ def _per_point_integrate(cell, func, panels: int, order: int = 8) -> float:
     X, Y = np.meshgrid(x, x, indexing="ij")
     WX, WY = np.meshgrid(w, w, indexing="ij")
     xi, eta = X.ravel(), Y.ravel()
-    s0, s1, s2, s3 = cell.s
-    p00, p10, p11, p01 = cell.p00, cell.p10, cell.p11, cell.p01
+    s0, s1, s2, s3 = poly.spans
+    p00, p10, p11, p01 = s0.start, s0.end, s1.end, s2.end
     cb, ct = s0.point_at(xi), s2.point_at(1.0 - xi)
     cl, cr = s3.point_at(1.0 - eta), s1.point_at(eta)
     dcb, dct = s0.tangent_at(xi), -s2.tangent_at(1.0 - xi)
@@ -250,13 +250,45 @@ def _per_point_integrate(cell, func, panels: int, order: int = 8) -> float:
                - (-(1 - xi_) * p00 - xi_ * p10 + (1 - xi_) * p01
                   + xi_ * p11))
     jac = dF_dxi[:, 0] * dF_deta[:, 1] - dF_dxi[:, 1] * dF_deta[:, 0]
+    if jac.min() <= 0.0:
+        raise MeshError("cell map is not orientation-preserving")
     vals = np.asarray(func(F[:, 0], F[:, 1]), float)
     return float(np.sum(vals * jac * (WX * WY).ravel()))
 
 
+def _per_cell_averages(mesh, func, rel_tol=1e-13, max_levels=10,
+                       strict=True):
+    """exact_cell_averages as a cell-by-cell adaptive loop over
+    _per_point_integrate: panels double per level until two levels agree."""
+    areas = mesh.cell_areas()
+    out = np.empty(mesh.n_cells)
+    warned = False
+    for i in range(mesh.n_cells):
+        poly = mesh.cell_polygon(i)
+        prev = _per_point_integrate(poly, func, 1)
+        converged = False
+        for level in range(1, max_levels + 1):
+            panels = 2 ** level
+            if panels * 8 > 1200:
+                break
+            cur = _per_point_integrate(poly, func, panels)
+            if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-3 * areas[i]):
+                prev = cur
+                converged = True
+                break
+            prev = cur
+        if not converged:
+            if strict:
+                raise MeshError(
+                    f"cell {i}: average quadrature did not converge after "
+                    f"{max_levels} levels (last value {prev!r})")
+            warned = True
+        out[i] = prev / areas[i]
+    return out, warned
+
+
 @pytest.mark.parametrize("kind", ["disk", "degree3"])
-def test_coons_grid_averages_equal_per_point_form(kind, monkeypatch):
-    from curveremap import mesh as mesh_mod
+def test_coons_grid_averages_equal_per_point_form(kind):
     from curveremap.experiments import accuracy_meshes, cylinder_field
     if kind == "disk":
         m = gen_disk_mesh(6)
@@ -266,7 +298,143 @@ def test_coons_grid_averages_equal_per_point_form(kind, monkeypatch):
         m = accuracy_meshes(6, degree=3)[0]
         field = cylinder_field
     grid = exact_cell_averages(m, field, strict=False, max_levels=3)
-    monkeypatch.setattr(mesh_mod._CoonsCell, "integrate",
-                        _per_point_integrate)
-    ref = exact_cell_averages(m, field, strict=False, max_levels=3)
-    assert np.array_equal(grid.averages, ref.averages)
+    ref, _ = _per_cell_averages(m, field, strict=False, max_levels=3)
+    assert np.array_equal(grid.averages, ref)
+
+
+@pytest.mark.parametrize("case", ["sine", "disk", "cylinder"])
+def test_batched_averages_equal_per_cell_loop(case):
+    from curveremap.experiments import (accuracy_meshes, composite_disk_field,
+                                        cylinder_field, sin_field)
+    if case == "sine":
+        m, field, opts = accuracy_meshes(8)[0], sin_field, {}
+    elif case == "disk":
+        m, field = gen_disk_mesh(8), composite_disk_field
+        opts = {"strict": False, "max_levels": 5}
+    else:
+        m, field = accuracy_meshes(8, degree=3)[0], cylinder_field
+        opts = {"strict": False, "max_levels": 5}
+    got = exact_cell_averages(m, field, **opts)
+    ref, warned = _per_cell_averages(m, field, **opts)
+    assert np.array_equal(got.averages, ref)
+    assert getattr(got, "nonconverged", False) == warned
+    assert warned == (case != "sine")
+
+
+def test_strict_averages_name_the_lowest_unconverged_cell():
+    from curveremap.experiments import accuracy_meshes, cylinder_field
+    m = accuracy_meshes(8, degree=3)[0]
+    with pytest.raises(MeshError) as ref:
+        _per_cell_averages(m, cylinder_field, max_levels=3)
+    with pytest.raises(MeshError) as got:
+        exact_cell_averages(m, cylinder_field, max_levels=3)
+    assert str(got.value) == str(ref.value)
+    assert str(got.value).startswith("cell 11: ")
+
+
+def _per_cell_verdict(mesh) -> str:
+    """The invalid-cells message of a CurvedPolygon.validate loop."""
+    bad = []
+    for i in range(mesh.n_cells):
+        try:
+            mesh.cell_polygon(i).validate()
+        except GeometryError as exc:
+            bad.append((i, str(exc)))
+    return f"invalid cells: {bad[:8]}" + (" ..." if len(bad) > 8 else "")
+
+
+def _unvalidated(n, amplitude):
+    from curveremap.mesh import _phi_taylor_green, _structured_mesh
+    return _structured_mesh(n, 2, _phi_taylor_green(amplitude), 0.0, 1.0,
+                            validate=False)
+
+
+def _open_cell():
+    # edge 2 is traversed against its points, so the loop does not close
+    m = unit_square_mesh_1cell()
+    return CurvilinearMesh(m.points, m.edges, m.cell_edges, [[1, 1, -1, 1]],
+                           validate=False)
+
+
+def _bow_tie_cell():
+    pts = [(-0.236, -0.375), (-0.839, 0.566), (0.144, -0.845), (0.954, -0.779)]
+    return CurvilinearMesh(pts, [[0, 1], [1, 2], [2, 3], [3, 0]],
+                           [[0, 1, 2, 3]], [[1, 1, 1, 1]], validate=False)
+
+
+@pytest.mark.parametrize("make", [lambda: _unvalidated(4, 0.9),
+                                  lambda: _unvalidated(6, 0.3),
+                                  _open_cell, _bow_tie_cell],
+                         ids=["tg-0.9-n4", "tg-0.3-n6", "open", "bow-tie"])
+def test_batched_validation_equals_per_cell_loop(make):
+    want = _per_cell_verdict(make())
+    with pytest.raises(MeshError) as err:
+        validate_mesh(make())
+    assert str(err.value) == want
+
+
+def test_disk_mesh_is_validated_once(monkeypatch):
+    from curveremap import mesh as mesh_mod
+    seen = []
+    real = mesh_mod.validate_mesh
+
+    def counting(mesh, *args, **kwargs):
+        seen.append(mesh)
+        return real(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(mesh_mod, "validate_mesh", counting)
+    m = gen_disk_mesh(4)
+    assert seen == [m]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 5])
+def test_cell_samples_equal_boundary_points(degree):
+    from curveremap.mesh import _cell_samples, _hypot
+    m = rotate_mesh(gen_deformed_square_mesh(4, "gresho_like", 0.4, degree),
+                    0.3)
+    samples = _cell_samples(m)
+    ends, starts = samples[:, :, 16], np.roll(samples[:, :, 0], -1, axis=1)
+    gaps = _hypot(ends - starts).max(axis=1)
+    for i in range(m.n_cells):
+        poly = m.cell_polygon(i)
+        assert np.array_equal(samples[i, :, :16].reshape(64, 2),
+                              poly.boundary_points(16))
+        assert gaps[i] == poly.closure_gap()
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 5])
+def test_validated_boxes_equal_per_curve_boxes(degree):
+    from curveremap.geometry import ParamCurve
+    m = gen_deformed_square_mesh(4, "gresho_like", 0.4, degree)
+    for e in range(m.n_edges):
+        fresh = ParamCurve(m.points[m.edges[e]])
+        assert np.array_equal(m.edge_curve(e).bezier_points,
+                              fresh.bezier_points)
+        assert m.edge_curve(e).bbox() == fresh.bbox()
+    for i in range(m.n_cells):
+        poly = m.cell_polygon(i)
+        box = poly.spans[0].bbox()
+        for s in poly.spans[1:]:
+            box = box.union(s.bbox())
+        assert poly.bbox() == box
+
+
+@pytest.mark.parametrize("flipped_first", [False, True])
+@pytest.mark.parametrize("strict", [True, False])
+def test_flipped_cell_map_errors_match_per_cell_loop(flipped_first, strict):
+    # two unit squares side by side, the right one traversed clockwise, so
+    # its Coons map has J < 0; the jump field never converges on the left
+    pts = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
+    edges = [[0, 1], [1, 4], [4, 3], [3, 0], [1, 2], [2, 5], [5, 4]]
+    cells = [([0, 1, 2, 3], [1, 1, 1, 1]), ([1, 6, 5, 4], [1, -1, -1, -1])]
+    if flipped_first:
+        cells.reverse()
+    m = CurvilinearMesh(pts, edges, [c for c, _ in cells],
+                        [d for _, d in cells], validate=False)
+    jump = lambda x, y: np.where(x + y < 0.77, 1.0, 0.0)
+    for field in (jump, lambda x, y: x * y):
+        with pytest.raises(MeshError) as ref:
+            _per_cell_averages(m, field, max_levels=3, strict=strict)
+        with pytest.raises(MeshError) as got:
+            exact_cell_averages(m, field, max_levels=3, strict=strict)
+        assert str(got.value) == str(ref.value)

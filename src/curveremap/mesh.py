@@ -315,7 +315,8 @@ def _invalid_cells(mesh: CurvilinearMesh, areas: np.ndarray) -> list:
     bad = []
     for i in np.flatnonzero(open_ | cw | crossed).tolist():
         if open_[i]:
-            bad.append((i, f"polygon not closed: max endpoint gap {gap[i]:.3e}"))
+            bad.append((i, "polygon not closed: max endpoint gap "
+                           f"{gap[i]:.3e}"))
         elif cw[i]:
             bad.append((i, "polygon not counterclockwise: signed area "
                            f"{areas[i]:.3e}"))

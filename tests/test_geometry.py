@@ -181,16 +181,16 @@ def test_polygon_validation_tests_the_closing_segment():
     with pytest.raises(GeometryError, match="self-intersects"):
         bow.validate()
     pts = bow.boundary_points(per_span=16)
-    assert _polyline_self_intersects(pts[None], closed=True).tolist() == [True]
+    assert _polyline_self_intersects(pts[None], closed=True)[0]
     # open, the same points miss the closing segment
-    assert _polyline_self_intersects(pts[None], closed=False).tolist() == [False]
+    assert not _polyline_self_intersects(pts[None], closed=False)[0]
 
 
 def test_batched_crossing_test_equals_one_polyline_at_a_time():
     rng = np.random.default_rng(5)
-    base = np.column_stack([np.cos(np.linspace(0, 2 * np.pi, 24, endpoint=False)),
-                            np.sin(np.linspace(0, 2 * np.pi, 24, endpoint=False))])
-    loops = base + rng.normal(scale=0.12, size=(40, 24, 2))
+    ang = np.linspace(0, 2 * np.pi, 24, endpoint=False)
+    loops = (np.column_stack([np.cos(ang), np.sin(ang)])
+             + rng.normal(scale=0.12, size=(40, 24, 2)))
     for closed in (True, False):
         got = _polyline_self_intersects(loops, closed)
         one = [_polyline_self_intersects(p[None], closed)[0] for p in loops]

@@ -699,24 +699,25 @@ def read_field(path, mesh: CurvilinearMesh | None = None) -> Field:
 # --------------------------------------------------------------------------
 # exact cell averages via the transfinite (Coons) cell map
 
+# Gauss points per panel and direction of the cell-map quadrature
+_PANEL_POINTS = 8
 # quadrature points per evaluation chunk of exact_cell_averages; a cell with
 # more points than this is a chunk of its own
 _AVERAGE_CHUNK_POINTS = 2 ** 14
 
 
-def _coons_integrals(nodes, rev, func, panels: int, order: int = 8):
+def _coons_integrals(nodes, rev, func, panels: int):
     """Integrals of func over the Coons (transfinite) maps of k cells, and
     the minimum Jacobian determinant of each map at the nodes.
 
     nodes (k, 4, d+1, 2) and rev (k, 4) give each cell's four spans. The
-    unit square carries panels x panels panels of order x order Gauss
-    points. Each boundary curve depends on one coordinate only, so it is
+    unit square carries panels x panels panels of 8 x 8 Gauss points. Each boundary curve depends on one coordinate only, so it is
     evaluated at that coordinate's nodes and broadcast over the grid ("ij"
     order, xi slowest). func is called once, on 1-D arrays of every point.
     """
     k = len(nodes)
     d = nodes.shape[2] - 1
-    xi1, w1 = gauss_rule_01(order)
+    xi1, w1 = gauss_rule_01(_PANEL_POINTS)
     offs = np.arange(panels) / panels
     x = (offs[:, None] + xi1[None, :] / panels).ravel()
     w = np.tile(w1 / panels, panels)
@@ -782,9 +783,10 @@ def exact_cell_averages(mesh: CurvilinearMesh, func, rel_tol: float = 1e-13,
     prev = np.empty(mesh.n_cells)
     flipped = np.zeros(mesh.n_cells, bool)
     active = np.arange(mesh.n_cells)
-    levels = [2 ** lv for lv in range(max_levels + 1) if 2 ** lv * 8 <= 1200]
+    levels = [2 ** lv for lv in range(max_levels + 1)
+              if 2 ** lv * _PANEL_POINTS <= 1200]
     for lv, panels in enumerate(levels):
-        chunk = max(1, _AVERAGE_CHUNK_POINTS // (8 * panels) ** 2)
+        chunk = max(1, _AVERAGE_CHUNK_POINTS // (_PANEL_POINTS * panels) ** 2)
         cur = np.empty(len(active))
         for lo in range(0, len(active), chunk):
             ids = active[lo:lo + chunk]

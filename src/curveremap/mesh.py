@@ -711,9 +711,10 @@ def _coons_integrals(nodes, rev, func, panels: int):
     the minimum Jacobian determinant of each map at the nodes.
 
     nodes (k, 4, d+1, 2) and rev (k, 4) give each cell's four spans. The
-    unit square carries panels x panels panels of 8 x 8 Gauss points. Each boundary curve depends on one coordinate only, so it is
-    evaluated at that coordinate's nodes and broadcast over the grid ("ij"
-    order, xi slowest). func is called once, on 1-D arrays of every point.
+    unit square carries panels x panels panels of 8 x 8 Gauss points.
+    Each boundary curve depends on one coordinate only, so it is evaluated
+    at that coordinate's nodes and broadcast over the grid ("ij" order, xi
+    slowest). func is called once, on 1-D arrays of every point.
     """
     k = len(nodes)
     d = nodes.shape[2] - 1

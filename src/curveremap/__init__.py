@@ -24,10 +24,9 @@ from .integrate import (CurvedTriangle, GaussRule1D, IntegrationError, Poly2,
 from .limiter import LimiterError, LimiterParams, QuadPointGroup, positivity_limit
 from .mesh import (Adjacency, CurvilinearMesh, Field, MeshError,
                    MeshParseError, boundary_loop, build_adjacency,
-                   cell_polygon, exact_cell_averages,
-                   gen_deformed_square_mesh, gen_disk_mesh, read_field,
-                   read_mesh, rotate_mesh, validate_mesh, write_field,
-                   write_mesh)
+                   exact_cell_averages, gen_deformed_square_mesh,
+                   gen_disk_mesh, read_field, read_mesh, rotate_mesh,
+                   validate_mesh, write_field, write_mesh)
 from .reconstruct import (ReconField, Stencil, WenoConfig, beta0,
                           build_stencil, constrained_lsq_fit, smoothness,
                           weno_reconstruct)

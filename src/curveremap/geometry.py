@@ -234,6 +234,18 @@ class ParamCurve:
             raise GeometryError("curve nodes must be an (d+1, 2) array with d >= 1")
         if not np.all(np.isfinite(nodes)):
             raise GeometryError("curve nodes must be finite")
+        self._set_nodes(nodes)
+
+    @classmethod
+    def _of_checked(cls, nodes: np.ndarray) -> "ParamCurve":
+        """The curve through nodes, a float (d+1, 2) array, d >= 1, of
+        finite values, without checking them again (a mesh checks all its
+        points at once)."""
+        curve = cls.__new__(cls)
+        curve._set_nodes(nodes)
+        return curve
+
+    def _set_nodes(self, nodes: np.ndarray) -> None:
         self.nodes = nodes
         self.degree = nodes.shape[0] - 1
         self._power = None
@@ -673,6 +685,10 @@ class CurvedPolygon:
                 d, _ = _span_closest(s, x, y)
                 if d <= SNAP_TOL:
                     return "boundary"
+        if not self.bbox().contains(x, y):
+            # the box is a Bezier hull: the point is outside for certain,
+            # where near a corner every ray could meet a span end
+            return "outside"
         for ang in _RAY_ANGLES:
             parity = self._ray_parity(x, y, math.cos(ang), math.sin(ang))
             if parity is not None:

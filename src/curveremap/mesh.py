@@ -77,11 +77,12 @@ class CurvilinearMesh:
     def edge_curve(self, e: int) -> ParamCurve:
         c = self._curves[e]
         if c is None:
-            c = ParamCurve(self.points[self.edges[e]])
+            c = ParamCurve._of_checked(self.points[self.edges[e]])
             self._curves[e] = c
         return c
 
     def cell_polygon(self, i: int) -> CurvedPolygon:
+        """The 4-span counterclockwise loop of cell i."""
         poly = self._polys[i]
         if poly is None:
             spans = []
@@ -142,11 +143,6 @@ class Field:
 class Adjacency:
     edge_neighbors: list[list[int]]
     vertex_neighbors: list[list[int]]
-
-
-def cell_polygon(mesh: CurvilinearMesh, i: int) -> CurvedPolygon:
-    """The 4-span counterclockwise loop of cell i."""
-    return mesh.cell_polygon(i)
 
 
 def build_adjacency(mesh: CurvilinearMesh) -> Adjacency:
@@ -704,31 +700,40 @@ _PANEL_POINTS = 8
 # quadrature points per evaluation chunk of exact_cell_averages; a cell with
 # more points than this is a chunk of its own
 _AVERAGE_CHUNK_POINTS = 2 ** 14
+# the last level (2^2 x 2^2 panels) at which exact_cell_averages refines a
+# cell as a whole; past it only the panels that still change are refined
+_WHOLE_CELL_LEVELS = 2
 
 
-def _coons_integrals(nodes, rev, func, panels: int):
-    """Integrals of func over the Coons (transfinite) maps of k cells, and
-    the minimum Jacobian determinant of each map at the nodes.
+def _coons_integrals(nodes, rev, func, panels: int, x0=0.0, y0=0.0, h=1.0):
+    """Integrals of func over the Coons (transfinite) maps of k items, each
+    a sub-square of one cell's unit square, and the minimum Jacobian
+    determinant of each cell map at the item's nodes.
 
-    nodes (k, 4, d+1, 2) and rev (k, 4) give each cell's four spans. The
-    unit square carries panels x panels panels of 8 x 8 Gauss points.
-    Each boundary curve depends on one coordinate only, so it is evaluated
-    at that coordinate's nodes and broadcast over the grid ("ij" order, xi
-    slowest). func is called once, on 1-D arrays of every point.
+    nodes (k, 4, d+1, 2) and rev (k, 4) give each item's cell's four
+    spans; x0, y0 and h, scalars or (k,) arrays, are the item's lower-left
+    corner and side in the unit square. An item carries panels x panels
+    panels of 8 x 8 Gauss points. Each boundary curve depends on one
+    coordinate only, so it is evaluated at that coordinate's nodes and
+    broadcast over the grid ("ij" order, xi slowest). func is called once,
+    on 1-D arrays of every point.
+
+    Returns the item sums (k,), the panel sums (k, panels^2), panel (a, b)
+    at a * panels + b with a along xi, and the minima (k,).
     """
     k = len(nodes)
     d = nodes.shape[2] - 1
     xi1, w1 = gauss_rule_01(_PANEL_POINTS)
     offs = np.arange(panels) / panels
     x = (offs[:, None] + xi1[None, :] / panels).ravel()
-    w = np.tile(w1 / panels, panels)
-    WX, WY = np.meshgrid(w, w, indexing="ij")
+    x0, y0, h = (np.asarray(a, float)[..., None] for a in (x0, y0, h))
+    xs, ys, w = x0 + h * x, y0 + h * x, np.tile(w1 / panels, panels) * h
 
     def curve(s, u):
         t = _span_params(u, rev[:, s])
-        h = np.where(rev[:, s], -1.0, 1.0)[:, None, None]
+        sign = np.where(rev[:, s], -1.0, 1.0)[:, None, None]
         return (_lagrange_basis(d, t) @ nodes[:, s],
-                _lagrange_dbasis(d, t) @ nodes[:, s] * h)
+                _lagrange_dbasis(d, t) @ nodes[:, s] * sign)
 
     def corner(s, t):  # one point per cell, rounded as ParamCurve.eval
         return eval_rows(_lagrange_basis(d, t), nodes[:, s])[:, None, None]
@@ -736,13 +741,13 @@ def _coons_integrals(nodes, rev, func, panels: int):
     end = np.where(rev, 0.0, 1.0)  # each span's t1
     p00 = corner(0, 1.0 - end[:, 0])
     p10, p11, p01 = (corner(s, end[:, s]) for s in range(3))
-    (cb, dcb), (ct, dct) = curve(0, x), curve(2, 1.0 - x)
-    (cl, dcl), (cr, dcr) = curve(3, 1.0 - x), curve(1, x)
+    (cb, dcb), (ct, dct) = curve(0, xs), curve(2, 1.0 - xs)
+    (cl, dcl), (cr, dcr) = curve(3, 1.0 - ys), curve(1, ys)
     # xi runs along axis 1 of the grid and eta along axis 2
     cb, ct, dcb, dct = (a[:, :, None] for a in (cb, ct, dcb, -dct))
     cl, cr, dcl, dcr = (a[:, None] for a in (cl, cr, -dcl, dcr))
-    xi_ = x[None, :, None, None]
-    eta_ = x[None, None, :, None]
+    xi_ = xs[..., :, None, None]
+    eta_ = ys[..., None, :, None]
     blend = ((1 - xi_) * (1 - eta_) * p00 + xi_ * (1 - eta_) * p10
              + (1 - xi_) * eta_ * p01 + xi_ * eta_ * p11)
     F = (1 - eta_) * cb + eta_ * ct + (1 - xi_) * cl + xi_ * cr - blend
@@ -753,12 +758,17 @@ def _coons_integrals(nodes, rev, func, panels: int):
                - (-(1 - xi_) * p00 - xi_ * p10
                   + (1 - xi_) * p01 + xi_ * p11))
     jac = (dF_dxi[..., 0] * dF_deta[..., 1]
-           - dF_dxi[..., 1] * dF_deta[..., 0]).reshape(k, -1)
+           - dF_dxi[..., 1] * dF_deta[..., 0])
     pts = F.reshape(-1, 2)
     vals = np.asarray(func(pts[:, 0], pts[:, 1]), float)
     if vals.ndim:
-        vals = vals.reshape(k, -1)
-    return np.sum(vals * jac * (WX * WY).ravel(), axis=1), jac.min(axis=1)
+        vals = vals.reshape(jac.shape)
+    terms = vals * jac * (w[..., :, None] * w[..., None, :])
+    p = _PANEL_POINTS
+    per = (terms.reshape(k, panels, p, panels, p).swapaxes(2, 3)
+           .reshape(k, panels * panels, p * p))
+    return (np.sum(terms.reshape(k, -1), axis=1), np.sum(per, axis=2),
+            jac.reshape(k, -1).min(axis=1))
 
 
 def exact_cell_averages(mesh: CurvilinearMesh, func, rel_tol: float = 1e-13,
@@ -766,14 +776,24 @@ def exact_cell_averages(mesh: CurvilinearMesh, func, rel_tol: float = 1e-13,
     """Cell averages of an analytic field by adaptive cell-map quadrature.
 
     func must accept numpy arrays (x, y) and evaluate elementwise. Each
-    cell's Coons map carries 8 x 8 Gauss points per panel; panels are
-    doubled per level until two successive levels agree to rel_tol
-    relative, up to 128 x 128 panels. Running out of levels is an error in
-    strict mode (naming the lowest-index such cell) and a best-effort
-    result (the field is then typically discontinuous) otherwise. A map
-    with J <= 0 at a Gauss point is an error.
+    cell's Coons map carries panels of 8 x 8 Gauss points on its unit
+    square. A cell converges when two successive estimates agree to
+    rel_tol relative (of max(|estimate|, 1e-3 area)).
 
-    Each level evaluates all cells that have not converged yet at once, in
+    Uniform levels: 1, 2 x 2 and 4 x 4 panels, the whole cell at once.
+    A cell that has not converged by then goes on in panel rounds from its
+    4 x 4 panels: each round splits every open panel into four and sums
+    the quarters' 8 x 8 rules. The cell's two estimates then differ by the
+    sum of its split panels' changes; a split panel whose change is within
+    its area share of the cell's tolerance is closed, the others' quarters
+    stay open. The finest panels are 2^max_levels to a side, and at most
+    1200 Gauss points. A cell still open at the finest round is an error
+    in strict mode (naming the lowest-index such cell and its last
+    estimate) and a best-effort result otherwise, flagged on the field as
+    nonconverged (the field is then typically discontinuous). A map with
+    J <= 0 at a Gauss point is an error.
+
+    Each level and round evaluates all its cells or panels at once, in
     chunks of about 2^14 quadrature points, with the same elementwise
     arithmetic and the same per-cell sums as a cell-by-cell loop, so the
     averages do not depend on the chunking.
@@ -784,26 +804,36 @@ def exact_cell_averages(mesh: CurvilinearMesh, func, rel_tol: float = 1e-13,
     prev = np.empty(mesh.n_cells)
     flipped = np.zeros(mesh.n_cells, bool)
     active = np.arange(mesh.n_cells)
-    levels = [2 ** lv for lv in range(max_levels + 1)
+    levels = [lv for lv in range(max_levels + 1)
               if 2 ** lv * _PANEL_POINTS <= 1200]
-    for lv, panels in enumerate(levels):
+
+    def tolerance(cur, ids):
+        return rel_tol * np.maximum(np.abs(cur), 1e-3 * areas[ids])
+
+    for lv in levels[:_WHOLE_CELL_LEVELS + 1]:
+        panels = 2 ** lv
         chunk = max(1, _AVERAGE_CHUNK_POINTS // (_PANEL_POINTS * panels) ** 2)
         cur = np.empty(len(active))
+        per = np.empty((len(active), panels * panels))
         for lo in range(0, len(active), chunk):
             ids = active[lo:lo + chunk]
-            cur[lo:lo + chunk], jmin = _coons_integrals(
+            cur[lo:lo + chunk], per[lo:lo + chunk], jmin = _coons_integrals(
                 nodes[ids], rev[ids], func, panels)
             flipped[ids] = jmin <= 0.0
         keep = ~flipped[active]
         if lv:
-            keep &= ~(np.abs(cur - prev[active]) <= rel_tol * np.maximum(
-                np.abs(cur), 1e-3 * areas[active]))
+            keep &= ~(np.abs(cur - prev[active]) <= tolerance(cur, active))
         prev[active] = cur
-        active = active[keep]
+        active, per = active[keep], per[keep]
         if flipped.any():
             # an error is raised; only a cell before the first flipped one
             # can change which
-            active = active[active < np.argmax(flipped)]
+            below = active < np.argmax(flipped)
+            active, per = active[below], per[below]
+    rounds = len(levels) - _WHOLE_CELL_LEVELS - 1
+    if rounds > 0 and len(active):
+        active = _panel_rounds(nodes, rev, func, active, per, rounds,
+                               tolerance, prev, flipped)
     if strict and len(active):
         i = int(active[0])  # below every flipped cell
         raise MeshError(
@@ -815,3 +845,64 @@ def exact_cell_averages(mesh: CurvilinearMesh, func, rel_tol: float = 1e-13,
     if len(active):
         fld.nonconverged = True  # best-effort averages (discontinuous field)
     return fld
+
+
+def _panel_rounds(nodes, rev, func, active, per, rounds, tolerance, prev,
+                  flipped):
+    """The panel rounds of exact_cell_averages for the cells active (sorted)
+    from their panel sums per (len(active), panels^2). Writes each cell's
+    estimate to prev and its J <= 0 to flipped, and returns the cells
+    still open after the last round.
+
+    The panels are one list, each cell's panels together and in an order
+    of their own (a panel that stays open is replaced by its four
+    quarters, in place), so each cell's sums are sequential sums in that
+    order.
+    """
+    n = len(prev)
+    panels = math.isqrt(per.shape[1])
+    a, b = np.divmod(np.arange(panels * panels), panels)
+    cell = np.repeat(active, panels * panels)
+    x0 = np.tile(a / panels, len(active))
+    y0 = np.tile(b / panels, len(active))
+    h = np.full(len(cell), 1.0 / panels)
+    val = per.ravel()
+    is_open = np.ones(len(cell), bool)
+    chunk = _AVERAGE_CHUNK_POINTS // (2 * _PANEL_POINTS) ** 2
+    for _ in range(rounds):
+        split = np.flatnonzero(is_open)
+        quarters = np.zeros((len(cell), 4))
+        for lo in range(0, len(split), chunk):
+            ids = split[lo:lo + chunk]
+            c = cell[ids]
+            _, quarters[ids], jmin = _coons_integrals(
+                nodes[c], rev[c], func, 2, x0[ids], y0[ids], h[ids])
+            flipped[c[jmin <= 0.0]] = True
+        q = quarters[split]
+        new = q[:, 0] + q[:, 1] + q[:, 2] + q[:, 3]
+        change = new - val[split]
+        val[split] = new
+        cur = np.bincount(cell, val, n)
+        diff = np.bincount(cell[split], change, n)
+        tol = np.zeros(n)
+        tol[active] = tolerance(cur[active], active)
+        prev[active] = cur[active]
+        keep = ~flipped[active] & ~(np.abs(diff[active]) <= tol[active])
+        active = active[keep]
+        if flipped.any():
+            active = active[active < np.argmax(flipped)]
+        # a split panel whose change exceeds its share of the cell's
+        # tolerance stays open, as its four quarters
+        grow = np.zeros(len(cell), bool)
+        grow[split] = np.abs(change) > h[split] ** 2 * tol[cell[split]]
+        live = np.flatnonzero(np.isin(cell, active))
+        reps = np.where(grow[live], 4, 1)
+        idx = np.repeat(live, reps)
+        kid = np.arange(len(idx)) - np.repeat(np.cumsum(reps) - reps, reps)
+        is_open = grow[idx]
+        side = np.where(is_open, 0.5, 1.0) * h[idx]
+        x0 = x0[idx] + np.where(is_open, kid // 2, 0) * side
+        y0 = y0[idx] + np.where(is_open, kid % 2, 0) * side
+        h, cell = side, cell[idx]
+        val = np.where(is_open, quarters[idx, kid], val[idx])
+    return active

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curveremap.experiments import accuracy_meshes
@@ -13,6 +13,12 @@ from curveremap.geometry import (SNAP_TOL, Aabb, CurvedPolygon, CurveSpan,
                                  polygon_from_points, real_roots_in,
                                  real_roots_in_many, straight_span,
                                  validate_curve)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_curve_nodes_must_be_finite(bad):
+    with pytest.raises(GeometryError, match="finite"):
+        ParamCurve([(0.0, 0.0), (0.5, bad), (1.0, 0.0)])
 
 
 def test_quadratic_midpoint_matches_control_point():
@@ -212,6 +218,9 @@ def test_sub_span_parameters_equal_t_of():
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2))
+# just outside a corner, beyond SNAP_TOL: every ray meets a span end
+@example(-7.449158996730917e-11, -7.449158996730917e-11)
+@example(-1e-10, -1e-10)
 def test_square_locate_never_crashes(x, y):
     sq = polygon_from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
     assert sq.locate(x, y) in ("inside", "outside", "boundary")

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import os
 
@@ -6,7 +8,7 @@ import pytest
 
 from curveremap.geometry import CurvedPolygon, GeometryError
 from curveremap.mesh import (CurvilinearMesh, Field, MeshError, MeshParseError,
-                             boundary_loop, build_adjacency, cell_polygon,
+                             boundary_loop, build_adjacency,
                              exact_cell_averages, gen_deformed_square_mesh,
                              gen_disk_mesh, read_field, read_mesh, rotate_mesh,
                              validate_mesh, write_field, write_mesh)
@@ -29,14 +31,14 @@ def unit_square_mesh_1cell() -> CurvilinearMesh:
 
 def test_cell_polygon_unit_square():
     m = unit_square_mesh_1cell()
-    poly = cell_polygon(m, 0)
+    poly = m.cell_polygon(0)
     assert len(poly.spans) == 4
     assert math.isclose(poly.signed_area(), 1.0, rel_tol=1e-14)
 
 
 def test_quad_p_area_against_polygonal_oracle():
     m = one_cell_quad_p()
-    poly = cell_polygon(m, 0)
+    poly = m.cell_polygon(0)
 
     def shoelace(per_span):
         pts = poly.boundary_points(per_span=per_span)
@@ -49,6 +51,14 @@ def test_quad_p_area_against_polygonal_oracle():
     # Richardson-extrapolated 2048-gon oracle (inscribed polygons gain m^-2)
     rich = (4.0 * shoelace(512) - shoelace(256)) / 3.0
     assert abs(area - rich) <= 1e-8 * area
+
+
+def test_mesh_points_must_be_finite():
+    m = unit_square_mesh_1cell()
+    pts = m.points.copy()
+    pts[5, 1] = math.nan
+    with pytest.raises(MeshError, match="finite"):
+        CurvilinearMesh(pts, m.edges, m.cell_edges, m.cell_dirs)
 
 
 def test_all_generated_cells_ccw():
@@ -181,8 +191,8 @@ def test_handwritten_quad_p_file_matches_memory(tmp_path):
               "cells 1", "+0 +1 +2 +3"]
     path.write_text("\n".join(lines) + "\n")
     loaded = read_mesh(path)
-    a = cell_polygon(loaded, 0).signed_area()
-    b = cell_polygon(mem, 0).signed_area()
+    a = loaded.cell_polygon(0).signed_area()
+    b = mem.cell_polygon(0).signed_area()
     assert math.isclose(a, b, rel_tol=1e-15)
 
 
@@ -222,15 +232,19 @@ def test_exact_averages_nonsmooth_needs_relaxed_mode():
     assert abs(total - 0.77 ** 2 / 2) < 1e-3
 
 
-def _per_point_integrate(poly, func, panels: int, order: int = 8) -> float:
-    """The Coons-map quadrature of one 4-span cell evaluated point by point
-    on the full grid: every boundary curve at all n^2 points."""
+def _per_point_integrate(poly, func, panels: int, order: int = 8,
+                         square=(0.0, 0.0, 1.0)):
+    """The Coons-map quadrature of one 4-span cell on the sub-square
+    (x0, y0, h) of its unit square, evaluated point by point on the full
+    grid: every boundary curve at all n^2 points. Returns the integral and
+    the panel integrals, panel (a, b) at a * panels + b with a along xi."""
     from curveremap.geometry import gauss_rule_01
+    x0, y0, h = square
     xi1, w1 = gauss_rule_01(order)
     offs = np.arange(panels) / panels
     x = (offs[:, None] + xi1[None, :] / panels).ravel()
-    w = np.tile(w1 / panels, panels)
-    X, Y = np.meshgrid(x, x, indexing="ij")
+    w = np.tile(w1 / panels, panels) * h
+    X, Y = np.meshgrid(x0 + h * x, y0 + h * x, indexing="ij")
     WX, WY = np.meshgrid(w, w, indexing="ij")
     xi, eta = X.ravel(), Y.ravel()
     s0, s1, s2, s3 = poly.spans
@@ -253,25 +267,30 @@ def _per_point_integrate(poly, func, panels: int, order: int = 8) -> float:
     if jac.min() <= 0.0:
         raise MeshError("cell map is not orientation-preserving")
     vals = np.asarray(func(F[:, 0], F[:, 1]), float)
-    return float(np.sum(vals * jac * (WX * WY).ravel()))
+    terms = vals * jac * (WX * WY).ravel()
+    per = terms.reshape(panels, order, panels, order).swapaxes(1, 2)
+    return (float(np.sum(terms)),
+            np.sum(per.reshape(panels * panels, -1), axis=1).tolist())
 
 
 def _per_cell_averages(mesh, func, rel_tol=1e-13, max_levels=10,
                        strict=True):
-    """exact_cell_averages as a cell-by-cell adaptive loop over
-    _per_point_integrate: panels double per level until two levels agree."""
+    """The earlier exact_cell_averages rule as a cell-by-cell loop over
+    _per_point_integrate: panels double per level until two levels agree.
+    exact_cell_averages keeps it bitwise for the cells that converge by
+    4 x 4 panels."""
     areas = mesh.cell_areas()
     out = np.empty(mesh.n_cells)
     warned = False
     for i in range(mesh.n_cells):
         poly = mesh.cell_polygon(i)
-        prev = _per_point_integrate(poly, func, 1)
+        prev = _per_point_integrate(poly, func, 1)[0]
         converged = False
         for level in range(1, max_levels + 1):
             panels = 2 ** level
             if panels * 8 > 1200:
                 break
-            cur = _per_point_integrate(poly, func, panels)
+            cur = _per_point_integrate(poly, func, panels)[0]
             if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-3 * areas[i]):
                 prev = cur
                 converged = True
@@ -287,23 +306,102 @@ def _per_cell_averages(mesh, func, rel_tol=1e-13, max_levels=10,
     return out, warned
 
 
-@pytest.mark.parametrize("kind", ["disk", "degree3"])
+def _panel_rule_averages(mesh, func, rel_tol=1e-13, max_levels=10,
+                         strict=True):
+    """exact_cell_averages as a cell-by-cell loop over _per_point_integrate:
+    the whole cell through 4 x 4 panels, then rounds that split each open
+    panel into four. The cell converges when the sum of its split panels'
+    changes is within its tolerance; a split panel whose change is within
+    its area share of that tolerance is closed, the others' quarters stay
+    open. Returns the averages, whether any cell was left open, and which
+    cells converged by 4 x 4 panels."""
+    areas = mesh.cell_areas()
+    finest = max(lv for lv in range(max_levels + 1) if 2 ** lv * 8 <= 1200)
+    out = np.empty(mesh.n_cells)
+    whole = np.zeros(mesh.n_cells, bool)
+    warned = False
+    for i in range(mesh.n_cells):
+        poly = mesh.cell_polygon(i)
+
+        def tol(cur):
+            return rel_tol * max(abs(cur), 1e-3 * areas[i])
+
+        prev, per = _per_point_integrate(poly, func, 1)
+        converged = False
+        for level in range(1, min(finest, 2) + 1):
+            cur, per = _per_point_integrate(poly, func, 2 ** level)
+            converged = abs(cur - prev) <= tol(cur)
+            prev = cur
+            if converged:
+                whole[i] = True
+                break
+        # panels [x0, y0, h, integral, open], in the order of the 4 x 4 grid
+        panels = [[a / 4, b / 4, 0.25, v, True]
+                  for (a, b), v in zip(itertools.product(range(4), repeat=2),
+                                       per)]
+        for level in range(3, finest + 1):
+            if converged:
+                break
+            quarters, diff, changes = {}, 0.0, {}
+            for j, (x0, y0, h, v, is_open) in enumerate(panels):
+                if is_open:
+                    _, q = _per_point_integrate(poly, func, 2, square=(x0, y0, h))
+                    new = q[0] + q[1] + q[2] + q[3]
+                    quarters[j], changes[j] = q, new - v
+                    diff += new - v
+                    panels[j][3] = new
+            prev = 0.0
+            for p in panels:
+                prev += p[3]
+            converged = abs(diff) <= tol(prev)
+            nxt = []
+            for j, (x0, y0, h, v, _) in enumerate(panels):
+                if j in changes and abs(changes[j]) > h ** 2 * tol(prev):
+                    nxt += [[x0 + a * h / 2, y0 + b * h / 2, h / 2, q, True]
+                            for (a, b), q in zip(
+                                itertools.product(range(2), repeat=2),
+                                quarters[j])]
+                else:
+                    nxt.append([x0, y0, h, v, False])
+            panels = nxt
+        if not converged:
+            if strict:
+                raise MeshError(
+                    f"cell {i}: average quadrature did not converge after "
+                    f"{max_levels} levels (last value {prev!r})")
+            warned = True
+        out[i] = prev / areas[i]
+    return out, warned, whole
+
+
+@pytest.mark.parametrize("kind", ["disk", "degree3", "wave"])
 def test_coons_grid_averages_equal_per_point_form(kind):
     from curveremap.experiments import accuracy_meshes, cylinder_field
+    opts = {"strict": False, "max_levels": 3}
     if kind == "disk":
         m = gen_disk_mesh(6)
         field = lambda x, y: np.where(np.hypot(x - 0.3, y + 0.2) < 0.5,
                                       1.0, 0.0)
-    else:
+    elif kind == "degree3":
         m = accuracy_meshes(6, degree=3)[0]
         field = cylinder_field
-    grid = exact_cell_averages(m, field, strict=False, max_levels=3)
-    ref, _ = _per_cell_averages(m, field, strict=False, max_levels=3)
+    else:
+        # smooth, but its cells need panel rounds, whose changes differ in
+        # sign
+        m = accuracy_meshes(4)[0]
+        field = lambda x, y: np.sin(40 * x) * np.cos(37 * y)
+        opts = {"max_levels": 7}
+    grid = exact_cell_averages(m, field, **opts)
+    ref, _, whole = _panel_rule_averages(m, field, **opts)
     assert np.array_equal(grid.averages, ref)
+    assert not whole.all()
 
 
-@pytest.mark.parametrize("case", ["sine", "disk", "cylinder"])
-def test_batched_averages_equal_per_cell_loop(case):
+@functools.lru_cache(maxsize=None)
+def _average_case(case):
+    """Mesh, field and options of an averages case, and the earlier uniform
+    rule's averages on it (the per-cell loop takes seconds, so the tests
+    below share it)."""
     from curveremap.experiments import (accuracy_meshes, composite_disk_field,
                                         cylinder_field, sin_field)
     if case == "sine":
@@ -314,18 +412,40 @@ def test_batched_averages_equal_per_cell_loop(case):
     else:
         m, field = accuracy_meshes(8, degree=3)[0], cylinder_field
         opts = {"strict": False, "max_levels": 5}
+    return m, field, opts, _per_cell_averages(m, field, **opts)[0]
+
+
+@pytest.mark.parametrize("case", ["sine", "disk", "cylinder"])
+def test_batched_averages_equal_per_cell_loop(case):
+    m, field, opts, uniform = _average_case(case)
     got = exact_cell_averages(m, field, **opts)
-    ref, warned = _per_cell_averages(m, field, **opts)
+    ref, warned, whole = _panel_rule_averages(m, field, **opts)
     assert np.array_equal(got.averages, ref)
     assert getattr(got, "nonconverged", False) == warned
     assert warned == (case != "sine")
+    # cells that converge by 4 x 4 panels keep the uniform rule's bits
+    assert whole.any() and (case != "sine" or whole.all())
+    assert np.array_equal(got.averages[whole], uniform[whole])
+
+
+@pytest.mark.parametrize("case", ["disk", "cylinder"])
+def test_panel_rounds_keep_the_uniform_rule_accuracy(case):
+    # errors against the finest panels (max_levels=7), area-weighted L1 and
+    # max, of the panel rounds and of the uniform rule, both at max_levels=5
+    m, field, opts, uniform = _average_case(case)
+    got = exact_cell_averages(m, field, **opts).averages
+    fine = exact_cell_averages(m, field, strict=False, max_levels=7).averages
+    err, err_uniform = np.abs(got - fine), np.abs(uniform - fine)
+    areas = m.cell_areas()
+    assert err @ areas <= 1.1 * (err_uniform @ areas)
+    assert err.max() <= 1.01 * err_uniform.max()
 
 
 def test_strict_averages_name_the_lowest_unconverged_cell():
     from curveremap.experiments import accuracy_meshes, cylinder_field
     m = accuracy_meshes(8, degree=3)[0]
     with pytest.raises(MeshError) as ref:
-        _per_cell_averages(m, cylinder_field, max_levels=3)
+        _panel_rule_averages(m, cylinder_field, max_levels=3)
     with pytest.raises(MeshError) as got:
         exact_cell_averages(m, cylinder_field, max_levels=3)
     assert str(got.value) == str(ref.value)
@@ -434,7 +554,7 @@ def test_flipped_cell_map_errors_match_per_cell_loop(flipped_first, strict):
     jump = lambda x, y: np.where(x + y < 0.77, 1.0, 0.0)
     for field in (jump, lambda x, y: x * y):
         with pytest.raises(MeshError) as ref:
-            _per_cell_averages(m, field, max_levels=3, strict=strict)
+            _panel_rule_averages(m, field, max_levels=3, strict=strict)
         with pytest.raises(MeshError) as got:
             exact_cell_averages(m, field, max_levels=3, strict=strict)
         assert str(got.value) == str(ref.value)

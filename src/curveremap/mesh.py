@@ -786,12 +786,12 @@ def exact_cell_averages(mesh: CurvilinearMesh, func, rel_tol: float = 1e-13,
     the quarters' 8 x 8 rules. The cell's two estimates then differ by the
     sum of its split panels' changes; a split panel whose change is within
     its area share of the cell's tolerance is closed, the others' quarters
-    stay open. The finest panels are 2^max_levels to a side, and at most
-    1200 Gauss points. A cell still open at the finest round is an error
-    in strict mode (naming the lowest-index such cell and its last
-    estimate) and a best-effort result otherwise, flagged on the field as
-    nonconverged (the field is then typically discontinuous). A map with
-    J <= 0 at a Gauss point is an error.
+    stay open. The finest panels are 2^max_levels to a side, with at most
+    1200 Gauss points a side. A cell still open after the finest round is
+    an error in strict mode (naming the lowest-index such cell and its
+    last estimate) and a best-effort result otherwise, flagged on the
+    field as nonconverged (the field is then typically discontinuous). A
+    map with J <= 0 at a Gauss point is an error.
 
     Each level and round evaluates all its cells or panels at once, in
     chunks of about 2^14 quadrature points, with the same elementwise

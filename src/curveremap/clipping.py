@@ -34,6 +34,7 @@ DEDUP_PARAM = 1e-8     # parameter radius separating distinct roots
 CROSS_TOL = 1e-8       # |unit tangent cross| below this is tangential
 _SIG_TOL = 1e-7        # boundary-coordinate radius when merging events
 _SEED_LANES = 400_000  # Newton seeds iterated together
+_NEWTON_STEPS = 30     # most Newton steps of a chunk of seeds
 
 
 class ClipTopologyError(RuntimeError):
@@ -82,7 +83,7 @@ def _horner(c: np.ndarray, w: np.ndarray,
 
 
 def newton_roots(ca: np.ndarray, cb: np.ndarray, wa: np.ndarray,
-                 wb: np.ndarray, max_iter: int = 30):
+                 wb: np.ndarray):
     """Newton roots of a_p(u) = b_p(v) for P pairs of spans at once.
 
     ca (P, da+1, 2) and cb (P, db+1, 2) hold power coefficients, wa and wb
@@ -123,7 +124,7 @@ def newton_roots(ca: np.ndarray, cb: np.ndarray, wa: np.ndarray,
         at, idx = np.s_[:, None], None
         uk, vk, alive = u, v, np.ones(u.shape, dtype=bool)
         held_open = False  # a stopped seed is alive and not converged
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_STEPS):
             ta, la = wac[(*at, 0)], wac[(*at, 1)]
             tb, lb = wbc[(*at, 0)], wbc[(*at, 1)]
             t, s = ta + uk * la, tb + vk * lb
@@ -473,26 +474,6 @@ def _arc_state(poly_point, other: CurvedPolygon, sig_a: float, sig_b: float,
     return "in" if votes["inside"] >= votes["outside"] else "out"
 
 
-def handle_degeneracies(subject: CurvedPolygon, clip: CurvedPolygon,
-                        raw: list[CurveIntersection]) -> list[CurveIntersection]:
-    """Clean a raw intersection set.
-
-    Corner-proximate points are snapped to the corner and deduplicated
-    across incident spans; overlap endpoints survive; tangential touches
-    with no inside/outside transition are dropped.
-    """
-    events = _label_events(subject, clip, _build_events(subject, clip, raw))
-    ns = len(subject.spans)
-    out = []
-    for e in events:
-        k = int(e.sig_s) % ns
-        kc = int(e.sig_c) % len(clip.spans)
-        out.append(CurveIntersection(e.point, e.sig_s - int(e.sig_s),
-                                     e.sig_c - int(e.sig_c), k, kc,
-                                     transversal=e.transversal, kind=e.kind))
-    return out
-
-
 def _label_events(subject: CurvedPolygon, clip: CurvedPolygon,
                   events: list[_Event]) -> list[_Event]:
     """Assign entry/exit labels, sorted by subject boundary coordinate;
@@ -563,34 +544,6 @@ def _probe_labels(subject: CurvedPolygon, clip: CurvedPolygon,
             e.kind = "exit"
             kept.append(e)
     return kept
-
-
-def classify(inter: CurveIntersection, subject: CurvedPolygon,
-             clip: CurvedPolygon) -> str:
-    """Label a transversal intersection 'entry' or 'exit'.
-
-    Entry means the subject boundary passes from outside to inside the clip
-    polygon. Decided by the tangent rule (_tangent_kind), falling back to
-    point probes at parameter offsets 1e-4 when the tangents are nearly
-    parallel.
-    """
-    kind = _tangent_kind(subject.spans[inter.subject_span], inter.t,
-                         clip.spans[inter.clip_span], inter.s)
-    if kind is not None:
-        return kind
-    ns = len(subject.spans)
-    sig = (inter.subject_span + inter.t) % ns
-    delta = 1e-4
-    pb = _sigma_point(subject, (sig - delta) % ns)
-    pa = _sigma_point(subject, (sig + delta) % ns)
-    lb = clip.locate(float(pb[0]), float(pb[1]))
-    la = clip.locate(float(pa[0]), float(pa[1]))
-    if lb == "outside" and la == "inside":
-        return "entry"
-    if lb == "inside" and la == "outside":
-        return "exit"
-    raise ClipTopologyError(
-        f"degenerate intersection at {inter.point}: probes ({lb}, {la})")
 
 
 def _pieces_between(poly: CurvedPolygon, sig_a: float, sig_b: float) -> list[CurveSpan]:

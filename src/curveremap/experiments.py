@@ -13,11 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import CurvedPolygon, CurveSpan, ParamCurve
-from .clipping import wa_clip, _raw_intersections, handle_degeneracies
+from .clipping import (wa_clip, _build_events, _label_events,
+                       _raw_intersections)
 from .integrate import Poly2, green_integral, make_tri_rule, \
     rule_degree_for, tri_integral, triangulate
 from .mesh import (CurvilinearMesh, exact_cell_averages,
                    gen_deformed_square_mesh, gen_disk_mesh, rotate_mesh)
+from .reconstruct import _order_degree
 from .remap import apply_plan, build_plan
 
 # defaults for the accuracy-family experiments (the roughening recreates the
@@ -122,16 +124,16 @@ class AccuracyResult:
 
 
 def run_accuracy(sizes=ACCURACY_SIZES, orders=ACCURACY_ORDERS,
-                 degree: int = 2, quiet: bool = True) -> AccuracyResult:
+                 quiet: bool = True) -> AccuracyResult:
     """Remap the sine field between deformed meshes over a refinement sweep.
 
     One clipping plan per size is shared by all reconstruction orders.
     """
     tables = {o: ConvergenceTable(o) for o in orders}
     cons_rows = []
-    k_max = max({1: 0, 3: 2, 5: 4}[o] for o in orders)
+    k_max = max(_order_degree(o) for o in orders)
     for n in sizes:
-        src, tgt = accuracy_meshes(n, degree)
+        src, tgt = accuracy_meshes(n)
         fs = exact_cell_averages(src, sin_field)
         ft = exact_cell_averages(tgt, sin_field)
         plan = build_plan(src, tgt, k_max=k_max, with_tris=False)
@@ -169,16 +171,17 @@ class PositivityResult:
                 f"{self.limited.e_cons:.3e}\n")
 
 
-def run_positivity(name: str, n: int = 32, order: int = 3) -> PositivityResult:
-    """Cone or cylinder remap, with and without the positivity limiter."""
+def run_positivity(name: str, n: int = 32) -> PositivityResult:
+    """Cone or cylinder remap at order 3, with and without the positivity
+    limiter."""
     fields = {"cone": cone_field, "cylinder": cylinder_field}
     func = fields[name]
     src, tgt = accuracy_meshes(n)
     fs = exact_cell_averages(src, func, strict=False, max_levels=5)
     ft = exact_cell_averages(tgt, func, strict=False, max_levels=5)
-    plan = build_plan(src, tgt, k_max={1: 0, 3: 2, 5: 4}[order], with_tris=True)
-    limited = apply_plan(plan, fs.averages, order=order, positivity=True)
-    unlimited = apply_plan(plan, fs.averages, order=order, positivity=False)
+    plan = build_plan(src, tgt, k_max=_order_degree(3), with_tris=True)
+    limited = apply_plan(plan, fs.averages, order=3, positivity=True)
+    unlimited = apply_plan(plan, fs.averages, order=3, positivity=False)
     return PositivityResult(name, limited, unlimited, ft.averages, tgt)
 
 
@@ -213,10 +216,9 @@ class RotationResult:
 
 
 def run_rotation(n: int = 20, steps: int = 8, order: int = 3,
-                 positivity: bool = True, degree: int = 2,
-                 quiet: bool = True) -> RotationResult:
+                 positivity: bool = True, quiet: bool = True) -> RotationResult:
     """Solid-body rotation: remap through a full turn in pi/4 increments."""
-    base = gen_disk_mesh(n, degree)
+    base = gen_disk_mesh(n)
     meshes = [base] + [rotate_mesh(base, (k + 1) * math.pi / 4.0)
                        for k in range(steps)]
     f0 = exact_cell_averages(base, composite_disk_field, strict=False,
@@ -225,7 +227,7 @@ def run_rotation(n: int = 20, steps: int = 8, order: int = 3,
     masses = [float(avg @ base.cell_areas())]
     mins = [float(avg.min())]
     e_cons = []
-    kdeg = {1: 0, 3: 2, 5: 4}[order]
+    kdeg = _order_degree(order)
     for k in range(steps):
         plan = build_plan(meshes[k], meshes[k + 1], k_max=kdeg,
                           with_tris=positivity)
@@ -319,18 +321,17 @@ class ClipDemoResult:
         return "\n".join(lines) + "\n"
 
 
-def run_clipdemo(degree: int = 2, wiggle: float | None = None) -> ClipDemoResult:
+def run_clipdemo(degree: int = 2) -> ClipDemoResult:
     """Clip the worked-example quads and integrate the result both ways."""
-    subject, clip = demo_quads(degree, wiggle)
-    return run_clipdemo_on(subject, clip)
+    return run_clipdemo_on(*demo_quads(degree))
 
 
 def run_clipdemo_on(subject: CurvedPolygon, clip: CurvedPolygon) -> ClipDemoResult:
     """Clip two user-supplied polygons with the full demo reporting."""
     raw = _raw_intersections(subject, clip)
-    cleaned = handle_degeneracies(subject, clip, raw)
-    points = [(r.point[0], r.point[1], r.kind) for r in cleaned]
-    res = wa_clip(subject, clip)
+    events = _label_events(subject, clip, _build_events(subject, clip, raw))
+    points = [(e.point[0], e.point[1], e.kind) for e in events]
+    res = wa_clip(subject, clip, raw=raw)
     one = Poly2.constant(1.0)
     area_a = sum(green_integral(one, lp) for lp in res.loops)
     tris = []

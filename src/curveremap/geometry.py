@@ -309,20 +309,11 @@ class ParamCurve:
         return f"ParamCurve(degree={self.degree})"
 
 
-def validate_curve(c: ParamCurve, samples: int = 257) -> None:
-    """Sampling-based check that the curve does not self-intersect on [0, 1]."""
-    ts = np.linspace(0.0, 1.0, samples)
-    pts = c.eval(ts)
-    if _polyline_self_intersects(pts[None], closed=False)[0]:
-        raise GeometryError("curve self-intersects")
-
-
-def _polyline_self_intersects(pts: np.ndarray, closed: bool) -> np.ndarray:
-    """All-pairs proper-crossing test on sampled polylines, one per row of
-    pts (B, m, 2); returns (B,) bools. A closed polyline has m segments,
+def _polyline_self_intersects(pts: np.ndarray) -> np.ndarray:
+    """All-pairs proper-crossing test on closed sampled polylines, one per
+    row of pts (B, m, 2); returns (B,) bools. A polyline has m segments,
     the last one from pts[:, -1] back to pts[:, 0]."""
-    if closed:
-        pts = np.concatenate([pts, pts[:, :1]], axis=1)
+    pts = np.concatenate([pts, pts[:, :1]], axis=1)
     a = pts[:, :-1]
     n = a.shape[1]
     if n < 3:
@@ -338,10 +329,9 @@ def _polyline_self_intersects(pts: np.ndarray, closed: bool) -> np.ndarray:
     cb = dxi * (ay + dy - ayi) - dyi * (ax + dx - axi)
     straddle = ca * cb < 0
     proper = straddle & straddle.transpose(0, 2, 1)
-    # ignore adjacent segments (and the wrap pair when closed)
+    # ignore adjacent segments and the wrap pair
     gap = np.abs(np.arange(n)[:, None] - np.arange(n))
-    adj = (gap <= 1) | (gap == n - 1) if closed else gap <= 1
-    proper &= ~adj
+    proper &= ~((gap <= 1) | (gap == n - 1))
     return proper.any(axis=(1, 2))
 
 
@@ -640,15 +630,10 @@ class CurvedPolygon:
             self._corners = tuple(tuple(s.start.tolist()) for s in self.spans)
         return self._corners
 
-    def boundary_points(self, per_span: int = 16, include_ends: bool = True) -> np.ndarray:
-        pts = []
-        for s in self.spans:
-            if include_ends:
-                u = np.linspace(0.0, 1.0, per_span, endpoint=False)
-            else:
-                u = (np.arange(per_span) + 0.5) / per_span
-            pts.append(s.point_at(u))
-        return np.vstack(pts)
+    def boundary_points(self, per_span: int = 16) -> np.ndarray:
+        """per_span points of each span, at u = k / per_span, k < per_span."""
+        u = np.linspace(0.0, 1.0, per_span, endpoint=False)
+        return np.vstack([s.point_at(u) for s in self.spans])
 
     def closure_gap(self) -> float:
         gap = 0.0
@@ -657,7 +642,7 @@ class CurvedPolygon:
             gap = max(gap, math.hypot(e[0] - s[0], e[1] - s[1]))
         return gap
 
-    def validate(self, check_self_intersection: bool = True) -> None:
+    def validate(self) -> None:
         scale = max(self.bbox().diag, 1.0)
         if self.closure_gap() > 10.0 * SNAP_TOL * scale:
             raise GeometryError(
@@ -665,10 +650,8 @@ class CurvedPolygon:
         if self.signed_area() <= 0.0:
             raise GeometryError(
                 f"polygon not counterclockwise: signed area {self.signed_area():.3e}")
-        if check_self_intersection:
-            pts = self.boundary_points(per_span=16)
-            if _polyline_self_intersects(pts[None], closed=True)[0]:
-                raise GeometryError("polygon boundary self-intersects (sampled)")
+        if _polyline_self_intersects(self.boundary_points()[None])[0]:
+            raise GeometryError("polygon boundary self-intersects (sampled)")
 
     def locate(self, x: float, y: float) -> str:
         """Classify a point: 'inside', 'outside' or 'boundary'.
@@ -761,12 +744,6 @@ class CurvedPolygon:
 
     def __repr__(self):
         return f"CurvedPolygon({len(self.spans)} spans)"
-
-
-def point_in_polygon(poly: CurvedPolygon, p) -> str:
-    """Classify the point p = (x, y) against poly: 'inside', 'outside' or
-    'boundary'."""
-    return poly.locate(float(p[0]), float(p[1]))
 
 
 def polygon_from_points(points) -> CurvedPolygon:

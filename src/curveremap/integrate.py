@@ -17,7 +17,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .clipping import intersect_curves
 from .geometry import (SNAP_TOL, CurvedPolygon, CurveSpan,
-                       gauss_rule_01, real_roots_in_many,
+                       gauss_rule_01, real_roots_in_many, span_gauss,
                        straight_span)
 
 
@@ -27,22 +27,6 @@ class IntegrationError(RuntimeError):
 
 class TriangulationError(IntegrationError):
     """Ear clipping exhausted its refinement rounds."""
-
-
-@dataclass(frozen=True)
-class GaussRule1D:
-    """Gauss-Legendre points and weights on [0, 1].
-
-    Exact for polynomials up to degree 2*npoints - 1; all weights positive.
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def of(cls, npoints: int) -> "GaussRule1D":
-        x, w = gauss_rule_01(npoints)
-        return cls(x, w)
 
 
 class Poly2:
@@ -144,16 +128,6 @@ class Poly2:
                 f"{self.cy:.3g}), h={self.h:.3g})")
 
 
-def _span_gauss(span: CurveSpan, n: int):
-    """Gauss samples along a span: points, dx/dt*w, dy/dt*w (dt included)."""
-    xi, w = gauss_rule_01(n)
-    t = span.t0 + xi * (span.t1 - span.t0)
-    p = span.curve.eval(t)
-    d = span.curve.deriv(t)
-    scale = span.t1 - span.t0
-    return p, d[:, 0] * w * scale, d[:, 1] * w * scale
-
-
 def green_integral(f: Poly2, boundary: CurvedPolygon) -> float:
     """Integral of f over the region bounded by a CCW boundary loop.
 
@@ -168,8 +142,8 @@ def green_integral(f: Poly2, boundary: CurvedPolygon) -> float:
     for span in boundary.spans:
         d = span.degree
         n = max(1, math.ceil(((k + 2) * d) / 2))
-        p, _wdx, wdy = _span_gauss(span, n)
-        total += float(np.dot(f2.eval(p[:, 0], p[:, 1]), wdy))
+        [p], [dp], w, [h] = span_gauss([span], n)
+        total += float(np.dot(f2.eval(p[:, 0], p[:, 1]), dp[:, 1] * w * h))
     return total
 
 
@@ -267,8 +241,9 @@ def _edge_slots(degree: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _probe_grads(degree: int, n: int):
-    """Map-monomial gradients at the probe lattice (i/n, j/n), i + j <= n."""
+def _probe_grads(degree: int):
+    """Map-monomial gradients at the probe lattice (i/5, j/5), i + j <= 5."""
+    n = 5
     pts = np.array([(i / n, j / n) for j in range(n + 1)
                     for i in range(n + 1 - j)])
     return _tri_monomials_grad(degree, pts[:, 0], pts[:, 1])
@@ -342,9 +317,6 @@ class CurvedTriangle:
         return (dxy_dxi[:, 0] * dxy_deta[:, 1]
                 - dxy_dxi[:, 1] * dxy_deta[:, 0])
 
-    def jacobian(self, xi, eta) -> np.ndarray:
-        return self._det(*_tri_monomials_grad(self.degree, xi, eta))
-
     def quad_samples(self, rule: TriRule):
         """Physical quadrature points and J-scaled weights for a rule."""
         mono, gx, ge = rule.basis(self.degree)
@@ -355,8 +327,8 @@ class CurvedTriangle:
                 f"inverted triangle map (min J = {jac.min():.3e})")
         return pts, jac * rule.weights
 
-    def min_jacobian_probe(self, n: int = 5) -> float:
-        return float(self._det(*_probe_grads(self.degree, n)).min())
+    def min_jacobian_probe(self) -> float:
+        return float(self._det(*_probe_grads(self.degree)).min())
 
 
 def tri_integral(f: Poly2, tri: CurvedTriangle, rule: TriRule) -> float:

@@ -15,18 +15,12 @@ import numpy as np
 
 from .integrate import Poly2
 
+# the positivity floor: limited values at the quadrature points stay >= it
+POSITIVITY_FLOOR = 1e-14
+
 
 class LimiterError(ValueError):
     """Contract violation: the cell average is below the positivity floor."""
-
-
-@dataclass(frozen=True)
-class LimiterParams:
-    eps: float = 1e-14
-
-    def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ValueError("positivity floor must be positive")
 
 
 @dataclass
@@ -40,15 +34,16 @@ class QuadPointGroup:
         self.points = np.asarray(self.points, float).reshape(-1, 2)
 
 
-def positivity_limit(p: Poly2, cell_avg: float, points: QuadPointGroup | np.ndarray,
-                     params: LimiterParams = LimiterParams()) -> Poly2:
-    """Compress p toward its cell average until all point values >= eps.
+def positivity_limit(p: Poly2, cell_avg: float,
+                     points: QuadPointGroup | np.ndarray) -> Poly2:
+    """Compress p toward its cell average until all point values clear
+    POSITIVITY_FLOOR.
 
     Returns p unchanged when the minimum over the point group already
     clears the floor. The compressed polynomial theta*p + (1-theta)*avg has
     the same cell average (affine combination).
     """
-    eps = params.eps
+    eps = POSITIVITY_FLOOR
     if cell_avg < eps:
         raise LimiterError(
             f"cell average {cell_avg!r} below the positivity floor {eps!r}")

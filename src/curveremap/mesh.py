@@ -9,7 +9,7 @@ in the original experiments; the curved disk mesh replaces a Gmsh import.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -179,41 +179,39 @@ def build_adjacency(mesh: CurvilinearMesh) -> Adjacency:
     return Adjacency(out_e, out_v)
 
 
-def boundary_loop(mesh: CurvilinearMesh) -> CurvedPolygon:
-    """The domain boundary as a single CCW loop of edge spans."""
-    edge_count: dict[int, int] = {}
-    edge_dir: dict[int, int] = {}
-    for i in range(mesh.n_cells):
-        for e, d in zip(mesh.cell_edges[i], mesh.cell_dirs[i]):
-            edge_count[int(e)] = edge_count.get(int(e), 0) + 1
-            edge_dir[int(e)] = int(d)
-    spans = {}
-    for e, cnt in edge_count.items():
-        if cnt != 1:
-            continue
-        row = mesh.edges[e]
-        d = edge_dir[e]
-        start = int(row[0] if d > 0 else row[-1])
-        end = int(row[-1] if d > 0 else row[0])
-        curve = mesh.edge_curve(e)
-        spans[start] = (end, CurveSpan(curve, 0.0, 1.0) if d > 0
-                        else CurveSpan(curve, 1.0, 0.0))
-    if not spans:
+def _boundary_chain(mesh: CurvilinearMesh) -> list[tuple[int, int]]:
+    """The boundary edges (used by one cell each) as one counterclockwise
+    chain of (edge, direction), from the edge that starts at the lowest
+    vertex index."""
+    flat_e = mesh.cell_edges.ravel().tolist()
+    count = np.bincount(flat_e, minlength=mesh.n_edges).tolist()
+    first, last = mesh.edges[:, 0].tolist(), mesh.edges[:, -1].tolist()
+    nxt = {}  # start vertex -> (end vertex, edge, direction)
+    for e, d in zip(flat_e, mesh.cell_dirs.ravel().tolist()):
+        if count[e] == 1:
+            a, b = (first[e], last[e]) if d > 0 else (last[e], first[e])
+            nxt[a] = (b, e, d)
+    if not nxt:
         raise MeshError("mesh has no boundary edges")
-    ordered = []
-    start = min(spans)
-    cur = start
-    for _ in range(len(spans) + 1):
-        nxt, span = spans[cur]
-        ordered.append(span)
-        cur = nxt
+    chain = []
+    start = cur = min(nxt)
+    for _ in range(len(nxt) + 1):
+        cur, e, d = nxt[cur]
+        chain.append((e, d))
         if cur == start:
             break
     else:
         raise MeshError("boundary edges do not chain into a single loop")
-    if len(ordered) != len(spans):
+    if len(chain) != len(nxt):
         raise MeshError("boundary has more than one loop")
-    return CurvedPolygon(ordered)
+    return chain
+
+
+def boundary_loop(mesh: CurvilinearMesh) -> CurvedPolygon:
+    """The domain boundary as a single CCW loop of edge spans."""
+    return CurvedPolygon([CurveSpan(mesh.edge_curve(e), 0.0, 1.0) if d > 0
+                          else CurveSpan(mesh.edge_curve(e), 1.0, 0.0)
+                          for e, d in _boundary_chain(mesh)])
 
 
 # cells per chunk of the sampled crossing test; each cell's test holds a
@@ -229,7 +227,7 @@ def _span_params(u: np.ndarray, rev: np.ndarray) -> np.ndarray:
     return np.where(rev, 1.0, 0.0)[..., None] + u * h
 
 
-def validate_mesh(mesh: CurvilinearMesh, check_cells: bool = True) -> None:
+def validate_mesh(mesh: CurvilinearMesh) -> None:
     """Structural and geometric mesh validation, in whole-mesh array passes.
 
     Exact checks: index ranges, manifoldness, and the partition property
@@ -252,11 +250,10 @@ def validate_mesh(mesh: CurvilinearMesh, check_cells: bool = True) -> None:
     mesh.adjacency  # builds and checks manifoldness
     areas = mesh.cell_areas()
     total = float(areas.sum())
-    if check_cells:
-        bad = _invalid_cells(mesh, areas)
-        if bad:
-            raise MeshError(f"invalid cells: {bad[:8]}"
-                            + (" ..." if len(bad) > 8 else ""))
+    bad = _invalid_cells(mesh, areas)
+    if bad:
+        raise MeshError(f"invalid cells: {bad[:8]}"
+                        + (" ..." if len(bad) > 8 else ""))
     domain = boundary_loop(mesh).signed_area()
     if abs(total - domain) > 1e-10 * abs(domain):
         raise MeshError(
@@ -307,7 +304,7 @@ def _invalid_cells(mesh: CurvilinearMesh, areas: np.ndarray) -> list:
     todo = np.flatnonzero(~open_ & ~cw)
     for lo in range(0, len(todo), _CROSSING_CHUNK):
         ids = todo[lo:lo + _CROSSING_CHUNK]
-        crossed[ids] = _polyline_self_intersects(loops[ids], closed=True)
+        crossed[ids] = _polyline_self_intersects(loops[ids])
     bad = []
     for i in np.flatnonzero(open_ | cw | crossed).tolist():
         if open_[i]:
@@ -509,40 +506,24 @@ def gen_disk_mesh(n: int, degree: int = 2) -> CurvilinearMesh:
 def _uniformize_disk_boundary(mesh: CurvilinearMesh) -> None:
     """Move boundary nodes to uniform circle angles (in boundary order)."""
     d = mesh.edge_degree
-    loop = []
-    edge_count: dict[int, int] = {}
-    edge_dir: dict[int, int] = {}
-    for i in range(mesh.n_cells):
-        for e, dr in zip(mesh.cell_edges[i], mesh.cell_dirs[i]):
-            edge_count[int(e)] = edge_count.get(int(e), 0) + 1
-            edge_dir[int(e)] = int(dr)
-    nxt = {}
-    for e, cnt in edge_count.items():
-        if cnt != 1:
-            continue
-        row = mesh.edges[e] if edge_dir[e] > 0 else mesh.edges[e][::-1]
-        nxt[int(row[0])] = (e, [int(v) for v in row])
-    start = min(nxt)
-    cur = start
+    chain = _boundary_chain(mesh)
     node_ids: list[int] = []
-    for _ in range(len(nxt)):
-        _e, row = nxt[cur]
-        node_ids.extend(row[:-1])
-        cur = row[-1]
-        if cur == start:
-            break
+    for e, dr in chain:
+        row = mesh.edges[e] if dr > 0 else mesh.edges[e][::-1]
+        node_ids.extend(row[:-1].tolist())
     total = len(node_ids)
     p0 = mesh.points[node_ids[0]]
     theta0 = math.atan2(p0[1], p0[0])
-    # the loop from boundary_loop construction runs counterclockwise
+    # the chain runs counterclockwise
     ang = theta0 + 2.0 * np.pi * np.arange(total) / total
     mesh.points[node_ids, 0] = np.cos(ang)
     mesh.points[node_ids, 1] = np.sin(ang)
     # re-sample interior nodes of edges that end on a moved boundary vertex
     boundary_verts = {node_ids[k] for k in range(0, total, d)}
+    boundary_edges = {e for e, _ in chain}
     for e in range(mesh.n_edges):
-        if edge_count.get(e, 0) == 1:
-            continue  # boundary edges already handled
+        if e in boundary_edges:
+            continue  # already handled
         row = mesh.edges[e]
         if int(row[0]) in boundary_verts or int(row[-1]) in boundary_verts:
             a, b = mesh.points[row[0]], mesh.points[row[-1]]
@@ -550,14 +531,13 @@ def _uniformize_disk_boundary(mesh: CurvilinearMesh) -> None:
                 mesh.points[row[k]] = a + (b - a) * (k / d)
 
 
-def rotate_mesh(mesh: CurvilinearMesh, angle: float,
-                center=(0.0, 0.0)) -> CurvilinearMesh:
-    """Rigid rotation of every mesh point about a center."""
+def rotate_mesh(mesh: CurvilinearMesh, angle: float) -> CurvilinearMesh:
+    """Rigid rotation of every mesh point about the origin."""
     c, s = math.cos(angle), math.sin(angle)
-    cx, cy = float(center[0]), float(center[1])
-    dx = mesh.points[:, 0] - cx
-    dy = mesh.points[:, 1] - cy
-    pts = np.column_stack([cx + c * dx - s * dy, cy + s * dx + c * dy])
+    x, y = mesh.points[:, 0], mesh.points[:, 1]
+    # the leading 0.0 turns a -0.0 product into +0.0, as a rotation about
+    # the centre (0, 0) rounds it
+    pts = np.column_stack([0.0 + c * x - s * y, 0.0 + s * x + c * y])
     return CurvilinearMesh(pts, mesh.edges, mesh.cell_edges, mesh.cell_dirs,
                            validate=False)
 
@@ -700,6 +680,8 @@ _PANEL_POINTS = 8
 # quadrature points per evaluation chunk of exact_cell_averages; a cell with
 # more points than this is a chunk of its own
 _AVERAGE_CHUNK_POINTS = 2 ** 14
+# the relative tolerance at which exact_cell_averages takes an average
+_AVERAGE_REL_TOL = 1e-13
 # the last level (2^2 x 2^2 panels) at which exact_cell_averages refines a
 # cell as a whole; past it only the panels that still change are refined
 _WHOLE_CELL_LEVELS = 2
@@ -771,14 +753,14 @@ def _coons_integrals(nodes, rev, func, panels: int, x0=0.0, y0=0.0, h=1.0):
             jac.reshape(k, -1).min(axis=1))
 
 
-def exact_cell_averages(mesh: CurvilinearMesh, func, rel_tol: float = 1e-13,
-                        max_levels: int = 10, strict: bool = True) -> Field:
+def exact_cell_averages(mesh: CurvilinearMesh, func, max_levels: int = 10,
+                        strict: bool = True) -> Field:
     """Cell averages of an analytic field by adaptive cell-map quadrature.
 
     func must accept numpy arrays (x, y) and evaluate elementwise. Each
     cell's Coons map carries panels of 8 x 8 Gauss points on its unit
     square. A cell converges when two successive estimates agree to
-    rel_tol relative (of max(|estimate|, 1e-3 area)).
+    1e-13 relative (of max(|estimate|, 1e-3 area)).
 
     Uniform levels: 1, 2 x 2 and 4 x 4 panels, the whole cell at once.
     A cell that has not converged by then goes on in panel rounds from its
@@ -808,7 +790,7 @@ def exact_cell_averages(mesh: CurvilinearMesh, func, rel_tol: float = 1e-13,
               if 2 ** lv * _PANEL_POINTS <= 1200]
 
     def tolerance(cur, ids):
-        return rel_tol * np.maximum(np.abs(cur), 1e-3 * areas[ids])
+        return _AVERAGE_REL_TOL * np.maximum(np.abs(cur), 1e-3 * areas[ids])
 
     for lv in levels[:_WHOLE_CELL_LEVELS + 1]:
         panels = 2 ** lv

@@ -34,6 +34,10 @@ from .integrate import Poly2, green_integral
 from .mesh import CurvilinearMesh
 
 _ORDER_DEGREE = {1: 0, 3: 2, 5: 4}
+# linear weights of the hierarchy's levels (the cell average, the quadratic
+# fit, the quartic fit) per order, and the epsilon of the nonlinear weights
+GAMMAS = {1: (1.0,), 3: (1 / 101, 100 / 101), 5: (1 / 111, 10 / 111, 100 / 111)}
+EPSILON = 1e-4
 # singular values at or below this fraction of the largest count as zero:
 # a nearly dependent column set (too few distinct grid lines in a truncated
 # stencil) must be treated as rank-deficient so that the stencil grows
@@ -49,30 +53,11 @@ class ReconstructionError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class WenoConfig:
-    """Order and linear weights of the reconstruction.
-
-    gammas defaults to (1, 100)/101 for order 3 and (1, 10, 100)/111 for
-    order 5; they must be positive and sum to one.
-    """
-
-    order: int = 3
-    gammas: tuple[float, ...] | None = None
-    epsilon: float = 1e-4
-
-    def __post_init__(self):
-        if self.order not in (1, 3, 5):
-            raise ValueError("order must be 1, 3 or 5")
-        g = self.gammas
-        if g is None:
-            g = {1: (1.0,), 3: (1 / 101, 100 / 101),
-                 5: (1 / 111, 10 / 111, 100 / 111)}[self.order]
-            object.__setattr__(self, "gammas", g)
-        if len(g) != (self.order + 1) // 2:
-            raise ValueError("gamma count does not match the order")
-        if any(x <= 0 for x in g) or abs(sum(g) - 1.0) > 1e-12:
-            raise ValueError("linear weights must be positive and sum to 1")
+def _order_degree(order: int) -> int:
+    """Polynomial degree of the reconstruction of order 1, 3 or 5."""
+    if order not in _ORDER_DEGREE:
+        raise ValueError("order must be 1, 3 or 5")
+    return _ORDER_DEGREE[order]
 
 
 @dataclass
@@ -94,7 +79,6 @@ class ReconField:
     """
 
     polys: list[Poly2]
-    config: WenoConfig
     warnings: list[str] = field(default_factory=list)
     weights: np.ndarray | None = None
     betas: np.ndarray | None = None
@@ -338,9 +322,9 @@ def _quadratic_form(B: np.ndarray, coeffs: np.ndarray, K: int) -> np.ndarray:
     return np.einsum("cm,cmn,cn->c", v, B, v)
 
 
-def _nonlinear_weights(gammas, betas: np.ndarray, tau: np.ndarray,
-                       eps: float) -> np.ndarray:
-    wbar = np.asarray(gammas) * (1.0 + tau[:, None] / (betas + eps))
+def _nonlinear_weights(gammas, betas: np.ndarray,
+                       tau: np.ndarray) -> np.ndarray:
+    wbar = np.asarray(gammas) * (1.0 + tau[:, None] / (betas + EPSILON))
     tot = wbar[:, 0].copy()
     for k in range(1, wbar.shape[1]):
         tot += wbar[:, k]
@@ -359,9 +343,9 @@ def _beta0(avg: np.ndarray, cells: np.ndarray, rings: list[list[int]]) -> np.nda
 
 
 def _blend_chunk(mesh, geo: _Geometry, avg: np.ndarray, cells: np.ndarray,
-                 levels: list[list[list[int]]], config: WenoConfig):
+                 levels: list[list[list[int]]], order: int):
     """Polynomial coefficients, weights, betas and warnings of some cells."""
-    K = _ORDER_DEGREE[config.order]
+    K = _ORDER_DEGREE[order]
     adj = mesh.adjacency
     a0 = avg[cells]
     b0 = _beta0(avg, cells, [lv[1] for lv in levels])
@@ -370,8 +354,8 @@ def _blend_chunk(mesh, geo: _Geometry, avg: np.ndarray, cells: np.ndarray,
                             geo.h[cells], geo.area[cells], K)
     warns = {int(c): [f"cell {c}: quadratic fit reduced to degree {g}"]
              for c, g in zip(cells, got1) if g < 2}
-    if config.order == 3:
-        g0, g1 = config.gammas
+    if order == 3:
+        g0, g1 = GAMMAS[3]
         p1 = q1 * (1.0 / g1)
         p1[:, 0, 0] += a0 * (-g0 / g1)
         candidates = [p1]
@@ -390,7 +374,7 @@ def _blend_chunk(mesh, geo: _Geometry, avg: np.ndarray, cells: np.ndarray,
         # order 5; cells whose two-ring is truncated by the boundary get a
         # cubic top level: the one-sided quartic is too ill-conditioned on
         # irregular meshes, and an O(h^4) band of width h keeps L1 at h^5
-        g0, g1, g2 = config.gammas
+        g0, g1, g2 = GAMMAS[5]
         q2 = np.zeros((len(cells), K + 1, K + 1))
         top = np.array([4 if len(lv[2]) >= 25 else 3 for lv in levels])
         for deg in (4, 3):
@@ -413,13 +397,13 @@ def _blend_chunk(mesh, geo: _Geometry, avg: np.ndarray, cells: np.ndarray,
         candidates = [p1, p2]
     betas = np.stack([b0] + [_quadratic_form(B, p, K) for p in candidates],
                      axis=1)
-    if config.order == 5:
+    if order == 5:
         # as at order 3, tau leaves beta0 out: beta0 (an average difference)
         # deviates from beta1/beta2 at leading order on smooth data, and
         # folding it into tau costs the scheme half an order in the measured
         # 8..64 window
         tau = (betas[:, 2] - betas[:, 1]) ** 2 / 4.0
-    w = _nonlinear_weights(config.gammas, betas, tau, config.epsilon)
+    w = _nonlinear_weights(GAMMAS[order], betas, tau)
     out = candidates[0] * w[:, 1, None, None]
     out[:, 0, 0] = a0 * w[:, 0] + out[:, 0, 0]
     for k, p in enumerate(candidates[1:], start=2):
@@ -428,7 +412,7 @@ def _blend_chunk(mesh, geo: _Geometry, avg: np.ndarray, cells: np.ndarray,
 
 
 def weno_reconstruct(mesh: CurvilinearMesh, averages,
-                     config: WenoConfig | None = None) -> ReconField:
+                     order: int = 3) -> ReconField:
     """Per-cell WENO polynomials from cell averages.
 
     Order 1 returns the averages; order 3 blends the cell average with a
@@ -440,31 +424,30 @@ def weno_reconstruct(mesh: CurvilinearMesh, averages,
     is ~0. The weights and indicators of every cell come back as arrays
     on the result.
     """
-    config = config or WenoConfig()
+    K = _order_degree(order)
     avg = np.asarray(averages, float)
     if len(avg) != mesh.n_cells:
         raise ReconstructionError("field length does not match the mesh")
-    K = _ORDER_DEGREE[config.order]
     geo = _geometry(mesh, max(2 * K - 2, K, 2))
     C = mesh.n_cells
-    nlev = len(config.gammas)
+    nlev = len(GAMMAS[order])
     coeffs = np.zeros((C, K + 1, K + 1))
     coeffs[:, 0, 0] = avg
     weights = np.ones((C, nlev))
     betas = np.zeros((C, nlev))
     warnings: list[str] = []
-    if config.order > 1:
-        levels = [build_stencil(mesh, i, config.order).levels for i in range(C)]
+    if order > 1:
+        levels = [build_stencil(mesh, i, order).levels for i in range(C)]
         step = max(1, _PAIRS_PER_CHUNK // max(len(lv[-1]) for lv in levels))
         for lo in range(0, C, step):
             cells = np.arange(lo, min(lo + step, C))
             c, w, b, warns = _blend_chunk(mesh, geo, avg, cells,
-                                          levels[lo:lo + step], config)
+                                          levels[lo:lo + step], order)
             coeffs[cells], weights[cells], betas[cells] = c, w, b
             for i in sorted(warns):
                 warnings.extend(warns[i])
     polys = [Poly2(coeffs[i], geo.cx[i], geo.cy[i], geo.h[i]) for i in range(C)]
-    return ReconField(polys, config, warnings, weights, betas)
+    return ReconField(polys, warnings, weights, betas)
 
 
 def constrained_lsq_fit(mesh: CurvilinearMesh, averages: np.ndarray, i: int,

@@ -25,9 +25,9 @@ from .geometry import (SNAP_TOL, CurvedPolygon, GeometryError, _lagrange_basis,
                        _lagrange_dbasis, by_degree, eval_rows, span_gauss)
 from .integrate import (IntegrationError, Poly2, make_tri_rule,
                         rule_degree_for, triangulate)
-from .limiter import LimiterParams, QuadPointGroup, positivity_limit
+from .limiter import POSITIVITY_FLOOR, QuadPointGroup, positivity_limit
 from .mesh import CurvilinearMesh, Field
-from .reconstruct import WenoConfig, weno_reconstruct
+from .reconstruct import _order_degree, weno_reconstruct
 
 _APPROACHES = ("A", "B", "both")
 # clipped loops evaluated together in build_plan's Approach A samples and in
@@ -75,15 +75,6 @@ class RemapReport:
         lines += [f"time_{k}={v:.6f}" for k, v in sorted(self.timings.items())]
         lines += [f"warning={w}" for w in self.warnings]
         return "\n".join(lines) + "\n"
-
-    CSV_HEADER = ("cells,e_area_c,e_cons,min_average,max_ab_gap,"
-                  "candidate_pairs,clipped_pairs,time_total")
-
-    def to_csv_row(self) -> str:
-        return (f"{len(self.field.averages)},{self.e_area_c:.6e},"
-                f"{self.e_cons:.6e},{self.min_average:.17g},"
-                f"{self.max_ab_gap:.6e},{self.n_candidates},{self.n_pairs},"
-                f"{self.timings.get('total', 0.0):.3f}")
 
 
 class PairIndex:
@@ -388,15 +379,13 @@ def build_plan(source: CurvilinearMesh, target: CurvilinearMesh,
 
 
 def apply_plan(plan: RemapPlan, averages, order: int = 3,
-               positivity: bool = False, approach: str = "A",
-               limiter_params: LimiterParams = LimiterParams()) -> RemapReport:
+               positivity: bool = False, approach: str = "A") -> RemapReport:
     """Reconstruct, optionally limit, and integrate over a prepared plan."""
     if approach not in _APPROACHES:
         raise ValueError(f"approach must be one of {_APPROACHES}")
     if approach in ("B", "both") and not plan.with_tris:
         raise ValueError("plan was built without triangulations")
-    kdeg = {1: 0, 3: 2, 5: 4}[order]
-    if kdeg > plan.k_max:
+    if _order_degree(order) > plan.k_max:
         raise ValueError(f"plan was built for degree <= {plan.k_max}")
     avg = np.asarray(averages, float)
     source, target = plan.source, plan.target
@@ -406,7 +395,7 @@ def apply_plan(plan: RemapPlan, averages, order: int = 3,
     timings = dict(plan.timings)
 
     t0 = time.monotonic()
-    recon = weno_reconstruct(source, avg, WenoConfig(order=order))
+    recon = weno_reconstruct(source, avg, order)
     warnings += [f"reconstruct: {w}" for w in recon.warnings[:4]]
     if len(recon.warnings) > 4:
         warnings.append(f"reconstruct: {len(recon.warnings)} reduced fits")
@@ -417,7 +406,7 @@ def apply_plan(plan: RemapPlan, averages, order: int = 3,
     if positivity:
         if not plan.with_tris:
             raise ValueError("positivity limiting needs a plan with triangulations")
-        if avg.min() < limiter_params.eps:
+        if avg.min() < POSITIVITY_FLOOR:
             warnings.append(
                 f"positivity requested but min average {avg.min():.3e} is "
                 f"below the floor; limiter skipped")
@@ -431,8 +420,7 @@ def apply_plan(plan: RemapPlan, averages, order: int = 3,
             for i in range(source.n_cells):
                 if groups[i]:
                     pts = QuadPointGroup(i, np.vstack(groups[i]))
-                    polys[i] = positivity_limit(polys[i], float(avg[i]), pts,
-                                                limiter_params)
+                    polys[i] = positivity_limit(polys[i], float(avg[i]), pts)
     timings["limit"] = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -522,9 +510,8 @@ def _loop_integrals(coeffs: np.ndarray, frames: np.ndarray, src: np.ndarray,
 
 def remap(request: RemapRequest) -> RemapReport:
     """Run the full remap pipeline for a single request."""
-    kdeg = {1: 0, 3: 2, 5: 4}[request.order]
     need_tris = request.positivity or request.approach in ("B", "both")
     plan = build_plan(request.source_mesh, request.target_mesh,
-                      k_max=kdeg, with_tris=need_tris)
+                      k_max=_order_degree(request.order), with_tris=need_tris)
     return apply_plan(plan, request.averages(), request.order,
                       request.positivity, request.approach)

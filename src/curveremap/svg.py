@@ -6,22 +6,16 @@ feed back into any computation.
 
 from __future__ import annotations
 
-import numpy as np
-
 SAMPLES_PER_SPAN = 64
+WIDTH = 640  # of the drawing, in pixels
 
 
-def _path(poly, close: bool = True) -> str:
-    pts = []
-    for span in poly.spans:
-        u = np.linspace(0.0, 1.0, SAMPLES_PER_SPAN, endpoint=False)
-        pts.append(span.point_at(u))
-    pts = np.vstack(pts)
-    d = "M " + " L ".join(f"{x:.5f} {y:.5f}" for x, y in pts)
-    return d + (" Z" if close else "")
+def _path(poly) -> str:
+    pts = poly.boundary_points(SAMPLES_PER_SPAN)
+    return "M " + " L ".join(f"{x:.5f} {y:.5f}" for x, y in pts) + " Z"
 
 
-def render_svg(layers, width: int = 640) -> str:
+def render_svg(layers) -> str:
     """Render [(polygons, stroke, fill), ...] layers into an SVG document."""
     xs, ys = [], []
     for polys, _stroke, _fill in layers:
@@ -35,9 +29,9 @@ def render_svg(layers, width: int = 640) -> str:
     y0, y1 = min(ys), max(ys)
     pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
     x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
-    scale = width / (x1 - x0)
+    scale = WIDTH / (x1 - x0)
     height = int(round((y1 - y0) * scale))
-    out = [f"<svg xmlns='http://www.w3.org/2000/svg' width='{width}' "
+    out = [f"<svg xmlns='http://www.w3.org/2000/svg' width='{WIDTH}' "
            f"height='{height}' viewBox='{x0:.5f} {-y1:.5f} "
            f"{x1 - x0:.5f} {y1 - y0:.5f}'>",
            f"<g transform='scale(1,-1)' stroke-width='{1.5 / scale:.6f}'>"]

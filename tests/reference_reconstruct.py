@@ -16,6 +16,7 @@ import numpy as np
 
 from curveremap.geometry import gauss_rule_01
 from curveremap.integrate import Poly2
+from curveremap.reconstruct import _ORDER_DEGREE, EPSILON, GAMMAS
 
 
 def one_ring(adj, cells: set[int]) -> set[int]:
@@ -189,31 +190,32 @@ def _weights(gammas, betas, tau, eps):
     return [w / tot for w in wbar]
 
 
-def cell_recon(mesh, geo: Geometry, avg, i: int, config):
+def cell_recon(mesh, geo: Geometry, avg, i: int, order: int):
     """(polynomial, weights, betas, warnings) of cell i."""
-    eps = config.epsilon
+    eps = EPSILON
+    gammas = GAMMAS[order]
     warns: list[str] = []
     p0 = Poly2.constant(avg[i], geo.cx[i], geo.cy[i], geo.h[i])
-    if config.order == 1:
+    if order == 1:
         return p0, (1.0,), (), warns
-    levels = stencil_levels(mesh, i, config.order)
+    levels = stencil_levels(mesh, i, order)
     b0 = float(min((avg[i] - avg[j]) ** 2 for j in levels[1] if j != i))
     q1, got1 = fit_with_growth(mesh, geo, avg, i, levels[1], 2)
     if got1 < 2:
         warns.append(f"cell {i}: quadratic fit reduced to degree {got1}")
     mom_i = geo.moments(i, i)
     h, area = geo.h[i], geo.area[i]
-    if config.order == 3:
-        g0, g1 = config.gammas
+    if order == 3:
+        g0, g1 = gammas
         p1 = q1 * (1.0 / g1) + p0 * (-g0 / g1)
         b1 = beta_from_moments(p1.coeffs, h, area, mom_i)
         curv = q1.coeffs.copy()
         a, b = np.indices(curv.shape)
         curv[a + b < 2] = 0.0
         tau = beta_from_moments(curv, h, area, mom_i) ** 2 / 4.0
-        w = _weights(config.gammas, (b0, b1), tau, eps)
+        w = _weights(gammas, (b0, b1), tau, eps)
         return p0 * w[0] + p1 * w[1], tuple(w), (b0, b1), warns
-    g0, g1, g2 = config.gammas
+    g0, g1, g2 = gammas
     top_degree = 4 if len(levels[2]) >= 25 else 3
     q2, got2 = fit_with_growth(mesh, geo, avg, i, levels[2], top_degree)
     if got2 < top_degree:
@@ -225,18 +227,18 @@ def cell_recon(mesh, geo: Geometry, avg, i: int, config):
     b1 = beta_from_moments(p1.coeffs, h, area, mom_i)
     b2 = beta_from_moments(p2.coeffs, h, area, mom_i)
     tau = (b2 - b1) ** 2 / 4.0
-    w = _weights(config.gammas, (b0, b1, b2), tau, eps)
+    w = _weights(gammas, (b0, b1, b2), tau, eps)
     return p0 * w[0] + p1 * w[1] + p2 * w[2], tuple(w), (b0, b1, b2), warns
 
 
-def reference_reconstruct(mesh, averages, config):
+def reference_reconstruct(mesh, averages, order: int):
     """(polys, weights, betas, warnings) of every cell, cell by cell."""
     avg = np.asarray(averages, float)
-    kdeg = {1: 0, 3: 2, 5: 4}[config.order]
+    kdeg = _ORDER_DEGREE[order]
     geo = Geometry(mesh, max(2 * kdeg - 2, kdeg, 2))
     polys, weights, betas, warnings = [], [], [], []
     for i in range(mesh.n_cells):
-        p, w, b, warns = cell_recon(mesh, geo, avg, i, config)
+        p, w, b, warns = cell_recon(mesh, geo, avg, i, order)
         polys.append(p)
         weights.append(w)
         betas.append(b)

@@ -10,10 +10,10 @@ from curveremap.clipping import wa_clip
 from curveremap.geometry import polygon_from_points
 from curveremap.integrate import (Poly2, green_integral, make_tri_rule,
                                   rule_degree_for, tri_integral, triangulate)
-from curveremap.limiter import LimiterParams, QuadPointGroup, positivity_limit
+from curveremap.limiter import QuadPointGroup, positivity_limit
 from curveremap.mesh import exact_cell_averages, gen_deformed_square_mesh
-from curveremap.reconstruct import (WenoConfig, build_stencil,
-                                    constrained_lsq_fit, weno_reconstruct)
+from curveremap.reconstruct import (build_stencil, constrained_lsq_fit,
+                                    weno_reconstruct)
 from curveremap.remap import apply_plan, build_plan, candidate_pairs
 from curveremap import experiments as ex
 
@@ -94,7 +94,7 @@ def test_criterion_2_intersection_area(demo):
 def test_criterion_3_degree3_agreement():
     res = ex.run_clipdemo(degree=3)
     gap = abs(res.area_a - res.area_b)
-    elevated = ex.run_clipdemo(degree=3, wiggle=0.0)
+    elevated = ex.run_clipdemo_on(*ex.demo_quads(3, wiggle=0.0))
     ref_err = abs(elevated.area_a - EXACT_AREA)
     ok = gap <= 5e-12 and ref_err <= 1e-10
     announce(3, ok, f"cubic |A-B|={gap:.2e}; degree-elevated area error "
@@ -188,7 +188,7 @@ def test_criterion_8_property_suites():
         q, _deg = constrained_lsq_fit(mesh, avg, i, st.levels[1], 2)
         x, y = q.cx + 0.013, q.cy - 0.017
         assert abs(q.eval(x, y) - (a0 + bx * x + by * y)) <= 1e-10
-        rf = weno_reconstruct(mesh, avg, WenoConfig(order=3))
+        rf = weno_reconstruct(mesh, avg, order=3)
         got = green_integral(rf.polys[i], mesh.cell_polygon(i))
         assert abs(got - avg[i] * areas[i]) <= 1e-12 * max(1.0, abs(avg[i]))
         weno_cases += 1

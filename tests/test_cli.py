@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -11,8 +12,31 @@ from curveremap.mesh import read_field, read_mesh, write_field, write_mesh, \
 from curveremap.experiments import sin_field
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+# SHA-256 of the SVG files that clipdemo writes at each edge degree
+CLIPDEMO_SVG_SHA256 = {
+    2: {"clipdemo.svg": "4928a221106b8de73f77b937c57239199b5d282559031fc4"
+                        "208231d3260fef4c",
+        "clipdemo_triangulation.svg": "a40c64d69c65e03512f50beb2e6b56567e5c"
+                                      "c9d5c698e1832587a5fe3bc1ff95"},
+    3: {"clipdemo.svg": "8bed9428f645ec3fee07738a0cfb7594d59f4cd69b622d5e"
+                        "0ea04b36cba73b5b",
+        "clipdemo_triangulation.svg": "1b7c4ea6af276b9d7109df297283116875d7"
+                                      "58d4c699a6979aba8a4f4255abd5"},
+}
+
+
 def run_cli(*argv):
     return main(list(argv))
+
+
+def assert_clipdemo_golden(out, degree, golden_txt):
+    """clipdemo's text output equals the golden file, byte for byte, and
+    its SVG files have the recorded digests."""
+    with open(os.path.join(GOLDEN, golden_txt), "rb") as fh:
+        assert (out / "clipdemo.txt").read_bytes() == fh.read()
+    for name, digest in CLIPDEMO_SVG_SHA256[degree].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 def test_gen_identity_two_by_two(tmp_path):
@@ -111,6 +135,7 @@ def test_clipdemo_degree3(tmp_path):
                    "--out", str(out)) == 0
     text = (out / "clipdemo.txt").read_text()
     assert "|A - B|" in text
+    assert_clipdemo_golden(out, 3, "clipdemo_degree3.txt")
 
 
 def test_accuracy_smoke_and_determinism(tmp_path):
@@ -130,10 +155,7 @@ def test_accuracy_smoke_and_determinism(tmp_path):
 def test_clipdemo_matches_golden(tmp_path):
     out = tmp_path / "demo"
     assert run_cli("--quiet", "clipdemo", "--out", str(out)) == 0
-    got = (out / "clipdemo.txt").read_text().splitlines()
-    golden = open("tests/golden/clipdemo.txt").read().splitlines()
-    # pin the 8-decimal intersection table and the loop count
-    assert got[:10] == golden[:10]
+    assert_clipdemo_golden(out, 2, "clipdemo.txt")
 
 
 def test_cone_command_smoke(tmp_path):

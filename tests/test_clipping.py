@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from curveremap import clipping
-from curveremap.clipping import (ClipTopologyError, classify, curve_flip,
-                                 handle_degeneracies, intersect_curves,
-                                 newton_roots, wa_clip, _raw_intersections)
+from curveremap.clipping import (ClipTopologyError, curve_flip,
+                                 intersect_curves, newton_roots, wa_clip,
+                                 _build_events, _label_events,
+                                 _raw_intersections, _tangent_kind)
 from curveremap.geometry import (SNAP_TOL, CurvedPolygon, CurveSpan,
                                  ParamCurve, polygon_from_points,
                                  straight_span)
@@ -62,18 +63,29 @@ def test_table2_point1_found(quad_pair):
     assert abs(best[1] + 1.29598616) < 1e-7
 
 
+def _labelled_events(sub, clp):
+    return _label_events(sub, clp,
+                         _build_events(sub, clp, _raw_intersections(sub, clp)))
+
+
+def _tangent_label(event, sub, clp):
+    """The tangent rule's label of an event at its spans' local parameters."""
+    k, kc = int(event.sig_s), int(event.sig_c)
+    return _tangent_kind(sub.spans[k % len(sub.spans)], event.sig_s - k,
+                         clp.spans[kc % len(clp.spans)], event.sig_c - kc)
+
+
 def test_classify_matches_table2(quad_pair):
     qp, qq = quad_pair
-    raw = _raw_intersections(qp, qq)
-    cleaned = handle_degeneracies(qp, qq, raw)
-    assert len(cleaned) == 8
+    events = _labelled_events(qp, qq)
+    assert len(events) == 8
     for (x, y, kind) in TABLE2:
-        match = min(cleaned,
+        match = min(events,
                     key=lambda r: (r.point[0] - x) ** 2 + (r.point[1] - y) ** 2)
         assert math.hypot(match.point[0] - x, match.point[1] - y) < 1e-7
         assert match.kind == kind
         # the local tangent-cross classification agrees on these
-        assert classify(match, qp, qq) == kind
+        assert _tangent_label(match, qp, qq) == kind
 
 
 def test_classify_probe_oracle_on_squares():
@@ -82,15 +94,14 @@ def test_classify_probe_oracle_on_squares():
     # edge leaves the clip at (1, 2)
     sub = polygon_from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
     clp = polygon_from_points([(1, 1), (3, 1), (3, 3), (1, 3)])
-    raw = _raw_intersections(sub, clp)
-    cleaned = handle_degeneracies(sub, clp, raw)
-    assert len(cleaned) == 2
+    events = _labelled_events(sub, clp)
+    assert len(events) == 2
     by_point = {(round(r.point[0], 9), round(r.point[1], 9)): r
-                for r in cleaned}
+                for r in events}
     entry = by_point[(2.0, 1.0)]
     exit_ = by_point[(1.0, 2.0)]
-    assert entry.kind == classify(entry, sub, clp) == "entry"
-    assert exit_.kind == classify(exit_, sub, clp) == "exit"
+    assert entry.kind == _tangent_label(entry, sub, clp) == "entry"
+    assert exit_.kind == _tangent_label(exit_, sub, clp) == "exit"
 
 
 def test_identical_squares_containment(unit_square):

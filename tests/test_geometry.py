@@ -9,10 +9,8 @@ from curveremap.experiments import accuracy_meshes
 from curveremap.geometry import (SNAP_TOL, Aabb, CurvedPolygon, CurveSpan,
                                  GeometryError, ParamCurve,
                                  _polyline_self_intersects, _span_closest,
-                                 point_in_polygon,
                                  polygon_from_points, real_roots_in,
-                                 real_roots_in_many, straight_span,
-                                 validate_curve)
+                                 real_roots_in_many, straight_span)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -95,18 +93,11 @@ def test_bbox_contains_dense_samples():
         assert pts[:, 1].min() >= box.ymin and pts[:, 1].max() <= box.ymax
 
 
-def test_validate_curve_rejects_self_intersection():
-    loop = ParamCurve([(0, 0), (2, 1), (-1, 1), (1, 0)])  # crossing cubic
-    with pytest.raises(GeometryError):
-        validate_curve(loop)
-    validate_curve(ParamCurve([(0, 0), (0.5, 0.2), (1, 0)]))
-
-
 def test_point_in_unit_square(unit_square):
-    assert point_in_polygon(unit_square, (0.5, 0.5)) == "inside"
-    assert point_in_polygon(unit_square, (2.0, 2.0)) == "outside"
-    assert point_in_polygon(unit_square, (1.0, 0.5)) == "boundary"
-    assert point_in_polygon(unit_square, (0.25, 1.0)) == "boundary"
+    assert unit_square.locate(0.5, 0.5) == "inside"
+    assert unit_square.locate(2.0, 2.0) == "outside"
+    assert unit_square.locate(1.0, 0.5) == "boundary"
+    assert unit_square.locate(0.25, 1.0) == "boundary"
 
 
 def _winding_oracle(poly, x, y, per_span=512):
@@ -187,9 +178,7 @@ def test_polygon_validation_tests_the_closing_segment():
     with pytest.raises(GeometryError, match="self-intersects"):
         bow.validate()
     pts = bow.boundary_points(per_span=16)
-    assert _polyline_self_intersects(pts[None], closed=True)[0]
-    # open, the same points miss the closing segment
-    assert not _polyline_self_intersects(pts[None], closed=False)[0]
+    assert _polyline_self_intersects(pts[None])[0]
 
 
 def test_batched_crossing_test_equals_one_polyline_at_a_time():
@@ -197,11 +186,10 @@ def test_batched_crossing_test_equals_one_polyline_at_a_time():
     ang = np.linspace(0, 2 * np.pi, 24, endpoint=False)
     loops = (np.column_stack([np.cos(ang), np.sin(ang)])
              + rng.normal(scale=0.12, size=(40, 24, 2)))
-    for closed in (True, False):
-        got = _polyline_self_intersects(loops, closed)
-        one = [_polyline_self_intersects(p[None], closed)[0] for p in loops]
-        assert got.tolist() == one
-        assert 0 < got.sum() < len(loops)
+    got = _polyline_self_intersects(loops)
+    one = [_polyline_self_intersects(p[None])[0] for p in loops]
+    assert got.tolist() == one
+    assert 0 < got.sum() < len(loops)
 
 
 def test_sub_span_parameters_equal_t_of():

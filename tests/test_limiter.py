@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from curveremap.geometry import polygon_from_points
 from curveremap.integrate import Poly2, green_integral
-from curveremap.limiter import (LimiterError, LimiterParams, QuadPointGroup,
+from curveremap.limiter import (LimiterError, QuadPointGroup,
                                 positivity_limit)
 
 EPS = 1e-14
@@ -69,7 +69,7 @@ def test_average_preserved_and_floor_random():
         if avg < EPS:
             continue
         pts = rng.uniform(0, 1, (25, 2))
-        out = positivity_limit(p, avg, QuadPointGroup(0, pts), LimiterParams())
+        out = positivity_limit(p, avg, QuadPointGroup(0, pts))
         vals = out.eval(pts[:, 0], pts[:, 1])
         assert vals.min() >= EPS - 1e-16
         new_avg = green_integral(out, square)

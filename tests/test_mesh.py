@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import os
@@ -123,6 +124,28 @@ def test_disk_mesh_area_and_boundary():
             assert abs(math.hypot(p[0], p[1]) - 1.0) <= 1e-14
 
 
+# SHA-256 of gen_disk_mesh(n, d).points as little-endian float64 bytes,
+# recorded from the generator before its boundary walk was shared with
+# boundary_loop
+_DISK_POINTS_SHA256 = {
+    (4, 1): "53ccd765b74314380cf4f514721c417832565ed25722058d4a9d8e1ec99b07df",
+    (4, 2): "86b4e3e8e6bcfc43212863d7c5f7c9382358e84ba3f83b1358f905ce332ec2c1",
+    (4, 3): "917039a6f95d21ebfd290f24949394b024a2b0cd82751f45d81cb472a0827836",
+    (8, 1): "26225642271860a275c02beaaceb22a4db9a52cdfa603f1c5cbaf4ce2c766931",
+    (8, 2): "be84d1d56d6a588ac98654918747bf0d03b5df0e944fe062489a4b01bd6a6f44",
+    (8, 3): "0bc0eca3d938fa77336b8d66b05e0abd7c6b3555b70a6b901db894dbc9883630",
+    (16, 1): "b6db4dfff3e722c635f565e9230c11a3fb61c298ed1d45e28f7ba055867a5bff",
+    (16, 2): "036db184e2904e0b78397ff0337442f9dc77463aeca46aa84d5032be2f540278",
+    (16, 3): "b948f1c39a0a80a5e46e4c74964d07ab0f565c4c56d037efd673c59f0903e5a6",
+}
+
+
+@pytest.mark.parametrize("n, d", sorted(_DISK_POINTS_SHA256))
+def test_disk_mesh_points_are_unchanged(n, d):
+    pts = np.ascontiguousarray(gen_disk_mesh(n, d).points, "<f8")
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == _DISK_POINTS_SHA256[n, d]
+
+
 def test_partition_property():
     for m in (gen_deformed_square_mesh(6, "gresho_like", 0.4, 2),
               gen_disk_mesh(6, 2)):
@@ -137,6 +160,10 @@ def test_rotation_identity_and_full_turn():
     assert np.array_equal(r0.points, m.points)
     r2 = rotate_mesh(m, 2 * math.pi)
     assert np.abs(r2.points - m.points).max() <= 1e-12
+    # the centre vertex stays at +0.0, as in a rotation about (0, 0)
+    centre = np.flatnonzero(~m.points.any(axis=1))
+    assert len(centre) == 1
+    assert not np.signbit(rotate_mesh(m, math.pi).points[centre]).any()
 
 
 def test_rotation_preserves_areas_and_distances():

@@ -6,7 +6,7 @@ import pytest
 from curveremap.geometry import polygon_from_points
 from curveremap.integrate import Poly2, green_integral
 from curveremap.mesh import exact_cell_averages, gen_deformed_square_mesh
-from curveremap.reconstruct import (ReconstructionError, WenoConfig,
+from curveremap.reconstruct import (GAMMAS, ReconstructionError,
                                     _exponents, _geometry,
                                     _indicator_matrices, _moments,
                                     _quadratic_form, beta0, build_stencil,
@@ -27,12 +27,12 @@ def test_stencil_sizes_structured():
 
 
 def test_weno_config_validation():
+    m = gen_deformed_square_mesh(3, "identity", degree=2)
     with pytest.raises(ValueError):
-        WenoConfig(order=2)
-    with pytest.raises(ValueError):
-        WenoConfig(order=3, gammas=(0.5, 0.6))
-    c = WenoConfig(order=5)
-    assert abs(sum(c.gammas) - 1.0) <= 1e-15
+        weno_reconstruct(m, np.zeros(m.n_cells), order=2)
+    for order, g in GAMMAS.items():
+        assert len(g) == (order + 1) // 2 and min(g) > 0
+    assert abs(sum(GAMMAS[5]) - 1.0) <= 1e-15
 
 
 def test_constant_averages_give_constant_fit():
@@ -95,10 +95,9 @@ def test_constant_field_weights_collapse_to_linear():
     m = gen_deformed_square_mesh(5, "gresho_like", 0.3, 2)
     avg = np.full(m.n_cells, 2.0)
     for order in (3, 5):
-        cfg = WenoConfig(order=order)
-        rf = weno_reconstruct(m, avg, cfg)
+        rf = weno_reconstruct(m, avg, order=order)
         w, betas = rf.weights[7], rf.betas[7]
-        assert np.allclose(w, cfg.gammas, atol=0, rtol=0)
+        assert np.allclose(w, GAMMAS[order], atol=0, rtol=0)
         assert all(b == 0.0 for b in betas)
         assert abs(rf.polys[7].eval(0.41, 0.52) - 2.0) <= 1e-13
 
@@ -121,7 +120,7 @@ def test_linear_field_reconstruction_interior():
         q, _ = constrained_lsq_fit(m, avg, i, st.levels[1], 2)
         x, y = q.cx + 0.01, q.cy - 0.02
         assert abs(q.eval(x, y) - (x + 2 * y)) <= 1e-10
-        rf = weno_reconstruct(m, avg, WenoConfig(order=3))
+        rf = weno_reconstruct(m, avg, order=3)
 
         def off_centroid_err(p):
             x, y = p.cx + 0.31 * p.h, p.cy - 0.22 * p.h
@@ -138,9 +137,8 @@ def test_smooth_field_weights_near_linear():
     # convergence slope.
     src, _tgt = accuracy_meshes(16)
     avg = exact_cell_averages(src, sin_field).averages
-    cfg = WenoConfig(order=3)
-    worst = weno_reconstruct(src, avg, cfg).weights[:, 0].max()
-    assert worst <= 2.0 * cfg.gammas[0], worst / cfg.gammas[0]
+    worst = weno_reconstruct(src, avg, order=3).weights[:, 0].max()
+    assert worst <= 2.0 * GAMMAS[3][0], worst / GAMMAS[3][0]
 
 
 def test_conservation_invariant_all_orders():
@@ -149,7 +147,7 @@ def test_conservation_invariant_all_orders():
         m, lambda x, y: np.sin(np.pi * x) + np.sin(np.pi * y)).averages
     areas = m.cell_areas()
     for order in (1, 3, 5):
-        rf = weno_reconstruct(m, avg, WenoConfig(order=order))
+        rf = weno_reconstruct(m, avg, order=order)
         for i in range(m.n_cells):
             got = green_integral(rf.polys[i], m.cell_polygon(i))
             want = avg[i] * areas[i]
@@ -161,7 +159,7 @@ def test_weight_normalization_and_positivity():
     avg = exact_cell_averages(m, cylinder_field, strict=False,
                               max_levels=4).averages
     for order in (3, 5):
-        weights = weno_reconstruct(m, avg, WenoConfig(order=order)).weights
+        weights = weno_reconstruct(m, avg, order=order).weights
         for i in (0, 7, 14, 21):
             w = weights[i]
             assert all(x >= 0 for x in w)
@@ -176,14 +174,13 @@ def test_discontinuity_pushes_weight_to_constant():
     m = gen_deformed_square_mesh(16, "identity", degree=2)
     avg = exact_cell_averages(m, cylinder_field, strict=False,
                               max_levels=4).averages
-    cfg = WenoConfig(order=3)
-    rf = weno_reconstruct(m, avg, cfg)
+    rf = weno_reconstruct(m, avg, order=3)
     checked = 0
     for i in range(m.n_cells):
         b0 = beta0(m, avg, i)
         w, betas = rf.weights[i], rf.betas[i]
         if b0 <= 1e-16 and betas[1] >= 0.1:
-            assert w[0] >= 20.0 * cfg.gammas[0], (i, w, betas)
+            assert w[0] >= 20.0 * GAMMAS[3][0], (i, w, betas)
             assert w[0] >= 0.2, (i, w, betas)
             checked += 1
     assert checked >= 4
@@ -192,7 +189,7 @@ def test_discontinuity_pushes_weight_to_constant():
 def test_field_length_mismatch():
     m = gen_deformed_square_mesh(3, "identity", degree=2)
     with pytest.raises(ReconstructionError):
-        weno_reconstruct(m, np.zeros(5), WenoConfig(order=3))
+        weno_reconstruct(m, np.zeros(5), order=3)
 
 
 @pytest.mark.parametrize("degree", [2, 3])

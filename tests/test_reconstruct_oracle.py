@@ -16,7 +16,7 @@ from curveremap.experiments import (accuracy_meshes, composite_disk_field,
                                     cylinder_field, sin_field)
 from curveremap.mesh import (exact_cell_averages, gen_deformed_square_mesh,
                              gen_disk_mesh)
-from curveremap.reconstruct import WenoConfig, weno_reconstruct
+from curveremap.reconstruct import weno_reconstruct
 
 from reference_reconstruct import reference_reconstruct, stencil_levels
 
@@ -48,9 +48,8 @@ def case(request):
 @pytest.mark.parametrize("order", [3, 5])
 def test_batched_matches_per_cell_reference(case, order):
     name, mesh, avg = case
-    cfg = WenoConfig(order=order)
-    got = weno_reconstruct(mesh, avg, cfg)
-    ref_polys, ref_w, ref_b, ref_warn = reference_reconstruct(mesh, avg, cfg)
+    got = weno_reconstruct(mesh, avg, order=order)
+    ref_polys, ref_w, ref_b, ref_warn = reference_reconstruct(mesh, avg, order)
     assert got.warnings == ref_warn
     scale = max(1.0, float(np.abs(avg).max()))
     full = 9 if order == 3 else 25
@@ -76,8 +75,8 @@ def test_three_by_three_runs_growth_and_reduction():
     # stencils are too small for a quadratic and grow, and the order-5 top
     # level cannot get a cubic from nine cells and drops a degree
     mesh, avg = _case("three_by_three")
-    warn = weno_reconstruct(mesh, avg, WenoConfig(order=5)).warnings
+    warn = weno_reconstruct(mesh, avg, order=5).warnings
     assert warn and all("top-level fit reduced to degree 2" in w for w in warn)
-    assert weno_reconstruct(mesh, avg, WenoConfig(order=3)).warnings == []
+    assert weno_reconstruct(mesh, avg, order=3).warnings == []
     rows = len(stencil_levels(mesh, 0, 3)[1]) - 1
     assert rows < 5  # fewer rows than quadratic unknowns: growth ran

@@ -132,8 +132,6 @@ def test_report_serialization():
     rep = remap(RemapRequest(src, f, src, order=1))
     text = rep.to_text()
     assert "e_cons=" in text and "min_average=" in text
-    row = rep.to_csv_row()
-    assert len(row.split(",")) == len(rep.CSV_HEADER.split(","))
 
 
 def test_plan_rejects_mismatched_orders():
@@ -144,6 +142,17 @@ def test_plan_rejects_mismatched_orders():
         apply_plan(plan, f.averages, order=5)
     with pytest.raises(ValueError):
         apply_plan(plan, f.averages, order=1, approach="B")
+
+
+def test_unknown_order_is_a_value_error():
+    src = gen_deformed_square_mesh(3, "identity", degree=2)
+    plan = build_plan(src, src, k_max=4)
+    avg = np.ones(src.n_cells)
+    for order in (2, 4):
+        with pytest.raises(ValueError, match="order must be 1, 3 or 5"):
+            apply_plan(plan, avg, order=order)
+        with pytest.raises(ValueError, match="order must be 1, 3 or 5"):
+            remap(RemapRequest(src, avg, src, order=order))
 
 
 def test_degree3_mesh_remap_end_to_end():

@@ -126,6 +126,8 @@ class Field:
 
     averages: np.ndarray
     mesh: CurvilinearMesh | None = None
+    # best-effort averages: some cell's quadrature did not converge
+    nonconverged: bool = False
 
     def __post_init__(self):
         self.averages = np.asarray(self.averages, float)
@@ -823,10 +825,7 @@ def exact_cell_averages(mesh: CurvilinearMesh, func, max_levels: int = 10,
             f"{max_levels} levels (last value {float(prev[i])!r})")
     if flipped.any():
         raise MeshError("cell map is not orientation-preserving")
-    fld = Field(prev / areas, mesh)
-    if len(active):
-        fld.nonconverged = True  # best-effort averages (discontinuous field)
-    return fld
+    return Field(prev / areas, mesh, nonconverged=bool(len(active)))
 
 
 def _panel_rounds(nodes, rev, func, active, per, rounds, tolerance, prev,

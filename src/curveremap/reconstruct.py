@@ -61,24 +61,20 @@ def _order_degree(order: int) -> int:
 
 
 @dataclass
-class Stencil:
-    """Nested stencils S0 (the cell) within S1 (within S2 for order 5)."""
-
-    levels: list[list[int]]
-
-
-@dataclass
 class ReconField:
     """Per-cell polynomials with the weights and indicators of their blend.
 
-    weights and betas have one row per cell and one column per level of
-    the hierarchy (the cell average, the quadratic fit, the quartic fit).
-    betas[:, 0] is beta0, the smallest squared difference to a one-ring
-    neighbour's average. Order 1 blends nothing: its weights are 1 and its
-    betas 0.
+    Cell i's polynomial is the sum of coeffs[i, a, b] X^a Y^b with
+    X = (x - cx) / h and Y = (y - cy) / h, where (cx, cy, h) = frames[i]:
+    the cell's centroid and the square root of its area. weights and betas
+    have one row per cell and one column per level of the hierarchy (the
+    cell average, the quadratic fit, the quartic fit). betas[:, 0] is beta0,
+    the smallest squared difference to a one-ring neighbour's average.
+    Order 1 blends nothing: its weights are 1 and its betas 0.
     """
 
-    polys: list[Poly2]
+    coeffs: np.ndarray  # (C, K+1, K+1)
+    frames: np.ndarray  # (C, 3)
     warnings: list[str] = field(default_factory=list)
     weights: np.ndarray | None = None
     betas: np.ndarray | None = None
@@ -91,8 +87,10 @@ def _one_ring(adj, cells: set[int]) -> set[int]:
     return out
 
 
-def build_stencil(mesh: CurvilinearMesh, i: int, order: int) -> Stencil:
-    """S0 = {i}; S1 = one-ring (edge + vertex neighbors); S2 = two-ring.
+def build_stencil(mesh: CurvilinearMesh, i: int,
+                  order: int) -> list[list[int]]:
+    """Nested stencils [S0, S1] (and S2 for order 5): S0 = [i]; S1 = the
+    one-ring (edge + vertex neighbors); S2 = the two-ring.
 
     Boundary cells keep whatever neighbors exist; the fitting layer grows a
     stencil by extra rings when its normal matrix is rank-deficient, so
@@ -103,7 +101,7 @@ def build_stencil(mesh: CurvilinearMesh, i: int, order: int) -> Stencil:
     levels = [[i], sorted(s1)]
     if order >= 5:
         levels.append(sorted(_one_ring(adj, s1)))
-    return Stencil(levels)
+    return levels
 
 
 @lru_cache(maxsize=None)
@@ -421,13 +419,15 @@ def weno_reconstruct(mesh: CurvilinearMesh, averages,
     order-3 weights stay at the linear weights on smooth data, where the
     fit's curvature indicator tau is O(h^8), and move toward the cell
     average at a jump, where tau is O(1) and beta0 of a same-side neighbor
-    is ~0. The weights and indicators of every cell come back as arrays
-    on the result.
+    is ~0. The coefficients, frames, weights and indicators of every cell
+    come back as arrays on the result.
     """
     K = _order_degree(order)
     avg = np.asarray(averages, float)
     if len(avg) != mesh.n_cells:
         raise ReconstructionError("field length does not match the mesh")
+    if not np.all(np.isfinite(avg)):
+        raise ReconstructionError("field averages must be finite")
     geo = _geometry(mesh, max(2 * K - 2, K, 2))
     C = mesh.n_cells
     nlev = len(GAMMAS[order])
@@ -437,7 +437,7 @@ def weno_reconstruct(mesh: CurvilinearMesh, averages,
     betas = np.zeros((C, nlev))
     warnings: list[str] = []
     if order > 1:
-        levels = [build_stencil(mesh, i, order).levels for i in range(C)]
+        levels = [build_stencil(mesh, i, order) for i in range(C)]
         step = max(1, _PAIRS_PER_CHUNK // max(len(lv[-1]) for lv in levels))
         for lo in range(0, C, step):
             cells = np.arange(lo, min(lo + step, C))
@@ -446,8 +446,8 @@ def weno_reconstruct(mesh: CurvilinearMesh, averages,
             coeffs[cells], weights[cells], betas[cells] = c, w, b
             for i in sorted(warns):
                 warnings.extend(warns[i])
-    polys = [Poly2(coeffs[i], geo.cx[i], geo.cy[i], geo.h[i]) for i in range(C)]
-    return ReconField(polys, warnings, weights, betas)
+    frames = np.stack([geo.cx, geo.cy, geo.h], axis=1)
+    return ReconField(coeffs, frames, warnings, weights, betas)
 
 
 def constrained_lsq_fit(mesh: CurvilinearMesh, averages: np.ndarray, i: int,
@@ -458,7 +458,8 @@ def constrained_lsq_fit(mesh: CurvilinearMesh, averages: np.ndarray, i: int,
     reproduction of the average on cell i; the constraint is eliminated by
     substituting the constant coefficient. Rank-deficient systems fall back
     to lower degree; returns (polynomial, fitted degree). This is the
-    batched solver of weno_reconstruct applied to one cell and stencil.
+    batched solver of weno_reconstruct applied to one cell and stencil;
+    the tests use it as the per-cell oracle of the batched fit.
     """
     avg = np.asarray(averages, float)
     geo = _geometry(mesh, max(2 * degree - 2, degree))
@@ -474,7 +475,8 @@ def smoothness(p: Poly2, cell) -> float:
     """Scaled squared-derivative integrals of p over a cell (public form).
 
     cell is a CurvedPolygon; the integral is evaluated exactly through the
-    Green contour route on the squared-derivative polynomials.
+    Green contour route on the squared-derivative polynomials. The tests
+    use it as the per-cell oracle of the batched indicators (betas).
     """
     area = cell.signed_area()
     kdeg = p.coeffs.shape[0] - 1
@@ -487,11 +489,3 @@ def smoothness(p: Poly2, cell) -> float:
                 continue
             beta += area ** (s - 1) * green_integral(dp * dp, cell)
     return beta
-
-
-def beta0(mesh: CurvilinearMesh, averages, i: int,
-          stencil: Stencil | None = None) -> float:
-    """Minimum squared average difference over the big stencil minus i."""
-    st = stencil or build_stencil(mesh, i, 3)
-    avg = np.asarray(averages, float)
-    return float(_beta0(avg, np.array([i]), [st.levels[1]])[0])

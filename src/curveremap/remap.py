@@ -23,9 +23,9 @@ from .clipping import (DEDUP_PARAM, ClipTopologyError, CurveIntersection,
                        transversal, wa_clip)
 from .geometry import (SNAP_TOL, CurvedPolygon, GeometryError, _lagrange_basis,
                        _lagrange_dbasis, by_degree, eval_rows, span_gauss)
-from .integrate import (IntegrationError, Poly2, make_tri_rule,
-                        rule_degree_for, triangulate)
-from .limiter import POSITIVITY_FLOOR, QuadPointGroup, positivity_limit
+from .integrate import (IntegrationError, make_tri_rule, rule_degree_for,
+                        triangulate)
+from .limiter import POSITIVITY_FLOOR, positivity_limit
 from .mesh import CurvilinearMesh, Field
 from .reconstruct import _order_degree, weno_reconstruct
 
@@ -295,7 +295,7 @@ def build_plan(source: CurvilinearMesh, target: CurvilinearMesh,
 
     k_max bounds the polynomial degree later integrations may use;
     with_tris additionally triangulates every piece (needed for Approach B
-    and for the positivity limiter's quadrature point groups).
+    and for the positivity limiter's quadrature points).
     """
     warnings: list[str] = []
     timings: dict[str, float] = {}
@@ -401,8 +401,12 @@ def apply_plan(plan: RemapPlan, averages, order: int = 3,
         warnings.append(f"reconstruct: {len(recon.warnings)} reduced fits")
     timings["reconstruct"] = time.monotonic() - t0
 
-    polys = recon.polys
     t0 = time.monotonic()
+    coeffs, frames = recon.coeffs, recon.frames
+    loops = [(ct, pg.src, lp) for ct, per in enumerate(plan.per_target)
+             for pg in per for lp in pg.loops]
+    tgt = np.array([ct for ct, _, _ in loops], dtype=int)
+    src = np.array([s for _, s, _ in loops], dtype=int)
     if positivity:
         if not plan.with_tris:
             raise ValueError("positivity limiting needs a plan with triangulations")
@@ -411,35 +415,23 @@ def apply_plan(plan: RemapPlan, averages, order: int = 3,
                 f"positivity requested but min average {avg.min():.3e} is "
                 f"below the floor; limiter skipped")
         else:
-            groups: list[list[np.ndarray]] = [[] for _ in range(source.n_cells)]
-            for per in plan.per_target:
-                for pg in per:
-                    for lp in pg.loops:
-                        groups[pg.src].append(lp.bpts)
-            polys = list(polys)
-            for i in range(source.n_cells):
-                if groups[i]:
-                    pts = QuadPointGroup(i, np.vstack(groups[i]))
-                    polys[i] = positivity_limit(polys[i], float(avg[i]), pts)
+            coeffs = positivity_limit(
+                coeffs, frames, avg,
+                _gather(loops, src, lambda lp: (lp.bpts[:, 0], lp.bpts[:, 1])))
     timings["limit"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    loops = [(ct, pg.src, lp) for ct, per in enumerate(plan.per_target)
-             for pg in per for lp in pg.loops]
-    tgt = np.array([ct for ct, _, _ in loops], dtype=int)
-    src = np.array([s for _, s, _ in loops], dtype=int)
-    coeffs, frames = _stack_polys(polys)
     if approach in ("A", "both"):
         # the x-antiderivative from x = cx, in the same scaled frame
         na = coeffs.shape[1]
-        anti = np.zeros((len(polys), na + 1, coeffs.shape[2]))
+        anti = np.zeros((len(coeffs), na + 1, coeffs.shape[2]))
         anti[:, 1:] = (frames[:, 2, None, None] * coeffs
                        / np.arange(1, na + 1)[None, :, None])
-        val_a = _loop_integrals(anti, frames, src, loops,
-                                lambda lp: (lp.ax, lp.ay, lp.awdy))
+        val_a = _loop_integrals(anti, frames, _gather(
+            loops, src, lambda lp: (lp.ax, lp.ay, lp.awdy)))
     if approach in ("B", "both"):
-        val_b = _loop_integrals(coeffs, frames, src, loops,
-                                lambda lp: (lp.bpts[:, 0], lp.bpts[:, 1], lp.bjw))
+        val_b = _loop_integrals(coeffs, frames, _gather(
+            loops, src, lambda lp: (lp.bpts[:, 0], lp.bpts[:, 1], lp.bjw)))
     max_gap = 0.0
     if approach == "both" and loops:
         max_gap = float(np.max(np.abs(val_a - val_b)
@@ -466,34 +458,34 @@ def apply_plan(plan: RemapPlan, averages, order: int = 3,
                        plan.n_pairs, timings, warnings)
 
 
-def _stack_polys(polys: list[Poly2]) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (C, na, nb), zero-padded, and frames (C, 3) of (cx, cy, h)."""
-    na = max(p.coeffs.shape[0] for p in polys)
-    nb = max(p.coeffs.shape[1] for p in polys)
-    coeffs = np.zeros((len(polys), na, nb))
-    for i, p in enumerate(polys):
-        coeffs[i, :p.coeffs.shape[0], :p.coeffs.shape[1]] = p.coeffs
-    frames = np.array([(p.cx, p.cy, p.h) for p in polys]).reshape(-1, 3)
-    return coeffs, frames
+def _gather(loops: list, src: np.ndarray, samples):
+    """Per chunk of _LOOPS_PER_CHUNK loops: (cells, counts, *columns).
 
-
-def _loop_integrals(coeffs: np.ndarray, frames: np.ndarray, src: np.ndarray,
-                    loops: list, samples) -> np.ndarray:
-    """Per loop, the weighted sum of its source polynomial at its samples.
-
-    samples(loop) gives the loop's sample x, y and weights. The samples of
-    a chunk of loops are evaluated together, term by term over the
-    gathered coefficients, and summed per loop. The chunks bound the
-    per-sample arrays.
+    samples(loop) gives a tuple of per-sample arrays of the loop; each
+    column is their concatenation over the chunk's loops, whose source
+    cells and sample counts come first. The chunks bound the per-sample
+    arrays of the limiter and the integration sweep.
     """
-    out = np.zeros(len(loops))
     for lo in range(0, len(loops), _LOOPS_PER_CHUNK):
         sl = slice(lo, lo + _LOOPS_PER_CHUNK)
-        xs, ys, ws = zip(*(samples(lp) for _, _, lp in loops[sl]))
-        counts = np.array([len(x) for x in xs])
-        owner = np.repeat(src[sl], counts)
-        X = (np.concatenate(xs) - frames[owner, 0]) / frames[owner, 2]
-        Y = (np.concatenate(ys) - frames[owner, 1]) / frames[owner, 2]
+        cols = list(zip(*(samples(lp) for _, _, lp in loops[sl])))
+        counts = np.array([len(x) for x in cols[0]])
+        yield (src[sl], counts, *(np.concatenate(c) for c in cols))
+
+
+def _loop_integrals(coeffs: np.ndarray, frames: np.ndarray,
+                    chunks) -> np.ndarray:
+    """Per loop, the weighted sum of its source polynomial at its samples.
+
+    chunks yields _gather's (cells, counts, x, y, weights). The samples of
+    a chunk are evaluated together, term by term over the gathered
+    coefficients, and summed per loop.
+    """
+    out = [np.zeros(0)]
+    for cells, counts, x, y, w in chunks:
+        owner = np.repeat(cells, counts)
+        X = (x - frames[owner, 0]) / frames[owner, 2]
+        Y = (y - frames[owner, 1]) / frames[owner, 2]
         vals = np.zeros(len(X))
         Yb = np.ones(len(X))
         for b in range(coeffs.shape[2]):
@@ -503,9 +495,9 @@ def _loop_integrals(coeffs: np.ndarray, frames: np.ndarray, src: np.ndarray,
                     vals += coeffs[owner, a, b] * Xa
                 Xa *= X
             Yb *= Y
-        vals *= np.concatenate(ws)
-        out[sl] = np.add.reduceat(vals, np.cumsum(counts) - counts)
-    return out
+        vals *= w
+        out.append(np.add.reduceat(vals, np.cumsum(counts) - counts))
+    return np.concatenate(out)
 
 
 def remap(request: RemapRequest) -> RemapReport:

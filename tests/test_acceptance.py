@@ -10,7 +10,7 @@ from curveremap.clipping import wa_clip
 from curveremap.geometry import polygon_from_points
 from curveremap.integrate import (Poly2, green_integral, make_tri_rule,
                                   rule_degree_for, tri_integral, triangulate)
-from curveremap.limiter import QuadPointGroup, positivity_limit
+from curveremap.limiter import positivity_limit
 from curveremap.mesh import exact_cell_averages, gen_deformed_square_mesh
 from curveremap.reconstruct import (build_stencil, constrained_lsq_fit,
                                     weno_reconstruct)
@@ -185,11 +185,12 @@ def test_criterion_8_property_suites():
         avg = a0 + bx * cx + by * cy  # exact averages of a linear field
         i = interior[weno_cases % len(interior)]
         st = build_stencil(mesh, i, 3)
-        q, _deg = constrained_lsq_fit(mesh, avg, i, st.levels[1], 2)
+        q, _deg = constrained_lsq_fit(mesh, avg, i, st[1], 2)
         x, y = q.cx + 0.013, q.cy - 0.017
         assert abs(q.eval(x, y) - (a0 + bx * x + by * y)) <= 1e-10
         rf = weno_reconstruct(mesh, avg, order=3)
-        got = green_integral(rf.polys[i], mesh.cell_polygon(i))
+        got = green_integral(Poly2(rf.coeffs[i], *rf.frames[i]),
+                             mesh.cell_polygon(i))
         assert abs(got - avg[i] * areas[i]) <= 1e-12 * max(1.0, abs(avg[i]))
         weno_cases += 1
     assert weno_cases >= 50
@@ -206,9 +207,11 @@ def test_criterion_8_property_suites():
         avg = green_integral(p, square)
         if avg < 1e-14:
             continue
-        pts = QuadPointGroup(0, rng.uniform(0, 1, (20, 2)))
-        out = positivity_limit(p, avg, pts)
-        assert out.eval(pts.points[:, 0], pts.points[:, 1]).min() >= 1e-14 - 1e-16
+        x, y = rng.uniform(0, 1, (20, 2)).T
+        lim = positivity_limit(p.coeffs[None], np.array([[0.5, 0.5, 0.5]]),
+                               [avg], [(np.array([0]), np.array([20]), x, y)])
+        out = Poly2(lim[0], 0.5, 0.5, 0.5)
+        assert out.eval(x, y).min() >= 1e-14 - 1e-16
         assert abs(green_integral(out, square) - avg) <= 1e-13 * max(1.0, avg)
         lim_cases += 1
 

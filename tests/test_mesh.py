@@ -254,7 +254,7 @@ def test_exact_averages_nonsmooth_needs_relaxed_mode():
     with pytest.raises(MeshError):
         exact_cell_averages(m, jump, max_levels=4)
     best = exact_cell_averages(m, jump, max_levels=4, strict=False)
-    assert getattr(best, "nonconverged", False)
+    assert best.nonconverged
     total = float(best.averages @ m.cell_areas())
     assert abs(total - 0.77 ** 2 / 2) < 1e-3
 
@@ -448,7 +448,7 @@ def test_batched_averages_equal_per_cell_loop(case):
     got = exact_cell_averages(m, field, **opts)
     ref, warned, whole = _panel_rule_averages(m, field, **opts)
     assert np.array_equal(got.averages, ref)
-    assert getattr(got, "nonconverged", False) == warned
+    assert got.nonconverged == warned
     assert warned == (case != "sine")
     # cells that converge by 4 x 4 panels keep the uniform rule's bits
     assert whole.any() and (case != "sine" or whole.all())

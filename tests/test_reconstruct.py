@@ -9,7 +9,7 @@ from curveremap.mesh import exact_cell_averages, gen_deformed_square_mesh
 from curveremap.reconstruct import (GAMMAS, ReconstructionError,
                                     _exponents, _geometry,
                                     _indicator_matrices, _moments,
-                                    _quadratic_form, beta0, build_stencil,
+                                    _quadratic_form, build_stencil,
                                     constrained_lsq_fit, smoothness,
                                     weno_reconstruct)
 from curveremap.experiments import accuracy_meshes, cylinder_field, sin_field
@@ -18,12 +18,12 @@ from curveremap.experiments import accuracy_meshes, cylinder_field, sin_field
 def test_stencil_sizes_structured():
     m = gen_deformed_square_mesh(8, "identity", degree=2)
     center = 8 * 3 + 3
-    assert len(build_stencil(m, center, 3).levels[1]) == 9
-    assert len(build_stencil(m, center, 5).levels[2]) == 25
-    assert len(build_stencil(m, 0, 3).levels[1]) == 4
+    assert len(build_stencil(m, center, 3)[1]) == 9
+    assert len(build_stencil(m, center, 5)[2]) == 25
+    assert len(build_stencil(m, 0, 3)[1]) == 4
     st = build_stencil(m, center, 3)
-    assert st.levels[0] == [center]
-    assert set(st.levels[0]) <= set(st.levels[1])
+    assert st[0] == [center]
+    assert set(st[0]) <= set(st[1])
 
 
 def test_weno_config_validation():
@@ -40,7 +40,7 @@ def test_constant_averages_give_constant_fit():
     avg = np.full(m.n_cells, 3.25)
     i = 6 * 2 + 3
     st = build_stencil(m, i, 3)
-    q, k = constrained_lsq_fit(m, avg, i, st.levels[1], 2)
+    q, k = constrained_lsq_fit(m, avg, i, st[1], 2)
     nonconst = q.coeffs.copy()
     nonconst[0, 0] = 0.0
     assert np.abs(nonconst).max() <= 1e-12 * 3.25
@@ -52,7 +52,7 @@ def test_linear_field_fit_reproduces():
     avg = exact_cell_averages(m, lambda x, y: x).averages
     i = 6 * 3 + 2
     st = build_stencil(m, i, 3)
-    q, _ = constrained_lsq_fit(m, avg, i, st.levels[1], 2)
+    q, _ = constrained_lsq_fit(m, avg, i, st[1], 2)
     assert abs(q.eval(q.cx, q.cy) - q.cx) <= 1e-10
 
 
@@ -61,7 +61,7 @@ def test_quadratic_field_fit_exact_on_identity():
     avg = exact_cell_averages(m, lambda x, y: x * x).averages
     i = 8 * 3 + 3
     st = build_stencil(m, i, 3)
-    q, _ = constrained_lsq_fit(m, avg, i, st.levels[1], 2)
+    q, _ = constrained_lsq_fit(m, avg, i, st[1], 2)
     for (x, y) in ((q.cx, q.cy), (q.cx + 0.05, q.cy - 0.03)):
         assert abs(q.eval(x, y) - x * x) <= 1e-10
 
@@ -74,12 +74,22 @@ def test_smoothness_examples(unit_square):
     assert abs(got - (4.0 / 3.0 + 4.0)) <= 1e-13
 
 
+def beta0(m, avg, i):
+    """The smallest squared difference of cell i's average to a one-ring
+    neighbour's, one cell at a time."""
+    return min((avg[i] - avg[j]) ** 2 for j in build_stencil(m, i, 3)[1]
+               if j != i)
+
+
 def test_beta0_examples():
     m = gen_deformed_square_mesh(3, "identity", degree=2)
-    avg = np.full(9, 1.0)
-    assert beta0(m, avg, 4) == 0.0
     avg = np.array([5.0, 0.9, 5.0, 1.2, 1.0, 1.05, 5.0, 2.0, 5.0])
-    assert abs(beta0(m, avg, 4) - 0.0025) <= 1e-15
+    for order in (3, 5):
+        got = weno_reconstruct(m, avg, order=order).betas[:, 0]
+        assert got.tolist() == [beta0(m, avg, i) for i in range(9)]
+    assert abs(got[4] - 0.0025) <= 1e-15
+    avg = np.full(9, 1.0)
+    assert weno_reconstruct(m, avg, order=3).betas[4, 0] == 0.0
 
 
 def test_beta0_step_field_tiny_for_same_side_neighbor():
@@ -88,7 +98,7 @@ def test_beta0_step_field_tiny_for_same_side_neighbor():
                               max_levels=4).averages
     # a cell outside the disk whose whole neighborhood is background
     corner = 0
-    assert beta0(m, avg.copy(), corner) <= 1e-20
+    assert weno_reconstruct(m, avg, order=3).betas[corner, 0] <= 1e-20
 
 
 def test_constant_field_weights_collapse_to_linear():
@@ -99,7 +109,8 @@ def test_constant_field_weights_collapse_to_linear():
         w, betas = rf.weights[7], rf.betas[7]
         assert np.allclose(w, GAMMAS[order], atol=0, rtol=0)
         assert all(b == 0.0 for b in betas)
-        assert abs(rf.polys[7].eval(0.41, 0.52) - 2.0) <= 1e-13
+        p = Poly2(rf.coeffs[7], *rf.frames[7])
+        assert abs(p.eval(0.41, 0.52) - 2.0) <= 1e-13
 
 
 def test_linear_field_reconstruction_interior():
@@ -117,16 +128,17 @@ def test_linear_field_reconstruction_interior():
                     and len(adj.vertex_neighbors[i]) == 4]
         i = interior[len(interior) // 2]
         st = build_stencil(m, i, 3)
-        q, _ = constrained_lsq_fit(m, avg, i, st.levels[1], 2)
+        q, _ = constrained_lsq_fit(m, avg, i, st[1], 2)
         x, y = q.cx + 0.01, q.cy - 0.02
         assert abs(q.eval(x, y) - (x + 2 * y)) <= 1e-10
         rf = weno_reconstruct(m, avg, order=3)
 
-        def off_centroid_err(p):
+        def off_centroid_err(j):
+            p = Poly2(rf.coeffs[j], *rf.frames[j])
             x, y = p.cx + 0.31 * p.h, p.cy - 0.22 * p.h
             return abs(p.eval(x, y) - (x + 2 * y))
 
-        errs[n] = max(off_centroid_err(rf.polys[j]) for j in interior)
+        errs[n] = max(off_centroid_err(j) for j in interior)
     assert errs[8] <= 1e-12 and errs[16] <= 1e-12, errs
 
 
@@ -149,7 +161,8 @@ def test_conservation_invariant_all_orders():
     for order in (1, 3, 5):
         rf = weno_reconstruct(m, avg, order=order)
         for i in range(m.n_cells):
-            got = green_integral(rf.polys[i], m.cell_polygon(i))
+            got = green_integral(Poly2(rf.coeffs[i], *rf.frames[i]),
+                                 m.cell_polygon(i))
             want = avg[i] * areas[i]
             assert abs(got - want) <= 1e-12 * max(abs(want), 1e-6)
 
@@ -177,8 +190,8 @@ def test_discontinuity_pushes_weight_to_constant():
     rf = weno_reconstruct(m, avg, order=3)
     checked = 0
     for i in range(m.n_cells):
-        b0 = beta0(m, avg, i)
         w, betas = rf.weights[i], rf.betas[i]
+        b0 = betas[0]
         if b0 <= 1e-16 and betas[1] >= 0.1:
             assert w[0] >= 20.0 * GAMMAS[3][0], (i, w, betas)
             assert w[0] >= 0.2, (i, w, betas)
@@ -190,6 +203,14 @@ def test_field_length_mismatch():
     m = gen_deformed_square_mesh(3, "identity", degree=2)
     with pytest.raises(ReconstructionError):
         weno_reconstruct(m, np.zeros(5), order=3)
+
+
+def test_non_finite_averages_raise():
+    m = gen_deformed_square_mesh(3, "identity", degree=2)
+    avg = np.ones(m.n_cells)
+    avg[4] = np.nan
+    with pytest.raises(ReconstructionError, match="finite"):
+        weno_reconstruct(m, avg, order=3)
 
 
 @pytest.mark.parametrize("degree", [2, 3])

@@ -14,6 +14,7 @@ import pytest
 
 from curveremap.experiments import (accuracy_meshes, composite_disk_field,
                                     cylinder_field, sin_field)
+from curveremap.integrate import Poly2
 from curveremap.mesh import (exact_cell_averages, gen_deformed_square_mesh,
                              gen_disk_mesh)
 from curveremap.reconstruct import weno_reconstruct
@@ -54,7 +55,8 @@ def test_batched_matches_per_cell_reference(case, order):
     scale = max(1.0, float(np.abs(avg).max()))
     full = 9 if order == 3 else 25
     errs, interior = [], []
-    for i, (p, q) in enumerate(zip(got.polys, ref_polys)):
+    for i, (c, fr, q) in enumerate(zip(got.coeffs, got.frames, ref_polys)):
+        p = Poly2(c, *fr)
         assert (p.cx, p.cy, p.h) == pytest.approx((q.cx, q.cy, q.h), rel=1e-14)
         x = np.array([q.cx + a * q.h for a, _ in OFFSETS])
         y = np.array([q.cy + b * q.h for _, b in OFFSETS])

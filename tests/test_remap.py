@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from curveremap.clipping import wa_clip
-from curveremap.integrate import Poly2, green_integral
+from curveremap.integrate import Poly2, TriangulationError, green_integral
 from curveremap.mesh import (CurvilinearMesh, Field, exact_cell_averages,
                              gen_deformed_square_mesh)
 from curveremap.remap import (RemapRequest, apply_plan, build_plan,
@@ -240,7 +240,6 @@ def test_degree3_plans_with_triangles_at_odd_sizes(n):
 
 def test_triangulation_failure_keeps_its_type_and_names_the_pair(monkeypatch):
     import importlib
-    from curveremap.integrate import TriangulationError
     # the package attribute curveremap.remap is the function
     remap_module = importlib.import_module("curveremap.remap")
 
@@ -269,3 +268,66 @@ def test_traced_benchmark_finds_every_name_it_wraps(monkeypatch):
     assert targets
     for owner, attr, _name, _count in targets:
         assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
+
+
+def test_limiter_returns_its_coefficients_when_no_cell_is_active():
+    # the traced benchmark counts an apply as limiter-active when
+    # positivity_limit returns anything but the array it was given
+    import importlib
+    remap_module = importlib.import_module("curveremap.remap")
+    coeffs = np.zeros((2, 2, 1))
+    coeffs[:, 0, 0] = 1.0
+    coeffs[1, 1, 0] = 4.0  # cell 1 is 1 + 4 X: -1 at X = -1/2
+    frames = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+
+    def limit(x1):  # one point per cell, cell 1's at X = x1
+        chunks = [(np.array([0, 1]), np.array([1, 1]), np.array([0.5, x1]),
+                   np.zeros(2))]
+        return remap_module.positivity_limit(coeffs, frames, [1.0, 1.0],
+                                             chunks)
+
+    assert limit(0.5) is coeffs
+    out = limit(-0.5)
+    assert out is not coeffs and not np.shares_memory(out, coeffs)
+    assert np.array_equal(out[0], coeffs[0])
+    assert not np.array_equal(out[1], coeffs[1])
+
+
+def _sliver_pair(angle):
+    # the disk mesh onto a copy turned by a tiny angle: every cell pair
+    # along an interior edge clips to a sliver loop
+    from curveremap.mesh import gen_disk_mesh, rotate_mesh
+    base = gen_disk_mesh(8)
+    return base, rotate_mesh(base, angle)
+
+
+@pytest.mark.xfail(strict=True, raises=TriangulationError,
+                   reason="FOUND in CHANGES.md: integrate.triangulate "
+                          "escalates its ear pass on sliver loops")
+def test_sliver_plan_with_triangles():
+    src, tgt = _sliver_pair(1e-9)
+    try:
+        plan = build_plan(src, tgt, k_max=2, with_tris=True)
+    except TriangulationError as exc:
+        assert "source cell 1 vs target cell 0" in str(exc)
+        raise
+    rep = apply_plan(plan, np.full(src.n_cells, 2.5), order=3,
+                     positivity=True, approach="both")
+    assert np.abs(rep.field.averages - 2.5).max() <= 1e-12
+
+
+@pytest.mark.parametrize("angle", [
+    pytest.param(1e-9, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="FOUND in CHANGES.md: the loops of a 1e-9 sliver plan do "
+               "not tile the target cells")),
+    1e-12])
+def test_sliver_plan_without_triangles_keeps_a_constant(angle):
+    src, tgt = _sliver_pair(angle)
+    plan = build_plan(src, tgt, k_max=2)
+    rep = apply_plan(plan, np.full(src.n_cells, 2.5), order=3)
+    cover = np.array([sum(lp.area for pg in per for lp in pg.loops)
+                      for per in plan.per_target])
+    covered = cover > 1e-14 * tgt.cell_areas()
+    assert covered.any()
+    assert np.abs(rep.field.averages[covered] - 2.5).max() <= 1e-12

@@ -16,17 +16,15 @@ from .geometry import (Aabb, CurvedPolygon, CurveSpan, GeometryError,
                        ParamCurve, polygon_from_points, straight_span)
 from .clipping import (ClipResult, ClipTopologyError, CurveIntersection,
                        intersect_curves, wa_clip)
-from .integrate import (CurvedTriangle, IntegrationError, Poly2,
-                        TriangulationError, TriRule, green_integral,
-                        make_tri_rule, tri_integral, triangulate)
+from .integrate import (CurvedTriangle, IntegrationError, TriangulationError,
+                        TriRule, make_tri_rule, triangulate)
 from .limiter import LimiterError, positivity_limit
 from .mesh import (Adjacency, CurvilinearMesh, Field, MeshError,
                    MeshParseError, boundary_loop, build_adjacency,
                    exact_cell_averages, gen_deformed_square_mesh,
                    gen_disk_mesh, read_field, read_mesh, rotate_mesh,
                    validate_mesh, write_field, write_mesh)
-from .reconstruct import (ReconField, build_stencil, constrained_lsq_fit,
-                          smoothness, weno_reconstruct)
+from .reconstruct import ReconField, build_stencil, weno_reconstruct
 from .remap import (PairIndex, RemapPlan, RemapReport, RemapRequest,
                     apply_plan, build_plan, candidate_pairs, remap)
 

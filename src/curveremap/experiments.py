@@ -12,11 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CurvedPolygon, CurveSpan, ParamCurve
+from .geometry import CurvedPolygon, CurveSpan, ParamCurve, span_gauss
 from .clipping import (wa_clip, _build_events, _label_events,
                        _raw_intersections)
-from .integrate import Poly2, green_integral, make_tri_rule, \
-    rule_degree_for, tri_integral, triangulate
+from .integrate import make_tri_rule, rule_degree_for, triangulate
 from .mesh import (CurvilinearMesh, exact_cell_averages,
                    gen_deformed_square_mesh, gen_disk_mesh, rotate_mesh)
 from .reconstruct import _order_degree
@@ -259,33 +258,32 @@ _Q_EDGES = (("Q1", "Q5", "Q2"), ("Q2", "Q6", "Q3"),
 REFERENCE_AREA = 0.7234537303590143  # independently published value
 
 
-def _elevate_quadratic(nodes: np.ndarray, wiggle: float, seed: int) -> ParamCurve:
-    """Cubic curve through the quadratic curve's points, optionally bent."""
+_CUBIC_WIGGLE = 0.06  # normal offset of the degree-3 demo's interior nodes
+
+
+def _elevate_quadratic(nodes: np.ndarray, seed: int) -> ParamCurve:
+    """Cubic curve through the quadratic curve's points, bent off it."""
     quad = ParamCurve(nodes)
     ts = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
     pts = quad.eval(ts)
-    if wiggle:
-        chord = pts[3] - pts[0]
-        nrm = np.array([-chord[1], chord[0]])
-        norm = np.hypot(*nrm)
-        if norm > 0:
-            nrm /= norm
-            pts[1] += wiggle * nrm * (1 if seed % 2 == 0 else -1)
-            pts[2] -= 0.6 * wiggle * nrm * (1 if seed % 3 == 0 else -1)
+    chord = pts[3] - pts[0]
+    nrm = np.array([-chord[1], chord[0]])
+    norm = np.hypot(*nrm)
+    if norm > 0:
+        nrm /= norm
+        pts[1] += _CUBIC_WIGGLE * nrm * (1 if seed % 2 == 0 else -1)
+        pts[2] -= 0.6 * _CUBIC_WIGGLE * nrm * (1 if seed % 3 == 0 else -1)
     return ParamCurve(pts)
 
 
-def demo_quads(degree: int = 2, wiggle: float | None = None):
+def demo_quads(degree: int = 2):
     """The worked-example quads at the requested edge degree.
 
-    degree 3 elevates every edge to a cubic; a nonzero wiggle bends the
-    interior nodes so the curves are genuinely cubic (wiggle=0 keeps the
-    quadratic point set, whose intersection area is known).
+    degree 3 elevates every edge to a cubic and bends its interior nodes,
+    so the curves are genuinely cubic.
     """
     if degree not in (2, 3):
         raise ValueError("demo supports degree 2 or 3")
-    if wiggle is None:
-        wiggle = 0.06 if degree == 3 else 0.0
 
     def build(vals, names):
         spans = []
@@ -294,7 +292,7 @@ def demo_quads(degree: int = 2, wiggle: float | None = None):
             if degree == 2:
                 spans.append(CurveSpan(ParamCurve(nodes)))
             else:
-                spans.append(CurveSpan(_elevate_quadratic(nodes, wiggle, k)))
+                spans.append(CurveSpan(_elevate_quadratic(nodes, k)))
         return CurvedPolygon(spans)
 
     return build(QUAD_P, _P_EDGES), build(QUAD_Q, _Q_EDGES)
@@ -332,26 +330,46 @@ def run_clipdemo_on(subject: CurvedPolygon, clip: CurvedPolygon) -> ClipDemoResu
     events = _label_events(subject, clip, _build_events(subject, clip, raw))
     points = [(e.point[0], e.point[1], e.kind) for e in events]
     res = wa_clip(subject, clip, raw=raw)
-    one = Poly2.constant(1.0)
-    area_a = sum(green_integral(one, lp) for lp in res.loops)
+    area_a = sum(_contour_integral(lp, lambda x, y: x, 0) for lp in res.loops)
     tris = []
     area_b = 0.0
     for lp in res.loops:
         t = triangulate(lp)
         tris.extend(t)
-        area_b += sum(tri_integral(one, tri, make_tri_rule(
-            rule_degree_for(0, tri.degree))) for tri in t)
+        loop_b = 0.0
+        for tri in t:
+            rule = make_tri_rule(rule_degree_for(0, tri.degree))
+            jw = tri.quad_samples(rule)[1]
+            # a dot product: jw.sum() adds in another order
+            loop_b += float(np.dot(np.ones(len(jw)), jw))
+        area_b += loop_b
     return ClipDemoResult(points, res.loops, area_a, area_b, subject, clip, tris)
+
+
+def _contour_integral(loop: CurvedPolygon, f2, k: int) -> float:
+    """Integral over a CCW loop of a degree-k polynomial f whose
+    x-antiderivative is f2(x, y): the contour integral of f2 dy, span by
+    span in order, each with the Gauss rule exact for its 1D integrand."""
+    total = 0.0
+    for span in loop.spans:
+        n = max(1, math.ceil(((k + 2) * span.degree) / 2))
+        [p], [dp], w, [h] = span_gauss([span], n)
+        total += float(np.dot(f2(p[:, 0], p[:, 1]), dp[:, 1] * w * h))
+    return total
+
+
+def _centroid(poly: CurvedPolygon) -> tuple[float, float]:
+    """Centroid of a CCW loop: its first moments over its area."""
+    area = poly.signed_area()
+    return (_contour_integral(poly, lambda x, y: 0.5 * x * x, 1) / area,
+            _contour_integral(poly, lambda x, y: x * y, 1) / area)
 
 
 def centroid_csv(mesh: CurvilinearMesh, averages: np.ndarray) -> str:
     """Per-cell (centroid, average) rows for external plotting."""
     lines = ["x,y,average"]
     for i in range(mesh.n_cells):
-        poly = mesh.cell_polygon(i)
-        area = poly.signed_area()
-        xs = green_integral(Poly2.monomial(1, 0), poly) / area
-        ys = green_integral(Poly2.monomial(0, 1), poly) / area
+        xs, ys = _centroid(mesh.cell_polygon(i))
         lines.append(f"{xs:.10g},{ys:.10g},{averages[i]:.17g}")
     return "\n".join(lines) + "\n"
 

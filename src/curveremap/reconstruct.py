@@ -30,7 +30,6 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import _lagrange_basis, _lagrange_dbasis, gauss_rule_01
-from .integrate import Poly2, green_integral
 from .mesh import CurvilinearMesh
 
 _ORDER_DEGREE = {1: 0, 3: 2, 5: 4}
@@ -448,44 +447,3 @@ def weno_reconstruct(mesh: CurvilinearMesh, averages,
                 warnings.extend(warns[i])
     frames = np.stack([geo.cx, geo.cy, geo.h], axis=1)
     return ReconField(coeffs, frames, warnings, weights, betas)
-
-
-def constrained_lsq_fit(mesh: CurvilinearMesh, averages: np.ndarray, i: int,
-                        cells: list[int], degree: int) -> tuple[Poly2, int]:
-    """Least-squares polynomial fit of stencil averages, conserving cell i.
-
-    Minimizes the average mismatch over the stencil subject to exact
-    reproduction of the average on cell i; the constraint is eliminated by
-    substituting the constant coefficient. Rank-deficient systems fall back
-    to lower degree; returns (polynomial, fitted degree). This is the
-    batched solver of weno_reconstruct applied to one cell and stencil;
-    the tests use it as the per-cell oracle of the batched fit.
-    """
-    avg = np.asarray(averages, float)
-    geo = _geometry(mesh, max(2 * degree - 2, degree))
-    cell = np.array([i])
-    for k in range(degree, 0, -1):
-        c, ok = _fit(geo, avg, cell, [list(cells)], k)
-        if ok[0]:
-            return Poly2(c[0], geo.cx[i], geo.cy[i], geo.h[i]), k
-    return Poly2.constant(avg[i], geo.cx[i], geo.cy[i], geo.h[i]), 0
-
-
-def smoothness(p: Poly2, cell) -> float:
-    """Scaled squared-derivative integrals of p over a cell (public form).
-
-    cell is a CurvedPolygon; the integral is evaluated exactly through the
-    Green contour route on the squared-derivative polynomials. The tests
-    use it as the per-cell oracle of the batched indicators (betas).
-    """
-    area = cell.signed_area()
-    kdeg = p.coeffs.shape[0] - 1
-    beta = 0.0
-    for s in range(1, kdeg + 1):
-        for l1 in range(s + 1):
-            l2 = s - l1
-            dp = p.deriv(l1, l2)
-            if not np.any(dp.coeffs):
-                continue
-            beta += area ** (s - 1) * green_integral(dp * dp, cell)
-    return beta

@@ -12,6 +12,15 @@ def quad_pair():
     return demo_quads(degree=2)
 
 
+def elevated_demo_quads():
+    """The worked-example quads with every quadratic edge raised to a cubic
+    through the same points, so the intersection area stays the known one."""
+    ts = np.array([0, 1 / 3, 2 / 3, 1])
+    return tuple(CurvedPolygon([CurveSpan(ParamCurve(s.curve.eval(ts)))
+                                for s in poly.spans])
+                 for poly in demo_quads(degree=2))
+
+
 @pytest.fixture
 def unit_square():
     return polygon_from_points([(0, 0), (1, 0), (1, 1), (0, 1)])

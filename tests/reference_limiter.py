@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from curveremap.integrate import Poly2
+from reference_integrate import Poly2
 
 EPS = 1e-14
 

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from curveremap.geometry import gauss_rule_01
-from curveremap.integrate import Poly2
+from reference_integrate import Poly2
 from curveremap.reconstruct import _ORDER_DEGREE, EPSILON, GAMMAS
 
 

@@ -8,16 +8,15 @@ import pytest
 
 from curveremap.clipping import wa_clip
 from curveremap.geometry import polygon_from_points
-from curveremap.integrate import (Poly2, green_integral, make_tri_rule,
-                                  rule_degree_for, tri_integral, triangulate)
+from curveremap.integrate import make_tri_rule
 from curveremap.limiter import positivity_limit
 from curveremap.mesh import exact_cell_averages, gen_deformed_square_mesh
-from curveremap.reconstruct import (build_stencil, constrained_lsq_fit,
-                                    weno_reconstruct)
+from curveremap.reconstruct import build_stencil, weno_reconstruct
 from curveremap.remap import apply_plan, build_plan, candidate_pairs
 from curveremap import experiments as ex
 
-from conftest import sample_curved_quads
+from conftest import elevated_demo_quads, sample_curved_quads
+from reference_integrate import Poly2, constrained_lsq_fit, green_integral
 
 TABLE2 = [
     (-1.05713663, -1.29598616, "exit"),
@@ -94,7 +93,7 @@ def test_criterion_2_intersection_area(demo):
 def test_criterion_3_degree3_agreement():
     res = ex.run_clipdemo(degree=3)
     gap = abs(res.area_a - res.area_b)
-    elevated = ex.run_clipdemo_on(*ex.demo_quads(3, wiggle=0.0))
+    elevated = ex.run_clipdemo_on(*elevated_demo_quads())
     ref_err = abs(elevated.area_a - EXACT_AREA)
     ok = gap <= 5e-12 and ref_err <= 1e-10
     announce(3, ok, f"cubic |A-B|={gap:.2e}; degree-elevated area error "

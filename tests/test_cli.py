@@ -101,10 +101,12 @@ def test_field_length_mismatch_is_error(tmp_path):
 
 
 def test_usage_error_exit_code_2():
+    # the child imports the package from where this process found it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run(
         [sys.executable, "-m", "curveremap.cli", "gen", "--kind", "bogus",
          "--n", "2", "--out", "x"],
-        capture_output=True)
+        capture_output=True, env=env)
     assert proc.returncode == 2
 
 

@@ -17,7 +17,7 @@ from curveremap.mesh import (gen_deformed_square_mesh, gen_disk_mesh,
                              rotate_mesh)
 from curveremap.remap import _edge_pair_roots, build_plan, candidate_pairs
 
-from conftest import sample_curved_quads
+from conftest import elevated_demo_quads, sample_curved_quads
 
 # Published intersection table for the worked example (x, y, type)
 TABLE2 = [
@@ -287,7 +287,7 @@ def test_clip_symmetry_and_boundedness_random():
 def test_degree3_worked_example_consistency():
     # degree-elevated edges trace the same point set: area must match, and
     # swapping roles must agree
-    sub, clp = demo_quads(degree=3, wiggle=0.0)
+    sub, clp = elevated_demo_quads()
     res = wa_clip(sub, clp)
     assert abs(res.total_area - REFERENCE_AREA) <= 1e-10
     res2 = wa_clip(clp, sub)

@@ -6,12 +6,14 @@ import pytest
 from curveremap.clipping import wa_clip
 from curveremap.geometry import CurvedPolygon, CurveSpan, ParamCurve, \
     polygon_from_points, straight_span
-from curveremap.integrate import (CurvedTriangle, IntegrationError, Poly2,
-                                  green_integral, make_tri_rule,
-                                  rule_degree_for, tri_integral, triangulate)
-from curveremap.experiments import REFERENCE_AREA
+from curveremap.integrate import (CurvedTriangle, IntegrationError,
+                                  make_tri_rule, rule_degree_for, triangulate)
+from curveremap.experiments import (REFERENCE_AREA, _centroid,
+                                    accuracy_meshes, run_clipdemo)
+from curveremap.mesh import gen_disk_mesh
 
 from conftest import sample_curved_quads
+from reference_integrate import Poly2, green_integral, tri_integral
 
 
 def test_unit_square_monomials_exact(unit_square):
@@ -139,6 +141,40 @@ def test_additivity_over_triangulation():
                 f, t, make_tri_rule(rule_degree_for(a + b, t.degree)))
                 for t in tris)
             assert abs(whole - parts) <= 1e-11 * max(1.0, abs(whole))
+
+
+def green_centroid(poly):
+    area = poly.signed_area()
+    return (green_integral(Poly2.monomial(1, 0), poly) / area,
+            green_integral(Poly2.monomial(0, 1), poly) / area)
+
+
+@pytest.mark.parametrize("case", ["disk_n8", "accuracy_target_n8",
+                                  "cubic_source_n8"])
+def test_centroids_match_green_integral_bitwise(case):
+    # the centroid CSVs print what green_integral gave them
+    mesh = {"disk_n8": lambda: gen_disk_mesh(8),
+            "accuracy_target_n8": lambda: accuracy_meshes(8)[1],
+            "cubic_source_n8": lambda: accuracy_meshes(8, degree=3)[0]}[case]()
+    for i in range(mesh.n_cells):
+        poly = mesh.cell_polygon(i)
+        assert _centroid(poly) == green_centroid(poly), i
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_clipdemo_areas_match_per_polygon_integrals(degree):
+    # area A as green_integral summed loop by loop, area B as tri_integral
+    # summed triangle by triangle within each loop, and the loops'
+    # centroids, bit for bit
+    res = run_clipdemo(degree)
+    one = Poly2.constant(1.0)
+    area_b = 0.0
+    for lp in res.loops:
+        assert _centroid(lp) == green_centroid(lp)
+        area_b += sum(tri_integral(one, tri, make_tri_rule(
+            rule_degree_for(0, tri.degree))) for tri in triangulate(lp))
+    assert res.area_a == sum(green_integral(one, lp) for lp in res.loops)
+    assert res.area_b == area_b
 
 
 def test_poly2_arithmetic_and_eval():

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from curveremap.experiments import (accuracy_meshes, composite_disk_field,
                                     cylinder_field)
 from curveremap.geometry import polygon_from_points
-from curveremap.integrate import Poly2, green_integral
 from curveremap.limiter import LimiterError, positivity_limit
 from curveremap.mesh import exact_cell_averages, gen_disk_mesh, rotate_mesh
 from curveremap.reconstruct import weno_reconstruct
 from curveremap.remap import _gather, build_plan
 
+from reference_integrate import Poly2, green_integral
 from reference_limiter import limit_one, reference_limit
 
 EPS = 1e-14

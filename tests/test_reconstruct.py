@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from curveremap.geometry import polygon_from_points
-from curveremap.integrate import Poly2, green_integral
 from curveremap.mesh import exact_cell_averages, gen_deformed_square_mesh
 from curveremap.reconstruct import (GAMMAS, ReconstructionError,
                                     _exponents, _geometry,
                                     _indicator_matrices, _moments,
                                     _quadratic_form, build_stencil,
-                                    constrained_lsq_fit, smoothness,
                                     weno_reconstruct)
 from curveremap.experiments import accuracy_meshes, cylinder_field, sin_field
+
+from reference_integrate import (Poly2, constrained_lsq_fit, green_integral,
+                                 smoothness)
 
 
 def test_stencil_sizes_structured():

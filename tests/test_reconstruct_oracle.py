@@ -14,11 +14,11 @@ import pytest
 
 from curveremap.experiments import (accuracy_meshes, composite_disk_field,
                                     cylinder_field, sin_field)
-from curveremap.integrate import Poly2
 from curveremap.mesh import (exact_cell_averages, gen_deformed_square_mesh,
                              gen_disk_mesh)
 from curveremap.reconstruct import weno_reconstruct
 
+from reference_integrate import Poly2
 from reference_reconstruct import reference_reconstruct, stencil_levels
 
 OFFSETS = ((0.31, -0.22), (-0.27, 0.18), (0.05, 0.33))

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from curveremap.clipping import wa_clip
-from curveremap.integrate import Poly2, TriangulationError, green_integral
+from curveremap.integrate import (TriangulationError, make_tri_rule,
+                                  rule_degree_for, triangulate)
 from curveremap.mesh import (CurvilinearMesh, Field, exact_cell_averages,
                              gen_deformed_square_mesh)
-from curveremap.remap import (RemapRequest, apply_plan, build_plan,
-                              candidate_pairs, remap)
+from curveremap.remap import (RemapRequest, _a_samples, _loop_integrals,
+                              apply_plan, build_plan, candidate_pairs, remap)
 from curveremap.experiments import sin_field, cone_field
+
+from reference_integrate import Poly2
 
 
 def test_identity_self_remap_reproduces_field():
@@ -105,6 +108,38 @@ def test_per_intersection_ab_agreement_monomials():
                                       lp.bjw))
                     worst = max(worst, abs(va - vb) / max(1.0, abs(va)))
     assert worst <= 1e-11
+
+
+def test_plan_kernels_integrate_monomials_exactly(unit_square):
+    # Approach A (_a_samples, then _loop_integrals of the x-antiderivative)
+    # and Approach B (quad_samples, then _loop_integrals) integrate each
+    # X^a Y^b, a + b <= 4, in the frame (cx, cy, h) = (0.5, 0.5, 0.5) over
+    # the unit square, where X = 2x - 1 and Y = 2y - 1 span [-1, 1]
+    frames = np.array([[0.5, 0.5, 0.5]])
+    [(ax, ay, awdy)] = _a_samples([unit_square], 4)
+    bp, bw = [], []
+    for tri in triangulate(unit_square):
+        rule = make_tri_rule(rule_degree_for(4, tri.degree))
+        pts, jw = tri.quad_samples(rule)
+        bp.append(pts)
+        bw.append(jw)
+    bx, by = np.vstack(bp).T
+    bw = np.concatenate(bw)
+    cell = np.array([0])
+    for a in range(5):
+        for b in range(5 - a):
+            coeffs = np.zeros((1, 5, 5))
+            coeffs[0, a, b] = 1.0
+            anti = np.zeros((1, 6, 5))
+            anti[0, a + 1, b] = 0.5 / (a + 1)  # h X^(a+1) / (a+1)
+            [va] = _loop_integrals(anti, frames, [(cell, np.array([len(ax)]),
+                                                   ax, ay, awdy)])
+            [vb] = _loop_integrals(coeffs, frames, [(cell, np.array([len(bx)]),
+                                                     bx, by, bw)])
+            exact = ((1 + (-1) ** a) / (2 * (a + 1))
+                     * (1 + (-1) ** b) / (2 * (b + 1)))
+            assert abs(va - exact) <= 1e-14, (a, b, va, exact)
+            assert abs(vb - exact) <= 1e-14, (a, b, vb, exact)
 
 
 def test_positivity_limited_remap_floor():

@@ -17,7 +17,7 @@ from .geometry import (Aabb, CurvedPolygon, CurveSpan, GeometryError,
 from .clipping import (ClipResult, ClipTopologyError, CurveIntersection,
                        intersect_curves, wa_clip)
 from .integrate import (CurvedTriangle, IntegrationError, TriangulationError,
-                        TriRule, make_tri_rule, triangulate)
+                        TriRule, ear_clip, make_tri_rule, triangulate)
 from .limiter import LimiterError, positivity_limit
 from .mesh import (Adjacency, CurvilinearMesh, Field, MeshError,
                    MeshParseError, boundary_loop, build_adjacency,

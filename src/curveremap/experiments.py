@@ -15,7 +15,7 @@ import numpy as np
 from .geometry import CurvedPolygon, CurveSpan, ParamCurve, span_gauss
 from .clipping import (wa_clip, _build_events, _label_events,
                        _raw_intersections)
-from .integrate import make_tri_rule, rule_degree_for, triangulate
+from .integrate import ear_clip, make_tri_rule, rule_degree_for
 from .mesh import (CurvilinearMesh, exact_cell_averages,
                    gen_deformed_square_mesh, gen_disk_mesh, rotate_mesh)
 from .reconstruct import _order_degree
@@ -334,7 +334,7 @@ def run_clipdemo_on(subject: CurvedPolygon, clip: CurvedPolygon) -> ClipDemoResu
     tris = []
     area_b = 0.0
     for lp in res.loops:
-        t = triangulate(lp)
+        t = ear_clip(lp)
         tris.extend(t)
         loop_b = 0.0
         for tri in t:

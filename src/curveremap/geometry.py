@@ -547,22 +547,28 @@ def by_degree(spans):
     return groups.items()
 
 
-def span_gauss(spans, npts: int):
-    """Samples of spans of one degree at the npts-point Gauss rule of
-    their windows: points and curve derivatives (k, npts, 2), the weights
-    (npts,) and the window lengths t1 - t0 (k,).
+def span_samples(spans, u: np.ndarray):
+    """Samples of spans of one degree at local parameters u (m,): points
+    and curve derivatives (k, m, 2) and the window lengths t1 - t0 (k,).
 
-    One stacked (npts, d+1) @ (d+1, 2) product per span, so every span's
+    One stacked (m, d+1) @ (d+1, 2) product per span, so every span's
     samples are bitwise those of curve.eval and curve.deriv on its own
     parameters.
     """
-    xi, w = gauss_rule_01(npts)
     win = np.array([(s.t0, s.t1 - s.t0) for s in spans])
     h = win[:, 1]
-    t = win[:, :1] + xi * win[:, 1:]
+    t = win[:, :1] + u * win[:, 1:]
     nodes = np.array([s.curve.nodes for s in spans])
     d = spans[0].degree
-    return _lagrange_basis(d, t) @ nodes, _lagrange_dbasis(d, t) @ nodes, w, h
+    return _lagrange_basis(d, t) @ nodes, _lagrange_dbasis(d, t) @ nodes, h
+
+
+def span_gauss(spans, npts: int):
+    """span_samples at the npts-point Gauss rule of the spans' windows,
+    with its weights (npts,): points, derivatives, weights, lengths."""
+    xi, w = gauss_rule_01(npts)
+    p, dp, h = span_samples(spans, xi)
+    return p, dp, w, h
 
 
 def fill_areas(polys) -> None:

@@ -1,12 +1,15 @@
-"""Approach B's geometry: curved triangles and their quadrature rules.
+"""Approach B's geometry: fans and curved triangles, and their rules.
 
 The remap integrates each clipped piece in two independent ways, both exact
 for polynomial integrands, which is what makes it conservative. Approach A
 is Green's-theorem contour quadrature; its samples and sums live in
 `remap._a_samples` and `remap._loop_integrals`. Approach B, built here,
-ear-clips each piece into isoparametrically mapped curved triangles and
-gives positive-weight rule samples on them (`CurvedTriangle.quad_samples`),
-which `remap._loop_integrals` sums as well.
+tiles each piece by a fan of curved triangles from its centroid and gives
+collapsed-coordinate Gauss samples on them (`triangulate`, all pieces of a
+plan at once). Where the fan's positivity is not certified, the piece is
+ear-clipped into isoparametrically mapped curved triangles with
+positive-weight rule samples on each (`ear_clip`,
+`CurvedTriangle.quad_samples`). `remap._loop_integrals` sums either.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .clipping import intersect_curves
-from .geometry import (SNAP_TOL, CurvedPolygon, CurveSpan,
-                       gauss_rule_01, real_roots_in_many, straight_span)
+from .geometry import (SNAP_TOL, CurvedPolygon, CurveSpan, by_degree,
+                       gauss_rule_01, real_roots_in_many, span_gauss,
+                       span_samples, straight_span)
 
 
 class IntegrationError(RuntimeError):
@@ -152,6 +156,17 @@ def _tri_monomials_grad(degree: int, xi, eta):
     return np.column_stack(dxi), np.column_stack(deta)
 
 
+def _map_degree(spans) -> int:
+    """Degree of the isoparametric map of a triangle on these spans: the
+    highest span degree, with a floor of 2."""
+    d = max(2, max(s.degree for s in spans))
+    if d > 3:
+        raise IntegrationError(
+            f"isoparametric triangle maps implemented for degree <= 3, "
+            f"not {d}")
+    return d
+
+
 class CurvedTriangle:
     """Curved triangle with an isoparametric polynomial map from T0.
 
@@ -167,10 +182,7 @@ class CurvedTriangle:
         spans = tuple(spans)
         if len(spans) != 3:
             raise IntegrationError("curved triangle needs exactly 3 spans")
-        d = max(2, max(s.degree for s in spans))
-        if d > 3:
-            raise IntegrationError(
-                "isoparametric triangle maps implemented for degree <= 3")
+        d = _map_degree(spans)
         self.spans = spans
         self.degree = d
         self.nodes = self._control_net(spans, d)
@@ -212,6 +224,94 @@ class CurvedTriangle:
 
     def min_jacobian_probe(self) -> float:
         return float(self._det(*_probe_grads(self.degree)).min())
+
+
+# --------------------------------------------------------------------------
+# fan rule: one curved triangle per span from an apex inside the loop
+
+# a fan is certified when every Bernstein coefficient of every span's g
+# exceeds this share of the largest coefficient magnitude of its loop
+FAN_MARGIN = 1e-12
+
+
+@lru_cache(maxsize=None)
+def _bernstein_nodes(degree: int):
+    """Nodes u_j = j / degree and the matrix that maps the values there of
+    a polynomial of that degree to its Bernstein coefficients on [0, 1]."""
+    u = np.linspace(0.0, 1.0, degree + 1)
+    k = np.arange(degree + 1)
+    comb = np.array([math.comb(degree, j) for j in k], float)
+    vals = comb * u[:, None] ** k * (1.0 - u[:, None]) ** (degree - k)
+    return u, np.linalg.inv(vals)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def triangulate(polys: list[CurvedPolygon], k_max: int) -> list:
+    """Fan-rule samples of each loop: (points (m, 2), weights (m,)), or
+    None where the fan is not certified.
+
+    The fan's apex c is the loop's area centroid. Each span S(u), u in
+    [0, 1], spans the curved triangle X(r, u) = c + r (S(u) - c), whose
+    Jacobian is r g(u) with g = (S - c) x S', a polynomial of degree
+    2d - 1 (Duffy's collapsed coordinates). Gauss-Legendre points,
+    ceil((k + 2) / 2) in r and ceil((k + 2) d / 2) in u, integrate
+    degree-k polynomials exactly over the sum of a closed loop's fan
+    triangles, which is the loop, whatever the sign of g. A fan is certified when
+    every Bernstein coefficient of every span's g is positive, by
+    FAN_MARGIN of the loop's largest: then every weight is positive and
+    the loop is star-shaped from c, so every point lies inside it.
+
+    All loops go through together, one stacked pass per span degree for
+    the centroids, the samples and the certificates.
+    """
+    if not polys:
+        return []
+    spans = [s for p in polys for s in p.spans]
+    counts = [len(p.spans) for p in polys]
+    first = np.cumsum([0] + counts[:-1])
+    owner = np.repeat(np.arange(len(polys)), counts)
+    # contour moments of x dy: the area and the first moments
+    mom = np.empty((len(spans), 3))
+    for d, ids in by_degree(spans):
+        p, dp, w, h = span_gauss([spans[i] for i in ids],
+                                 math.ceil(3 * d / 2))
+        x, y = p[..., 0], p[..., 1]
+        wdy = dp[..., 1] * w * h[:, None]
+        mom[ids] = (np.stack([x, 0.5 * x * x, x * y], axis=-1)
+                    * wdy[..., None]).sum(axis=1)
+    mom = np.add.reduceat(mom, first)
+    apex = mom[:, 1:] / mom[:, :1]
+
+    n_r = math.ceil((k_max + 2) / 2)
+    r, wr = gauss_rule_01(n_r)
+    n_u = [math.ceil((k_max + 2) * s.degree / 2) for s in spans]
+    start = np.cumsum([0] + [n_r * n for n in n_u])
+    pts, jw = np.empty((start[-1], 2)), np.empty(start[-1])
+    low, top = np.empty(len(spans)), np.empty(len(spans))
+    for d, ids in by_degree(spans):
+        group = [spans[i] for i in ids]
+        c = apex[owner[ids]][:, None, :]
+        n = n_u[ids[0]]
+        p, dp, w, h = span_gauss(group, n)
+        rel = p - c
+        g = _cross(rel, dp) * h[:, None]
+        at = start[ids][:, None] + np.arange(n * n_r)
+        pts[at] = (c[:, :, None, :] + r[:, None] * rel[:, :, None, :]).reshape(
+            len(ids), -1, 2)
+        jw[at] = ((w * g)[:, :, None] * (wr * r)).reshape(len(ids), -1)
+        u, to_bernstein = _bernstein_nodes(2 * d - 1)
+        pb, dpb, hb = span_samples(group, u)
+        bern = (_cross(pb - c, dpb) * hb[:, None]) @ to_bernstein.T
+        low[ids] = bern.min(axis=1)
+        top[ids] = np.abs(bern).max(axis=1)
+    ok = (np.minimum.reduceat(low, first)
+          > FAN_MARGIN * np.maximum.reduceat(top, first))
+    cut = start[first[1:]]
+    return [(p, w) if good else None for p, w, good in
+            zip(np.split(pts, cut), np.split(jw, cut), ok.tolist())]
 
 
 # --------------------------------------------------------------------------
@@ -506,7 +606,7 @@ def _split_quad(poly: CurvedPolygon) -> list[CurvedTriangle] | None:
     return None
 
 
-def triangulate(poly: CurvedPolygon) -> list[CurvedTriangle]:
+def ear_clip(poly: CurvedPolygon) -> list[CurvedTriangle]:
     """Tile a curved polygon with curved triangles by ear clipping.
 
     Interior edges are straight chords; boundary edges carry the original
@@ -514,8 +614,10 @@ def triangulate(poly: CurvedPolygon) -> list[CurvedTriangle]:
     splittable along a diagonal) take a fast path; otherwise nodes are
     seeded at span endpoints plus one midpoint per curved span, and when no
     valid ear exists every span is bisected and the pass restarts, up to 8
-    refinement rounds.
+    refinement rounds. A span degree that no triangle map supports raises
+    at once: no subdivision lowers it.
     """
+    _map_degree(poly.spans)
     single = _single_triangle(poly.spans)
     if single is not None:
         return [single]

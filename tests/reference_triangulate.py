@@ -1,6 +1,6 @@
 """Ear-clipping triangulation, kept as the reference for the package's one.
 
-This is the triangulation that `curveremap.integrate.triangulate` computes
+This is the triangulation that `curveremap.integrate.ear_clip` computes
 with plain-float chord tests and cached reference matrices: every chord
 test calls `intersect_curves` once per piece, the containment samples of
 every piece are evaluated again for every candidate ear, and every curved

@@ -7,7 +7,7 @@ from curveremap.clipping import wa_clip
 from curveremap.geometry import CurvedPolygon, CurveSpan, ParamCurve, \
     polygon_from_points, straight_span
 from curveremap.integrate import (CurvedTriangle, IntegrationError,
-                                  make_tri_rule, rule_degree_for, triangulate)
+                                  ear_clip, make_tri_rule, rule_degree_for)
 from curveremap.experiments import (REFERENCE_AREA, _centroid,
                                     accuracy_meshes, run_clipdemo)
 from curveremap.mesh import gen_disk_mesh
@@ -40,7 +40,7 @@ def test_worked_example_areas_both_ways(quad_pair):
                - 0.723453730359014) <= 1e-13
     area_b = 0.0
     for lp in res.loops:
-        for tri in triangulate(lp):
+        for tri in ear_clip(lp):
             rule = make_tri_rule(rule_degree_for(0, tri.degree))
             area_b += tri_integral(Poly2.constant(1.0), tri, rule)
     assert abs(area_b - REFERENCE_AREA) <= 1e-13
@@ -69,7 +69,7 @@ def test_tri_rule_table():
 
 
 def test_triangulate_straight_square(unit_square):
-    tris = triangulate(unit_square)
+    tris = ear_clip(unit_square)
     assert len(tris) == 2
     areas = sorted(CurvedPolygon(t.spans).signed_area() for t in tris)
     assert np.allclose(areas, [0.5, 0.5], atol=1e-14)
@@ -81,13 +81,13 @@ def test_convex_curved_triangle_returned_whole():
              CurveSpan(ParamCurve([(0, 1), (-0.08, 0.5), (0, 0)]))]
     poly = CurvedPolygon(spans)
     poly.validate()
-    tris = triangulate(poly)
+    tris = ear_clip(poly)
     assert len(tris) == 1
 
 
 def test_tri_integral_reference_triangle():
     ref = polygon_from_points([(0, 0), (1, 0), (0, 1)])
-    tri = triangulate(ref)[0]
+    tri = ear_clip(ref)[0]
     assert abs(tri_integral(Poly2.constant(1.0), tri, make_tri_rule(2))
                - 0.5) <= 1e-15
     assert abs(tri_integral(Poly2.monomial(1, 0), tri, make_tri_rule(4))
@@ -96,7 +96,7 @@ def test_tri_integral_reference_triangle():
 
 def test_tri_integral_rejects_weak_rule():
     ref = polygon_from_points([(0, 0), (1, 0), (0, 1)])
-    tri = triangulate(ref)[0]
+    tri = ear_clip(ref)[0]
     with pytest.raises(IntegrationError):
         tri_integral(Poly2.monomial(2, 2), tri, make_tri_rule(1))
 
@@ -106,7 +106,7 @@ def test_cross_method_on_curved_triangle(quad_pair):
     res = wa_clip(qp, qq)
     f = Poly2.monomial(2, 1)
     for lp in res.loops:
-        for tri in triangulate(lp)[:3]:
+        for tri in ear_clip(lp)[:3]:
             poly = CurvedPolygon(tri.spans)
             a = green_integral(f, poly)
             rule = make_tri_rule(rule_degree_for(3, tri.degree))
@@ -126,13 +126,13 @@ def test_green_integral_cell_basics(quad_pair, unit_square):
     f = Poly2.monomial(0, 2)
     a = green_integral(f, qp)
     b = sum(tri_integral(f, tri, make_tri_rule(rule_degree_for(2, tri.degree)))
-            for tri in triangulate(qp))
+            for tri in ear_clip(qp))
     assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
 def test_additivity_over_triangulation():
     for poly in sample_curved_quads(41, 6):
-        tris = triangulate(poly)
+        tris = ear_clip(poly)
         for (a, b) in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
                        (3, 1), (2, 2), (4, 0)):
             f = Poly2.monomial(a, b)
@@ -172,7 +172,7 @@ def test_clipdemo_areas_match_per_polygon_integrals(degree):
     for lp in res.loops:
         assert _centroid(lp) == green_centroid(lp)
         area_b += sum(tri_integral(one, tri, make_tri_rule(
-            rule_degree_for(0, tri.degree))) for tri in triangulate(lp))
+            rule_degree_for(0, tri.degree))) for tri in ear_clip(lp))
     assert res.area_a == sum(green_integral(one, lp) for lp in res.loops)
     assert res.area_b == area_b
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from curveremap.clipping import wa_clip
-from curveremap.integrate import (TriangulationError, make_tri_rule,
-                                  rule_degree_for, triangulate)
+from curveremap.integrate import (TriangulationError, ear_clip,
+                                  make_tri_rule, rule_degree_for)
 from curveremap.mesh import (CurvilinearMesh, Field, exact_cell_averages,
                              gen_deformed_square_mesh)
 from curveremap.remap import (RemapRequest, _a_samples, _loop_integrals,
@@ -118,7 +118,7 @@ def test_plan_kernels_integrate_monomials_exactly(unit_square):
     frames = np.array([[0.5, 0.5, 0.5]])
     [(ax, ay, awdy)] = _a_samples([unit_square], 4)
     bp, bw = [], []
-    for tri in triangulate(unit_square):
+    for tri in ear_clip(unit_square):
         rule = make_tri_rule(rule_degree_for(4, tri.degree))
         pts, jw = tri.quad_samples(rule)
         bp.append(pts)
@@ -281,11 +281,17 @@ def test_triangulation_failure_keeps_its_type_and_names_the_pair(monkeypatch):
     def fail(poly):
         raise TriangulationError("no ear")
 
-    monkeypatch.setattr(remap_module, "triangulate", fail)
+    # the fan declines every loop, so each goes to the ear clipper
+    monkeypatch.setattr(remap_module, "triangulate",
+                        lambda polys, k_max: [None] * len(polys))
+    monkeypatch.setattr(remap_module, "ear_clip", fail)
     m = gen_deformed_square_mesh(2, "identity", degree=2)
     with pytest.raises(TriangulationError,
-                       match=r"source cell \d+ vs target cell \d+: no ear"):
+                       match=r"source cell \d+ vs target cell \d+: no ear"
+                       ) as info:
         build_plan(m, m, k_max=2, with_tris=True)
+    assert isinstance(info.value.__cause__, TriangulationError)
+    assert str(info.value.__cause__) == "no ear"
 
 
 def test_traced_benchmark_finds_every_name_it_wraps(monkeypatch):
@@ -337,7 +343,7 @@ def _sliver_pair(angle):
 
 
 @pytest.mark.xfail(strict=True, raises=TriangulationError,
-                   reason="FOUND in CHANGES.md: integrate.triangulate "
+                   reason="FOUND in CHANGES.md: integrate.ear_clip "
                           "escalates its ear pass on sliver loops")
 def test_sliver_plan_with_triangles():
     src, tgt = _sliver_pair(1e-9)

@@ -14,7 +14,7 @@ import pytest
 
 from curveremap.experiments import accuracy_meshes, demo_quads
 from curveremap.geometry import polygon_from_points
-from curveremap.integrate import triangulate
+from curveremap.integrate import ear_clip
 from curveremap.clipping import wa_clip
 from curveremap.mesh import gen_disk_mesh, rotate_mesh
 from curveremap.remap import build_plan
@@ -47,7 +47,7 @@ def test_same_triangles_as_reference(name):
     loops = _loops(name)
     assert loops
     for k, poly in enumerate(loops):
-        got = triangulate(poly)
+        got = ear_clip(poly)
         ref = reference_triangulate(poly)
         assert len(got) == len(ref), (name, k)
         diag = poly.bbox().diag

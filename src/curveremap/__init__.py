@@ -16,8 +16,7 @@ from .geometry import (Aabb, CurvedPolygon, CurveSpan, GeometryError,
                        ParamCurve, polygon_from_points, straight_span)
 from .clipping import (ClipResult, ClipTopologyError, CurveIntersection,
                        intersect_curves, wa_clip)
-from .integrate import (CurvedTriangle, IntegrationError, TriangulationError,
-                        TriRule, ear_clip, make_tri_rule, triangulate)
+from .integrate import IntegrationError, TriangulationError, triangulate
 from .limiter import LimiterError, positivity_limit
 from .mesh import (Adjacency, CurvilinearMesh, Field, MeshError,
                    MeshParseError, boundary_loop, build_adjacency,

@@ -12,10 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CurvedPolygon, CurveSpan, ParamCurve, span_gauss
+from .geometry import (CurvedPolygon, CurveSpan, ParamCurve, span_gauss,
+                       straight_span)
 from .clipping import (wa_clip, _build_events, _label_events,
                        _raw_intersections)
-from .integrate import ear_clip, make_tri_rule, rule_degree_for
+from .integrate import triangulate
 from .mesh import (CurvilinearMesh, exact_cell_averages,
                    gen_deformed_square_mesh, gen_disk_mesh, rotate_mesh)
 from .reconstruct import _order_degree
@@ -306,7 +307,7 @@ class ClipDemoResult:
     area_b: float
     subject: CurvedPolygon
     clip: CurvedPolygon
-    triangles: list
+    triangles: list       # fan triangles (apex, span, apex) as polygons
 
     def table_text(self) -> str:
         lines = ["intersection points (x, y, type):"]
@@ -331,18 +332,14 @@ def run_clipdemo_on(subject: CurvedPolygon, clip: CurvedPolygon) -> ClipDemoResu
     points = [(e.point[0], e.point[1], e.kind) for e in events]
     res = wa_clip(subject, clip, raw=raw)
     area_a = sum(_contour_integral(lp, lambda x, y: x, 0) for lp in res.loops)
-    tris = []
     area_b = 0.0
-    for lp in res.loops:
-        t = ear_clip(lp)
-        tris.extend(t)
-        loop_b = 0.0
-        for tri in t:
-            rule = make_tri_rule(rule_degree_for(0, tri.degree))
-            jw = tri.quad_samples(rule)[1]
-            # a dot product: jw.sum() adds in another order
-            loop_b += float(np.dot(np.ones(len(jw)), jw))
-        area_b += loop_b
+    tris = []
+    for _, jw, fans in triangulate(res.loops, 0):
+        # a dot product: jw.sum() adds in another order
+        area_b += float(np.dot(np.ones(len(jw)), jw))
+        tris += [CurvedPolygon([straight_span(c, s.start), s,
+                                straight_span(s.end, c)])
+                 for piece, c in fans for s in piece.spans]
     return ClipDemoResult(points, res.loops, area_a, area_b, subject, clip, tris)
 
 

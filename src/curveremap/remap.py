@@ -23,8 +23,7 @@ from .clipping import (DEDUP_PARAM, ClipTopologyError, CurveIntersection,
                        transversal, wa_clip)
 from .geometry import (SNAP_TOL, CurvedPolygon, GeometryError, _lagrange_basis,
                        _lagrange_dbasis, by_degree, eval_rows, span_gauss)
-from .integrate import (IntegrationError, ear_clip, make_tri_rule,
-                        rule_degree_for, triangulate)
+from .integrate import TriangulationError, triangulate
 from .limiter import POSITIVITY_FLOOR, positivity_limit
 from .mesh import CurvilinearMesh, Field
 from .reconstruct import _order_degree, weno_reconstruct
@@ -59,7 +58,7 @@ class RemapReport:
     max_ab_gap: float
     n_candidates: int
     n_pairs: int
-    ear_clipped: int
+    split_loops: int
     timings: dict[str, float]
     warnings: list[str] = field(default_factory=list)
 
@@ -72,7 +71,7 @@ class RemapReport:
             f"max_ab_gap={self.max_ab_gap:.17g}",
             f"candidate_pairs={self.n_candidates}",
             f"clipped_pairs={self.n_pairs}",
-            f"ear_clipped_loops={self.ear_clipped}",
+            f"split_loops={self.split_loops}",
         ]
         lines += [f"time_{k}={v:.6f}" for k, v in sorted(self.timings.items())]
         lines += [f"warning={w}" for w in self.warnings]
@@ -263,7 +262,7 @@ class RemapPlan:
     n_candidates: int
     timings: dict[str, float]
     warnings: list[str]
-    ear_clipped: int  # loops whose fan was not certified
+    split_loops: int  # loops whose own fan was not certified
 
     @property
     def n_pairs(self) -> int:
@@ -299,7 +298,7 @@ def build_plan(source: CurvilinearMesh, target: CurvilinearMesh,
     k_max bounds the polynomial degree later integrations may use;
     with_tris additionally gives every piece Approach B samples (needed
     for Approach B and for the positivity limiter's quadrature points):
-    those of its certified fan (triangulate), else of its ear clipping.
+    those of the certified fans of it or of its pieces (triangulate).
     """
     warnings: list[str] = []
     timings: dict[str, float] = {}
@@ -352,46 +351,31 @@ def build_plan(source: CurvilinearMesh, target: CurvilinearMesh,
     polys = [lp for _, _, loops in clipped for lp in loops]
     samples = _a_samples(polys, k_max)
     s0 = time.monotonic()
-    fans = iter(triangulate(polys, k_max) if with_tris else ())
+    try:
+        fans = iter(triangulate(polys, k_max) if with_tris else ())
+    except TriangulationError as exc:
+        owners = [(ci, ct) for ci, ct, loops in clipped for _ in loops]
+        ci, ct = owners[exc.loop]
+        raise TriangulationError(
+            f"triangulation failed for source cell {ci} vs target cell {ct}: "
+            f"{exc}") from exc
     t_tri = time.monotonic() - s0
-    ear_clipped = 0
+    split_loops = 0
     per_target: list[list[_PairGeom]] = [[] for _ in range(target.n_cells)]
     for (ci, ct, loops) in clipped:
         geoms = []
         for lp, (ax, ay, awdy) in zip(loops, samples):
             geom = _LoopGeom(lp, lp.signed_area(), ax, ay, awdy)
             if with_tris:
-                fan = next(fans)
-                if fan is None:
-                    s0 = time.monotonic()
-                    fan = _ear_samples(lp, k_max, ci, ct)
-                    ear_clipped += 1
-                    t_tri += time.monotonic() - s0
-                geom.bpts, geom.bjw = fan
+                geom.bpts, geom.bjw, pieces = next(fans)
+                split_loops += len(pieces) > 1
             geoms.append(geom)
         per_target[ct].append(_PairGeom(ci, geoms))
     timings["clip"] = time.monotonic() - t0 - t_tri
     if with_tris:
         timings["triangulate"] = t_tri
     return RemapPlan(source, target, per_target, k_max, with_tris,
-                     len(pairs), timings, warnings, ear_clipped)
-
-
-def _ear_samples(poly: CurvedPolygon, k_max: int, ci: int, ct: int):
-    """Approach B samples of a loop whose fan is not certified: rule
-    samples on the curved triangles of its ear clipping."""
-    bp, bw = [], []
-    try:
-        for tri in ear_clip(poly):
-            rule = make_tri_rule(rule_degree_for(k_max, tri.degree))
-            pts, jw = tri.quad_samples(rule)
-            bp.append(pts)
-            bw.append(jw)
-    except IntegrationError as exc:
-        raise type(exc)(
-            f"triangulation failed for source cell {ci} vs "
-            f"target cell {ct}: {exc}") from exc
-    return np.vstack(bp), np.concatenate(bw)
+                     len(pairs), timings, warnings, split_loops)
 
 
 def apply_plan(plan: RemapPlan, averages, order: int = 3,
@@ -471,7 +455,7 @@ def apply_plan(plan: RemapPlan, averages, order: int = 3,
     e_cons = abs(total_out - total_in)
     return RemapReport(Field(out, target), e_area, e_cons,
                        float(out.min()), max_gap, plan.n_candidates,
-                       plan.n_pairs, plan.ear_clipped, timings, warnings)
+                       plan.n_pairs, plan.split_loops, timings, warnings)
 
 
 def _gather(loops: list, src: np.ndarray, samples):

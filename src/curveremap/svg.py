@@ -51,7 +51,6 @@ def render_clip_svg(subject, clip, loops) -> str:
 
 
 def render_triangulation_svg(loops, triangles) -> str:
-    from .geometry import CurvedPolygon
-    tri_polys = [CurvedPolygon(t.spans) for t in triangles]
+    """Clipped loops blue, the fan triangles that tile them green."""
     return render_svg([(loops, "blue", "none"),
-                       (tri_polys, "green", "none")])
+                       (triangles, "green", "none")])

@@ -2,10 +2,9 @@
 
 `Poly2` is one bivariate polynomial in a cell's centered and scaled frame.
 `green_integral` integrates one over one curved polygon by Green's theorem
-(Approach A), `tri_integral` over one curved triangle by a positive-weight
-rule (Approach B), and `smoothness` sums the scaled squared-derivative
+(Approach A), and `smoothness` sums the scaled squared-derivative
 integrals of one polynomial over one cell. The package integrates in
-arrays instead (`remap._a_samples`, `CurvedTriangle.quad_samples` and
+arrays instead (`remap._a_samples`, `integrate.triangulate` and
 `remap._loop_integrals`; `reconstruct._quadratic_form` for the
 indicators), and tests compare those against these functions.
 
@@ -23,8 +22,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from curveremap.geometry import CurvedPolygon, span_gauss
-from curveremap.integrate import (CurvedTriangle, IntegrationError, TriRule,
-                                  rule_degree_for)
 from curveremap.mesh import CurvilinearMesh
 from curveremap.reconstruct import _fit, _geometry
 
@@ -145,19 +142,6 @@ def green_integral(f: Poly2, boundary: CurvedPolygon) -> float:
         [p], [dp], w, [h] = span_gauss([span], n)
         total += float(np.dot(f2.eval(p[:, 0], p[:, 1]), dp[:, 1] * w * h))
     return total
-
-
-
-def tri_integral(f: Poly2, tri: CurvedTriangle, rule: TriRule) -> float:
-    """Quadrature sum over a curved triangle: sum w_m f(F(p_m)) J(p_m)."""
-    need = rule_degree_for(f.degree, tri.degree)
-    if rule.degree < need:
-        raise IntegrationError(
-            f"rule degree {rule.degree} insufficient for integrand degree "
-            f"{f.degree} on a degree-{tri.degree} map (need {need})")
-    pts, jw = tri.quad_samples(rule)
-    return float(np.dot(f.eval(pts[:, 0], pts[:, 1]), jw))
-
 
 
 def constrained_lsq_fit(mesh: CurvilinearMesh, averages: np.ndarray, i: int,

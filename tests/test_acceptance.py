@@ -8,7 +8,7 @@ import pytest
 
 from curveremap.clipping import wa_clip
 from curveremap.geometry import polygon_from_points
-from curveremap.integrate import make_tri_rule
+from curveremap.integrate import triangulate
 from curveremap.limiter import positivity_limit
 from curveremap.mesh import exact_cell_averages, gen_deformed_square_mesh
 from curveremap.reconstruct import build_stencil, weno_reconstruct
@@ -152,15 +152,17 @@ def test_criterion_7_solid_body_rotation():
 
 def test_criterion_8_property_suites():
     rng = np.random.default_rng(2024)
-    # quadrature monomial exactness, randomized
+    # quadrature monomial exactness, randomized: triangulate's samples of
+    # the reference triangle at a random degree
+    ref = polygon_from_points([(0, 0), (1, 0), (0, 1)])
     cases = 0
     for _ in range(60):
         deg = int(rng.integers(1, 13))
-        rule = make_tri_rule(deg)
-        a = int(rng.integers(0, rule.degree + 1))
-        b = int(rng.integers(0, rule.degree + 1 - a))
-        got = float(np.dot(rule.points[:, 0] ** a * rule.points[:, 1] ** b,
-                           rule.weights))
+        [(pts, jw, _)] = triangulate([ref], deg)
+        assert np.all(jw > 0.0)
+        a = int(rng.integers(0, deg + 1))
+        b = int(rng.integers(0, deg + 1 - a))
+        got = float(np.dot(pts[:, 0] ** a * pts[:, 1] ** b, jw))
         exact = math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
         assert abs(got - exact) <= 1e-14 * max(exact, 1e-3)
         cases += 1

@@ -17,12 +17,12 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 CLIPDEMO_SVG_SHA256 = {
     2: {"clipdemo.svg": "4928a221106b8de73f77b937c57239199b5d282559031fc4"
                         "208231d3260fef4c",
-        "clipdemo_triangulation.svg": "a40c64d69c65e03512f50beb2e6b56567e5c"
-                                      "c9d5c698e1832587a5fe3bc1ff95"},
+        "clipdemo_triangulation.svg": "63276320f1641d52d06d132d9dd64fc02bf4"
+                                      "5738db60d24ba40180e8c40c10eb"},
     3: {"clipdemo.svg": "8bed9428f645ec3fee07738a0cfb7594d59f4cd69b622d5e"
                         "0ea04b36cba73b5b",
-        "clipdemo_triangulation.svg": "1b7c4ea6af276b9d7109df297283116875d7"
-                                      "58d4c699a6979aba8a4f4255abd5"},
+        "clipdemo_triangulation.svg": "24826fdcd9dc62cfc45ca5f58c71017c39bc"
+                                      "671490e447eae5009de45fe0c647"},
 }
 
 

@@ -1,10 +1,11 @@
-"""The fan rule of Approach B (`integrate.triangulate`) and its fallback.
+"""The fan rule of Approach B (`integrate.triangulate`) and its splits.
 
 Each clipped loop gets one curved triangle per span from its area
 centroid. Its samples integrate degree-k polynomials exactly whether or
 not the fan is certified; a certified fan has positive weights and points
-inside the loop, and a loop whose fan is not certified goes to the ear
-clipper, which `RemapPlan.ear_clipped` counts.
+inside the loop. A loop whose own fan is not certified is cut in halves by
+the exact clipper until every piece's fan is, which
+`RemapPlan.split_loops` counts.
 """
 
 import importlib
@@ -13,15 +14,15 @@ import math
 import numpy as np
 import pytest
 
-from curveremap.experiments import _centroid, accuracy_meshes
-from curveremap.integrate import IntegrationError, triangulate
-from curveremap.mesh import gen_disk_mesh, rotate_mesh
+from curveremap.clipping import wa_clip
+from curveremap.experiments import _centroid, accuracy_meshes, cylinder_field
+from curveremap.integrate import _fans, triangulate
+from curveremap.mesh import exact_cell_averages, gen_disk_mesh, rotate_mesh
 from curveremap.remap import _a_samples, _loop_integrals, apply_plan, \
     build_plan
 
 # the package attribute curveremap.remap is the function
 remap_module = importlib.import_module("curveremap.remap")
-integrate_module = importlib.import_module("curveremap.integrate")
 
 
 def _cells(name, degree):
@@ -47,16 +48,16 @@ def test_fan_integrates_monomials_as_approach_a(name, degree, k):
     # which needs no triangle map and so serves degrees 4 and 5
     polys = _cells(name, degree)
     fans = triangulate(polys, k)
-    assert all(f is not None for f in fans)
+    assert all(len(pieces) == 1 for _, _, pieces in fans)
     boxes = [p.bbox() for p in polys]
     frames = np.array([[0.5 * (b.xmin + b.xmax), 0.5 * (b.ymin + b.ymax),
                         0.5 * b.diag] for b in boxes])
     cells = np.arange(len(polys))
     a_cols = [np.concatenate(c) for c in zip(*_a_samples(polys, k))]
     a_counts = np.array([len(x) for x, _, _ in _a_samples(polys, k)])
-    b_counts = np.array([len(w) for _, w in fans])
-    bx, by = np.vstack([p for p, _ in fans]).T
-    bw = np.concatenate([w for _, w in fans])
+    b_counts = np.array([len(w) for _, w, _ in fans])
+    bx, by = np.vstack([p for p, _, _ in fans]).T
+    bw = np.concatenate([w for _, w, _ in fans])
     area = np.array([p.signed_area() for p in polys])
     for a in range(k + 1):
         for b in range(k + 1 - a):
@@ -76,29 +77,27 @@ def test_fan_integrates_monomials_as_approach_a(name, degree, k):
 def test_certified_fans_have_positive_weights_and_inner_points(case):
     if case == "rotation_n8":
         base = gen_disk_mesh(8)
-        src, tgt, clipped = base, rotate_mesh(base, math.pi / 4.0), 0
+        src, tgt, split = base, rotate_mesh(base, math.pi / 4.0), 0
     else:
-        (src, tgt), clipped = accuracy_meshes(8, degree=3), 7
+        (src, tgt), split = accuracy_meshes(8, degree=3), 7
     plan = build_plan(src, tgt, k_max=2)
     loops = _plan_loops(plan)
     fans = triangulate([lp.poly for _, _, lp in loops], 2)
-    assert sum(f is None for f in fans) == clipped
-    for (ci, ct, lp), fan in zip(loops, fans):
-        if fan is None:
-            continue
-        pts, jw = fan
+    assert len(fans) == len(loops)
+    assert sum(len(pieces) > 1 for _, _, pieces in fans) == split
+    for (ci, ct, lp), (pts, jw, pieces) in zip(loops, fans):
         assert np.all(jw > 0.0), (ci, ct)
         # the contour area sums x dy - y dx at coordinates of size up to 1,
-        # so both areas carry round-off of that size, not of the loop's
-        assert abs(jw.sum() - lp.area) <= 1e-15, (ci, ct)
+        # so both areas carry round-off of that size, not of the loop's;
+        # the cut segments of a split loop add their own
+        assert abs(jw.sum() - lp.area) <= 1e-15 * len(pieces), (ci, ct)
         for x, y in pts.tolist():
             assert lp.poly.locate(x, y) != "outside", (ci, ct, x, y)
-    # the plan with triangles counts the same declined loops and reports
-    # them
+    # the plan with triangles counts the same split loops and reports them
     plan = build_plan(src, tgt, k_max=2, with_tris=True)
-    assert plan.ear_clipped == clipped
+    assert plan.split_loops == split
     rep = apply_plan(plan, np.ones(src.n_cells), order=1, approach="B")
-    assert f"ear_clipped_loops={clipped}\n" in rep.to_text()
+    assert f"split_loops={split}\n" in rep.to_text()
 
 
 def test_crescent_fan_is_declined():
@@ -108,7 +107,24 @@ def test_crescent_fan_is_declined():
     plan = build_plan(src, tgt, k_max=2)
     [lp] = [lp for ci, ct, lp in _plan_loops(plan) if (ci, ct) == (27, 35)]
     assert lp.poly.locate(*_centroid(lp.poly)) == "outside"
-    assert triangulate([lp.poly], 2) == [None]
+    assert _fans([lp.poly], 2) == [None]
+    [(_, jw, pieces)] = triangulate([lp.poly], 2)
+    assert 1 < len(pieces) <= 5
+    assert abs(jw.sum() - lp.area) <= 1e-15 * len(pieces)
+
+
+def test_small_loop_far_from_the_origin_is_fanned_whole():
+    # source cell 211 vs target cell 177 of accuracy_meshes(32) clips to a
+    # loop of area 9.6e-12 at x = 0.6: moments in absolute coordinates
+    # put its apex 6e-7 off, its own width, and the fan was declined
+    src, tgt = accuracy_meshes(32)
+    [poly] = wa_clip(src.cell_polygon(211), tgt.cell_polygon(177)).loops
+    assert 9e-12 < poly.signed_area() < 1e-11
+    [fan] = _fans([poly], 2)
+    assert fan is not None
+    assert np.all(fan[1] > 0.0)
+    for x, y in fan[0].tolist():
+        assert poly.locate(x, y) != "outside"
 
 
 def test_one_triangulate_call_per_plan_with_triangles(monkeypatch):
@@ -128,17 +144,24 @@ def test_one_triangulate_call_per_plan_with_triangles(monkeypatch):
     assert calls == [len(_plan_loops(plan))]
 
 
-def test_ear_clip_fails_fast_on_a_degree_it_cannot_map(monkeypatch):
-    # the fan serves degree 4 but declines the thin loop of source cell
-    # 20 vs target cell 19; the ear clipper raises its triangle map's own
-    # error before any pass
-    def no_pass(pieces, scale):
-        raise AssertionError("ear pass called")
+@pytest.mark.parametrize("degree", [3, 4, 5])
+def test_plans_with_triangles_keep_a_constant_at_edge_degree(degree):
+    # the split needs no triangle map, so every edge degree plans
+    src, tgt = accuracy_meshes(8, degree=degree)
+    plan = build_plan(src, tgt, k_max=2, with_tris=True)
+    assert plan.split_loops > 0
+    rep = apply_plan(plan, np.full(src.n_cells, 2.5), order=3,
+                     approach="both")
+    assert np.abs(rep.field.averages - 2.5).max() <= 1e-12
+    assert rep.max_ab_gap <= 1e-14
 
-    monkeypatch.setattr(integrate_module, "_ear_pass", no_pass)
-    with pytest.raises(IntegrationError) as info:
-        build_plan(*accuracy_meshes(8, degree=4), k_max=2, with_tris=True)
-    msg = str(info.value)
-    assert "source cell 20 vs target cell 19" in msg
-    assert "degree <= 3, not 4" in msg
-    assert type(info.value.__cause__) is IntegrationError
+
+def test_order5_limiter_keeps_the_cubic_cylinder_positive():
+    # k_max 4 on cubic edges, which the triangle rules could not reach
+    src, tgt = accuracy_meshes(8, degree=3)
+    f = exact_cell_averages(src, cylinder_field, strict=False, max_levels=5)
+    plan = build_plan(src, tgt, k_max=4, with_tris=True)
+    rep = apply_plan(plan, f.averages, order=5, positivity=True,
+                     approach="both")
+    assert rep.min_average > 0.0
+    assert rep.e_cons <= 1e-15 * float(np.abs(f.averages) @ src.cell_areas())

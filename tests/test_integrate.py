@@ -1,19 +1,22 @@
-import math
-
 import numpy as np
 import pytest
 
 from curveremap.clipping import wa_clip
 from curveremap.geometry import CurvedPolygon, CurveSpan, ParamCurve, \
-    polygon_from_points, straight_span
-from curveremap.integrate import (CurvedTriangle, IntegrationError,
-                                  ear_clip, make_tri_rule, rule_degree_for)
+    straight_span
+from curveremap.integrate import _halves, triangulate
 from curveremap.experiments import (REFERENCE_AREA, _centroid,
                                     accuracy_meshes, run_clipdemo)
 from curveremap.mesh import gen_disk_mesh
 
 from conftest import sample_curved_quads
-from reference_integrate import Poly2, green_integral, tri_integral
+from reference_integrate import Poly2, green_integral
+
+
+def fan_integral(f: Poly2, poly: CurvedPolygon) -> float:
+    """Integral of f over poly by triangulate's samples."""
+    [(pts, jw, _)] = triangulate([poly], f.degree)
+    return float(np.dot(f.eval(pts[:, 0], pts[:, 1]), jw))
 
 
 def test_unit_square_monomials_exact(unit_square):
@@ -38,41 +41,23 @@ def test_worked_example_areas_both_ways(quad_pair):
     assert abs(area_a - REFERENCE_AREA) <= 1e-13
     assert abs(sum(lp.signed_area() for lp in res.loops)
                - 0.723453730359014) <= 1e-13
-    area_b = 0.0
-    for lp in res.loops:
-        for tri in ear_clip(lp):
-            rule = make_tri_rule(rule_degree_for(0, tri.degree))
-            area_b += tri_integral(Poly2.constant(1.0), tri, rule)
+    area_b = sum(fan_integral(Poly2.constant(1.0), lp) for lp in res.loops)
     assert abs(area_b - REFERENCE_AREA) <= 1e-13
     assert abs(area_a - area_b) <= 2e-14
 
 
-def test_tri_rule_table():
-    r1 = make_tri_rule(1)
-    assert len(r1.weights) == 1
-    assert np.allclose(r1.points[0], [1 / 3, 1 / 3])
-    assert r1.weights[0] == 0.5
-    for deg in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12):
-        rule = make_tri_rule(deg)
-        assert (rule.weights > 0).all()
-        assert abs(rule.weights.sum() - 0.5) <= 1e-15
-        assert rule.degree >= deg
-        for a in range(rule.degree + 1):
-            for b in range(rule.degree + 1 - a):
-                got = float(np.dot(rule.points[:, 0] ** a
-                                   * rule.points[:, 1] ** b, rule.weights))
-                exact = (math.factorial(a) * math.factorial(b)
-                         / math.factorial(a + b + 2))
-                assert abs(got - exact) <= 1e-14 * max(exact, 1e-3), (deg, a, b)
-    with pytest.raises(IntegrationError):
-        make_tri_rule(13)
-
-
 def test_triangulate_straight_square(unit_square):
-    tris = ear_clip(unit_square)
-    assert len(tris) == 2
-    areas = sorted(CurvedPolygon(t.spans).signed_area() for t in tris)
-    assert np.allclose(areas, [0.5, 0.5], atol=1e-14)
+    # one fan from the centre, four triangles of area 1/4
+    [(_, jw, fans)] = triangulate([unit_square], 2)
+    [(poly, apex)] = fans
+    assert poly is unit_square
+    assert np.allclose(apex, [0.5, 0.5], atol=1e-15)
+    assert np.all(jw > 0.0)
+    assert abs(jw.sum() - 1.0) <= 1e-15
+    areas = [CurvedPolygon([straight_span(apex, s.start), s,
+                            straight_span(s.end, apex)]).signed_area()
+             for s in unit_square.spans]
+    assert np.allclose(areas, 0.25, atol=1e-15)
 
 
 def test_convex_curved_triangle_returned_whole():
@@ -81,37 +66,19 @@ def test_convex_curved_triangle_returned_whole():
              CurveSpan(ParamCurve([(0, 1), (-0.08, 0.5), (0, 0)]))]
     poly = CurvedPolygon(spans)
     poly.validate()
-    tris = ear_clip(poly)
-    assert len(tris) == 1
+    [(_, jw, fans)] = triangulate([poly], 2)
+    assert len(fans) == 1
+    assert abs(jw.sum() - poly.signed_area()) <= 1e-15
 
 
-def test_tri_integral_reference_triangle():
-    ref = polygon_from_points([(0, 0), (1, 0), (0, 1)])
-    tri = ear_clip(ref)[0]
-    assert abs(tri_integral(Poly2.constant(1.0), tri, make_tri_rule(2))
-               - 0.5) <= 1e-15
-    assert abs(tri_integral(Poly2.monomial(1, 0), tri, make_tri_rule(4))
-               - 1 / 6) <= 1e-15
-
-
-def test_tri_integral_rejects_weak_rule():
-    ref = polygon_from_points([(0, 0), (1, 0), (0, 1)])
-    tri = ear_clip(ref)[0]
-    with pytest.raises(IntegrationError):
-        tri_integral(Poly2.monomial(2, 2), tri, make_tri_rule(1))
-
-
-def test_cross_method_on_curved_triangle(quad_pair):
-    qp, qq = quad_pair
-    res = wa_clip(qp, qq)
+def test_cross_method_on_curved_triangle():
+    # the fan triangles (apex, span, apex) of the clip demo's loops, each
+    # fanned again as a loop of its own
     f = Poly2.monomial(2, 1)
-    for lp in res.loops:
-        for tri in ear_clip(lp)[:3]:
-            poly = CurvedPolygon(tri.spans)
-            a = green_integral(f, poly)
-            rule = make_tri_rule(rule_degree_for(3, tri.degree))
-            b = tri_integral(f, tri, rule)
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+    for tri in run_clipdemo(2).triangles:
+        a = green_integral(f, tri)
+        b = fan_integral(f, tri)
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
 def test_green_integral_cell_basics(quad_pair, unit_square):
@@ -125,21 +92,20 @@ def test_green_integral_cell_basics(quad_pair, unit_square):
     qp, _ = quad_pair
     f = Poly2.monomial(0, 2)
     a = green_integral(f, qp)
-    b = sum(tri_integral(f, tri, make_tri_rule(rule_degree_for(2, tri.degree)))
-            for tri in ear_clip(qp))
+    b = fan_integral(f, qp)
     assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
 def test_additivity_over_triangulation():
+    # the halves of a cut tile the loop: their fans add up to its integral
     for poly in sample_curved_quads(41, 6):
-        tris = ear_clip(poly)
+        halves = _halves(poly)
+        assert len(halves) >= 2
         for (a, b) in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
                        (3, 1), (2, 2), (4, 0)):
             f = Poly2.monomial(a, b)
             whole = green_integral(f, poly)
-            parts = sum(tri_integral(
-                f, t, make_tri_rule(rule_degree_for(a + b, t.degree)))
-                for t in tris)
+            parts = sum(fan_integral(f, h) for h in halves)
             assert abs(whole - parts) <= 1e-11 * max(1.0, abs(whole))
 
 
@@ -163,16 +129,14 @@ def test_centroids_match_green_integral_bitwise(case):
 
 @pytest.mark.parametrize("degree", [2, 3])
 def test_clipdemo_areas_match_per_polygon_integrals(degree):
-    # area A as green_integral summed loop by loop, area B as tri_integral
-    # summed triangle by triangle within each loop, and the loops'
-    # centroids, bit for bit
+    # area A as green_integral summed loop by loop, area B as each loop's
+    # own triangulate weights summed, and the loops' centroids, bit for bit
     res = run_clipdemo(degree)
     one = Poly2.constant(1.0)
     area_b = 0.0
     for lp in res.loops:
         assert _centroid(lp) == green_centroid(lp)
-        area_b += sum(tri_integral(one, tri, make_tri_rule(
-            rule_degree_for(0, tri.degree))) for tri in ear_clip(lp))
+        area_b += fan_integral(one, lp)
     assert res.area_a == sum(green_integral(one, lp) for lp in res.loops)
     assert res.area_b == area_b
 

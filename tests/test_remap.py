@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from curveremap.clipping import wa_clip
-from curveremap.integrate import (TriangulationError, ear_clip,
-                                  make_tri_rule, rule_degree_for)
+from curveremap.integrate import TriangulationError, triangulate
 from curveremap.mesh import (CurvilinearMesh, Field, exact_cell_averages,
                              gen_deformed_square_mesh)
 from curveremap.remap import (RemapRequest, _a_samples, _loop_integrals,
@@ -112,19 +111,13 @@ def test_per_intersection_ab_agreement_monomials():
 
 def test_plan_kernels_integrate_monomials_exactly(unit_square):
     # Approach A (_a_samples, then _loop_integrals of the x-antiderivative)
-    # and Approach B (quad_samples, then _loop_integrals) integrate each
+    # and Approach B (triangulate, then _loop_integrals) integrate each
     # X^a Y^b, a + b <= 4, in the frame (cx, cy, h) = (0.5, 0.5, 0.5) over
     # the unit square, where X = 2x - 1 and Y = 2y - 1 span [-1, 1]
     frames = np.array([[0.5, 0.5, 0.5]])
     [(ax, ay, awdy)] = _a_samples([unit_square], 4)
-    bp, bw = [], []
-    for tri in ear_clip(unit_square):
-        rule = make_tri_rule(rule_degree_for(4, tri.degree))
-        pts, jw = tri.quad_samples(rule)
-        bp.append(pts)
-        bw.append(jw)
-    bx, by = np.vstack(bp).T
-    bw = np.concatenate(bw)
+    [(bp, bw, _)] = triangulate([unit_square], 4)
+    bx, by = bp.T
     cell = np.array([0])
     for a in range(5):
         for b in range(5 - a):
@@ -275,23 +268,18 @@ def test_degree3_plans_with_triangles_at_odd_sizes(n):
 
 def test_triangulation_failure_keeps_its_type_and_names_the_pair(monkeypatch):
     import importlib
-    # the package attribute curveremap.remap is the function
-    remap_module = importlib.import_module("curveremap.remap")
-
-    def fail(poly):
-        raise TriangulationError("no ear")
-
-    # the fan declines every loop, so each goes to the ear clipper
-    monkeypatch.setattr(remap_module, "triangulate",
-                        lambda polys, k_max: [None] * len(polys))
-    monkeypatch.setattr(remap_module, "ear_clip", fail)
+    integrate_module = importlib.import_module("curveremap.integrate")
+    # no fan is certified, so every loop is cut until the cap
+    monkeypatch.setattr(integrate_module, "FAN_MARGIN", 2.0)
+    monkeypatch.setattr(integrate_module, "MAX_SPLITS", 2)
     m = gen_deformed_square_mesh(2, "identity", degree=2)
     with pytest.raises(TriangulationError,
-                       match=r"source cell \d+ vs target cell \d+: no ear"
-                       ) as info:
+                       match=r"source cell 0 vs target cell 0: 4 pieces of "
+                             r"the loop have no certified fan after 2 "
+                             r"rounds of cuts") as info:
         build_plan(m, m, k_max=2, with_tris=True)
     assert isinstance(info.value.__cause__, TriangulationError)
-    assert str(info.value.__cause__) == "no ear"
+    assert info.value.__cause__.loop == 0
 
 
 def test_traced_benchmark_finds_every_name_it_wraps(monkeypatch):
@@ -343,8 +331,9 @@ def _sliver_pair(angle):
 
 
 @pytest.mark.xfail(strict=True, raises=TriangulationError,
-                   reason="FOUND in CHANGES.md: integrate.ear_clip "
-                          "escalates its ear pass on sliver loops")
+                   reason="FOUND in CHANGES.md: a sliver loop keeps a piece "
+                          "without a certified fan past the split cap, "
+                          "integrate.MAX_SPLITS")
 def test_sliver_plan_with_triangles():
     src, tgt = _sliver_pair(1e-9)
     try:
@@ -355,6 +344,21 @@ def test_sliver_plan_with_triangles():
     rep = apply_plan(plan, np.full(src.n_cells, 2.5), order=3,
                      positivity=True, approach="both")
     assert np.abs(rep.field.averages - 2.5).max() <= 1e-12
+
+
+def test_sliver_plan_with_triangles_at_1e_3_keeps_a_constant():
+    # 72 of the loops are split, most of them 4-span crescents whose
+    # centroid lies outside them
+    src, tgt = _sliver_pair(1e-3)
+    plan = build_plan(src, tgt, k_max=2, with_tris=True)
+    assert plan.split_loops > 0
+    rep = apply_plan(plan, np.full(src.n_cells, 2.5), order=3,
+                     positivity=True, approach="both")
+    cover = np.array([sum(lp.area for pg in per for lp in pg.loops)
+                      for per in plan.per_target])
+    covered = cover > 1e-14 * tgt.cell_areas()
+    assert covered.any()
+    assert np.abs(rep.field.averages[covered] - 2.5).max() <= 1e-12
 
 
 @pytest.mark.parametrize("angle", [

@@ -1,12 +1,14 @@
 """Weiler-Atherton clipping of curved polygons.
 
-Curve-curve intersections are located by one seeded Newton kernel,
-newton_roots, on the 2x2 parametric system x_a(t) = x_b(s),
-y_a(t) = y_b(s). It iterates a batch of span pairs at once, each with its
-own parameter window: the remap plan passes every candidate pair of whole
-mesh edges, intersect_curves a single span pair. A seed stops at an exact
-fixed point of its step, and once few seeds move only those are iterated,
-so the roots are those of running every seed to the end.
+Every curve-curve intersection comes from intersect_curves, over span
+pairs given as index arrays: the remap plan passes every candidate pair of
+whole mesh edges in one call, a single clip the span pairs of its two
+polygons. Curved pairs go to one seeded Newton kernel, newton_roots, on
+the 2x2 parametric system x_a(t) = x_b(s), y_a(t) = y_b(s), which iterates
+a batch of span pairs at once, each with its own parameter window. A seed
+stops at an exact fixed point of its step, and once few seeds move only
+those are iterated, so the roots are those of running every seed to the
+end.
 
 Entry/exit labels follow one rule, the sign of the cross product of the
 clip and subject tangents at a crossing (Weiler & Atherton 1977; Greiner &
@@ -26,8 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (SNAP_TOL, CurvedPolygon, CurveSpan, _poly_at,
-                       fill_areas, real_roots_in)
+from .geometry import (SNAP_TOL, CurvedPolygon, CurveSpan, _lagrange_basis,
+                       _lagrange_dbasis, _poly_at, eval_rows, fill_areas,
+                       real_roots_in)
 
 NEWTON_TOL = 1e-12     # accepted residual for curve-curve roots
 DEDUP_PARAM = 1e-8     # parameter radius separating distinct roots
@@ -54,13 +57,14 @@ class CurveIntersection:
     subject_span: int
     clip_span: int
     transversal: bool = True
-    kind: str | None = None   # 'entry' | 'exit' once labeled
 
 
 @dataclass
 class ClipResult:
     loops: list[CurvedPolygon] = field(default_factory=list)
     containment: str = "none"  # none | subject_in_clip | clip_in_subject
+    # the labelled crossings, sorted by subject boundary coordinate
+    crossings: list[_Event] = field(default_factory=list)
 
     @property
     def total_area(self) -> float:
@@ -225,30 +229,23 @@ def transversal(da, db) -> bool:
     return abs(_unit_cross(da, db)) > CROSS_TOL
 
 
-def curve_flip(na: np.ndarray, nb: np.ndarray, tol: float) -> bool | None:
-    """Whether node arrays na and nb trace the same curve within tol: False
-    in the same direction, True reversed, None if they are not one curve."""
-    if na.shape != nb.shape:
-        return None
-    if np.max(np.abs(na - nb)) <= tol:
-        return False
-    if np.max(np.abs(na - nb[::-1])) <= tol:
-        return True
-    return None
+def curve_flip(na: np.ndarray, nb: np.ndarray,
+               tol) -> tuple[np.ndarray, np.ndarray]:
+    """Whether the rows of stacked node arrays na and nb (P, d+1, 2) trace
+    the same curve within tol, a scalar or (P,): two (P,) masks, (same
+    direction, reversed). A row in neither is not one curve."""
+    same = np.abs(na - nb).max(axis=(1, 2)) <= tol
+    rev = ~same & (np.abs(na - nb[:, ::-1]).max(axis=(1, 2)) <= tol)
+    return same, rev
 
 
-def _same_curve_overlap(a: CurveSpan, b: CurveSpan):
-    """Overlap interval for spans on the same geometric curve, or None.
+def _same_curve_overlap(a: CurveSpan, b: CurveSpan, flip: bool):
+    """Overlap interval of spans on the same geometric curve, b reversed
+    against a when flip, or None.
 
     Returns ((u0, v0), (u1, v1)) local-parameter pairs of the overlap
-    endpoints. Detects identical curve objects and node-for-node equal
-    curves (in either orientation).
+    endpoints, or one pair where the spans share a single point.
     """
-    na, nb = a.curve.nodes, b.curve.nodes
-    flip = False if a.curve is b.curve else curve_flip(
-        na, nb, SNAP_TOL * max(1.0, float(np.max(np.abs(na)))))
-    if flip is None:
-        return None
     # express b's window in a's curve parameter
     bt0, bt1 = (1.0 - b.t0, 1.0 - b.t1) if flip else (b.t0, b.t1)
     lo_a, hi_a = min(a.t0, a.t1), max(a.t0, a.t1)
@@ -326,67 +323,145 @@ def _line_span_roots(line: CurveSpan, span: CurveSpan) -> list[tuple[float, floa
     return roots
 
 
-def intersect_curves(a: CurveSpan, b: CurveSpan) -> list[CurveIntersection]:
-    """All intersections of two spans (unlabeled).
+def _first_of_close(pair: np.ndarray, t: np.ndarray,
+                    s: np.ndarray) -> np.ndarray:
+    """Mask of the roots kept of seeds sorted by (pair, t, s): a seed is
+    kept unless it lies within DEDUP_PARAM in both t and s of a kept seed
+    of its pair.
 
-    Straight-vs-curved pairs use exact polynomial root isolation; the
-    general curved pair goes through newton_roots as a batch of one, with
-    roots deduplicated at parameter distance DEDUP_PARAM. Each root is marked
-    transversal when the unit tangents are not parallel. For overlapping
-    spans the two overlap endpoints are reported (the interior of an
-    overlap is a continuum, not isolated roots).
+    Runs in rounds: each keeps every pair's first remaining seed and drops
+    the remaining seeds of that pair close to it. A seed before the one
+    kept was dropped by an earlier kept seed, so this is the greedy rule.
     """
-    if not a.bbox().inflate(SNAP_TOL).overlaps(b.bbox().inflate(SNAP_TOL)):
-        return []
-    out: list[CurveIntersection] = []
-    overlap = _same_curve_overlap(a, b) or _collinear_overlap(a, b)
-    if overlap is not None:
-        for (u, v) in overlap:
-            p = a.point_at(u)
-            out.append(CurveIntersection((float(p[0]), float(p[1])),
-                                         u, v, 0, 0, transversal=False))
-        return out
-    if a.curve.degree == 1:
-        pairs = _line_span_roots(a, b)
-    elif b.curve.degree == 1:
-        pairs = [(u, v) for (v, u) in _line_span_roots(b, a)]
-    else:
-        _pair, us, vs, res = newton_roots(
-            a.curve.power_coeffs[None], b.curve.power_coeffs[None],
-            np.array([[a.t0, a.t1 - a.t0]]), np.array([[b.t0, b.t1 - b.t0]]))
-        # Of close roots keep the least residual. The plan's edge roots
-        # (remap._edge_pair_roots) keep the first in (t, s) order. Each
-        # side's outputs rest on its rule: keep-first here moves the
-        # clipdemo contour area in its last digit, and least-residual there
-        # moves the cubic remap averages by about 6e-13 relative.
-        kept: list[tuple[float, float, float]] = []
-        for (u, v, r) in zip(us.tolist(), vs.tolist(), res.tolist()):
-            for j, (uj, vj, rj) in enumerate(kept):
-                if abs(u - uj) <= DEDUP_PARAM and abs(v - vj) <= DEDUP_PARAM:
-                    if r < rj:
-                        kept[j] = (u, v, r)
-                    break
-            else:
-                kept.append((u, v, r))
-        pairs = [(u, v) for (u, v, _r) in kept]
-    for (u, v) in pairs:
-        p = a.point_at(u)
-        out.append(CurveIntersection(
-            (float(p[0]), float(p[1])), u, v, 0, 0,
-            transversal=transversal(a.tangent_at(u), b.tangent_at(v))))
-    return out
+    keep = np.zeros(len(pair), dtype=bool)
+    rem = np.arange(len(pair))
+    while len(rem):
+        p = pair[rem]
+        head = np.ones(len(rem), dtype=bool)
+        head[1:] = p[1:] != p[:-1]
+        keep[rem[head]] = True
+        h = rem[head][np.cumsum(head) - 1]
+        rem = rem[(np.abs(t[rem] - t[h]) > DEDUP_PARAM)
+                  | (np.abs(s[rem] - s[h]) > DEDUP_PARAM)]
+    return keep
+
+
+def _box_hits(spans_a, spans_b, ia: np.ndarray,
+              ib: np.ndarray) -> np.ndarray:
+    """Indices k of the pairs (spans_a[ia[k]], spans_b[ib[k]]) whose hull
+    boxes, inflated by SNAP_TOL, overlap; each span's box is taken once."""
+    ba, bb = (np.array([(b.xmin - SNAP_TOL, b.ymin - SNAP_TOL,
+                         b.xmax + SNAP_TOL, b.ymax + SNAP_TOL)
+                        for b in (s.bbox() for s in spans)]).reshape(-1, 4)[i]
+              for spans, i in ((spans_a, ia), (spans_b, ib)))
+    return np.flatnonzero((ba[:, 0] <= bb[:, 2]) & (bb[:, 0] <= ba[:, 2])
+                          & (ba[:, 1] <= bb[:, 3]) & (bb[:, 1] <= ba[:, 3]))
+
+
+def _curve_rows(spans, idx: np.ndarray, attr: str) -> np.ndarray:
+    """The curve array attr ('nodes' or 'power_coeffs') of spans[idx[k]]
+    for each k, spans of one degree; each distinct span is read once."""
+    uniq, inv = np.unique(idx, return_inverse=True)
+    return np.array([getattr(spans[i].curve, attr)
+                     for i in uniq.tolist()])[inv]
+
+
+def _points_and_tangents(spans, deg, win, idx, u):
+    """Points and local tangents (n, 2) of spans[idx[k]] at local u[k],
+    given the degree and (t0, t1 - t0) window of every span: one stacked
+    product per degree, each row rounded as curve.eval and deriv round
+    one parameter."""
+    pts, tan = np.empty((len(idx), 2)), np.empty((len(idx), 2))
+    for d in sorted(set(deg[idx].tolist())):
+        m = deg[idx] == d
+        t = win[idx[m], 0] + u[m] * win[idx[m], 1]
+        nodes = _curve_rows(spans, idx[m], "nodes")
+        pts[m] = eval_rows(_lagrange_basis(d, t), nodes)
+        tan[m] = eval_rows(_lagrange_dbasis(d, t), nodes) * win[idx[m], 1:]
+    return pts, tan
+
+
+def intersect_curves(spans_a, spans_b, ia,
+                     ib) -> list[list[CurveIntersection]]:
+    """All intersections (unlabeled) of the span pairs (spans_a[ia[k]],
+    spans_b[ib[k]]): a list per pair, in the spans' local parameters, with
+    subject_span ia[k] and clip_span ib[k].
+
+    Pairs whose hull boxes, inflated by SNAP_TOL, miss each other are
+    culled in one array test. Spans on one curve (curve_flip within
+    SNAP_TOL of the nodes' size, one pass per degree) and collinear
+    straight spans report the ends of their overlap, not transversal: its
+    interior is a continuum, not isolated roots. Other pairs with a
+    straight span take exact polynomial roots (_line_span_roots). The
+    curved pairs of each pair of degrees go through one newton_roots call,
+    in input order, and of close roots the first is kept
+    (_first_of_close). A root is transversal when the unit tangents are
+    not parallel.
+    """
+    ia, ib = np.asarray(ia, int), np.asarray(ib, int)
+    live = _box_hits(spans_a, spans_b, ia, ib)
+    deg_a, deg_b = (np.array([s.degree for s in sp], int)
+                    for sp in (spans_a, spans_b))
+    win_a, win_b = (np.array([(s.t0, s.t1 - s.t0) for s in sp]).reshape(-1, 2)
+                    for sp in (spans_a, spans_b))
+    da, db = deg_a[ia[live]], deg_b[ib[live]]
+    rest = np.ones(len(live), dtype=bool)  # pairs without an overlap
+    roots = []  # (pair, u, v, an overlap end)
+    for d in sorted(set(da[da == db].tolist())):
+        at = np.flatnonzero((da == d) & (db == d))
+        na = _curve_rows(spans_a, ia[live[at]], "nodes")
+        same, rev = curve_flip(
+            na, _curve_rows(spans_b, ib[live[at]], "nodes"),
+            SNAP_TOL * np.maximum(1.0, np.abs(na).max(axis=(1, 2))))
+        for j, flip in zip(at[same | rev].tolist(), rev[same | rev].tolist()):
+            k = int(live[j])
+            ends = _same_curve_overlap(spans_a[ia[k]], spans_b[ib[k]], flip)
+            if ends is not None:
+                rest[j] = False
+                roots += [(k, u, v, True) for u, v in ends]
+    for k in live[rest & ((da == 1) | (db == 1))].tolist():
+        a, b = spans_a[ia[k]], spans_b[ib[k]]
+        ends = _collinear_overlap(a, b)
+        if ends is not None:
+            roots += [(k, u, v, True) for u, v in ends]
+        elif a.degree == 1:
+            roots += [(k, u, v, False) for u, v in _line_span_roots(a, b)]
+        else:
+            roots += [(k, u, v, False) for v, u in _line_span_roots(b, a)]
+    curved = rest & (da > 1) & (db > 1)
+    for pa, pb in sorted(set(zip(da[curved].tolist(), db[curved].tolist()))):
+        k = live[curved & (da == pa) & (db == pb)]
+        pair, u, v, _res = newton_roots(
+            _curve_rows(spans_a, ia[k], "power_coeffs"),
+            _curve_rows(spans_b, ib[k], "power_coeffs"),
+            win_a[ia[k]], win_b[ib[k]])
+        order = np.lexsort((v, u, pair))
+        pair, u, v = pair[order], u[order], v[order]
+        keep = _first_of_close(pair, u, v)
+        roots += zip(k[pair[keep]].tolist(), u[keep].tolist(),
+                     v[keep].tolist(), [False] * int(keep.sum()))
+    found: list[list[CurveIntersection]] = [[] for _ in range(len(ia))]
+    if not roots:
+        return found
+    pair, u, v, ends = (np.array(col) for col in zip(*roots))
+    pts, tan_a = _points_and_tangents(spans_a, deg_a, win_a, ia[pair], u)
+    _, tan_b = _points_and_tangents(spans_b, deg_b, win_b, ib[pair], v)
+    for k, p, uk, vk, end, ta, tb in zip(
+            pair.tolist(), pts.tolist(), u.tolist(), v.tolist(),
+            ends.tolist(), tan_a.tolist(), tan_b.tolist()):
+        found[k].append(CurveIntersection(
+            tuple(p), uk, vk, int(ia[k]), int(ib[k]),
+            transversal=not end and transversal(ta, tb)))
+    return found
 
 
 def _raw_intersections(subject: CurvedPolygon,
                        clip: CurvedPolygon) -> list[CurveIntersection]:
-    raw = []
-    for i, sa in enumerate(subject.spans):
-        for j, sb in enumerate(clip.spans):
-            for inter in intersect_curves(sa, sb):
-                inter.subject_span = i
-                inter.clip_span = j
-                raw.append(inter)
-    return raw
+    """Intersections of every span pair of two polygons, subject major."""
+    ns, nc = len(subject.spans), len(clip.spans)
+    ia, ib = np.divmod(np.arange(ns * nc), nc)
+    return [r for rs in intersect_curves(subject.spans, clip.spans, ia, ib)
+            for r in rs]
 
 
 # --------------------------------------------------------------------------
@@ -688,4 +763,4 @@ def wa_clip(subject: CurvedPolygon, clip: CurvedPolygon,
             raise ClipTopologyError(f"negative-area loop ({area:.3e}) emitted")
         if area > drop_tol:
             final.append(lp)
-    return ClipResult(final)
+    return ClipResult(final, crossings=events)

@@ -14,8 +14,7 @@ import numpy as np
 
 from .geometry import (CurvedPolygon, CurveSpan, ParamCurve, span_gauss,
                        straight_span)
-from .clipping import (wa_clip, _build_events, _label_events,
-                       _raw_intersections)
+from .clipping import wa_clip
 from .integrate import triangulate
 from .mesh import (CurvilinearMesh, exact_cell_averages,
                    gen_deformed_square_mesh, gen_disk_mesh, rotate_mesh)
@@ -327,10 +326,8 @@ def run_clipdemo(degree: int = 2) -> ClipDemoResult:
 
 def run_clipdemo_on(subject: CurvedPolygon, clip: CurvedPolygon) -> ClipDemoResult:
     """Clip two user-supplied polygons with the full demo reporting."""
-    raw = _raw_intersections(subject, clip)
-    events = _label_events(subject, clip, _build_events(subject, clip, raw))
-    points = [(e.point[0], e.point[1], e.kind) for e in events]
-    res = wa_clip(subject, clip, raw=raw)
+    res = wa_clip(subject, clip)
+    points = [(e.point[0], e.point[1], e.kind) for e in res.crossings]
     area_a = sum(_contour_integral(lp, lambda x, y: x, 0) for lp in res.loops)
     area_b = 0.0
     tris = []

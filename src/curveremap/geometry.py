@@ -258,12 +258,6 @@ class ParamCurve:
         basis = _lagrange_basis(self.degree, t)
         return basis @ self.nodes
 
-    def eval_pointwise(self, t: np.ndarray) -> np.ndarray:
-        """Points at a 1-D array of parameters, each rounded as eval rounds
-        a single parameter (one vector-matrix product per point; a batched
-        eval may differ from it in the last bit)."""
-        return eval_rows(_lagrange_basis(self.degree, t), self.nodes)
-
     def deriv(self, t) -> np.ndarray:
         """Exact derivative of the Lagrange interpolant; shape (..., 2)."""
         dbasis = _lagrange_dbasis(self.degree, t)
@@ -386,39 +380,18 @@ def real_roots_in(coeffs: np.ndarray, lo: float, hi: float,
                   tol: float = PARAM_TOL) -> list[float]:
     """Real roots of a power-basis polynomial (low order first) in [lo, hi].
 
-    Degrees 1 and 2 use closed forms; higher degrees go through the
-    companion matrix. Nearly-zero leading coefficients are trimmed so that
-    degenerate (e.g. straight stored-as-quadratic) curves are handled.
+    Degrees 1 and 2 use closed forms; higher degrees go through numpy's
+    polyroots (the companion matrix). Nearly-zero leading coefficients are
+    trimmed so that degenerate (e.g. straight stored-as-quadratic) curves
+    are handled.
     """
-    return real_roots_in_many([coeffs], [(lo, hi)], tol)[0]
+    c = _trim_leading(coeffs)
+    roots = (_closed_form_roots(c) if 2 <= len(c) <= 3
+             else _real_parts(npoly.polyroots(c)) if len(c) > 3 else [])
+    return _in_window(roots, lo, hi, tol)
 
 
-def real_roots_in_many(polys, windows,
-                       tol: float = PARAM_TOL) -> list[list[float]]:
-    """real_roots_in for several polynomials, each with its window.
-
-    The cubics share one batched eigenvalue solve of their companion
-    matrices, built as numpy's polycompanion builds them; LAPACK solves
-    each matrix of a batch as it solves a single one, so the roots do not
-    depend on the batch. Higher degrees go through polyroots one by one.
-    """
-    trimmed = [_trim_leading(c) for c in polys]
-    roots = [_closed_form_roots(c) if 2 <= len(c) <= 3
-             else _real_parts(npoly.polyroots(c)) if len(c) > 4 else []
-             for c in trimmed]
-    cubics = [i for i, c in enumerate(trimmed) if len(c) == 4]
-    if cubics:
-        c = np.array([trimmed[i] for i in cubics])
-        comp = np.zeros((len(cubics), 3, 3))
-        comp[:, 1, 0] = 1.0
-        comp[:, 2, 1] = 1.0
-        comp[:, :, 2] -= c[:, :3] / c[:, 3:]
-        for i, ev in zip(cubics, np.linalg.eigvals(comp)):
-            roots[i] = _real_parts(ev)
-    return [_in_window(r, lo, hi, tol) for r, (lo, hi) in zip(roots, windows)]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveSpan:
     """Oriented sub-interval [t0, t1] of a ParamCurve.
 

@@ -1,9 +1,11 @@
 """End-to-end conservative remap between two curvilinear meshes.
 
-Pipeline: candidate-pair culling by bounding boxes, exact clipping of every
-overlapping cell pair, optional positivity limiting of the reconstructed
-polynomials, exact integration over the pieces, and assembly of the new
-cell averages together with conservation diagnostics.
+Pipeline: candidate-pair culling by bounding boxes, the crossings of every
+candidate pair of edges in one intersect_curves call, exact clipping of
+every overlapping cell pair on those crossings, optional positivity
+limiting of the reconstructed polynomials, exact integration over the
+pieces, and assembly of the new cell averages together with conservation
+diagnostics.
 
 The geometry phase (clipping, triangulation, quadrature samples) depends
 only on the two meshes; RemapPlan captures it so several reconstructions
@@ -18,11 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clipping import (DEDUP_PARAM, ClipTopologyError, CurveIntersection,
-                       intersect_curves, newton_roots,
-                       transversal, wa_clip)
-from .geometry import (SNAP_TOL, CurvedPolygon, GeometryError, _lagrange_basis,
-                       _lagrange_dbasis, by_degree, eval_rows, span_gauss)
+from .clipping import (ClipTopologyError, CurveIntersection, intersect_curves,
+                       wa_clip)
+from .geometry import (CurvedPolygon, CurveSpan, GeometryError, by_degree,
+                       span_gauss)
 from .integrate import TriangulationError, triangulate
 from .limiter import POSITIVITY_FLOOR, positivity_limit
 from .mesh import CurvilinearMesh, Field
@@ -133,25 +134,19 @@ def candidate_pairs(source: CurvilinearMesh,
 
 def _edge_pair_roots(source: CurvilinearMesh, target: CurvilinearMesh,
                      pairs: list[tuple[int, int]]):
-    """Roots of every candidate (source edge, target edge) pair.
+    """Crossings of every (source edge, target edge) pair of the cell pairs.
 
-    Returns (roots, local_only). roots maps (es, et) to a list of
-    (t, s, x, y, transversal), or to None for pairs flagged as overlapping
-    (same geometric curve), which the per-pair clipper resolves locally.
-    local_only is True when either mesh has straight edges: the clipper's
-    exact line paths then handle every pair and roots is empty. Computing
-    at the edge level (not per cell pair) makes shared cut parameters
-    bitwise consistent across neighboring cells, so clipped pieces tile
-    each source cell exactly.
+    Returns {(es, et): [CurveIntersection]} of the pairs that cross or
+    touch, in the edges' own parameters, from one intersect_curves call
+    over the whole forward edge spans.
+    Every cell pair that meets an edge pair reads its crossings here, so
+    neighbouring cells cut a shared edge at the same floats and the
+    clipped pieces tile each source cell exactly.
     """
-    d_s, d_t = source.edge_degree, target.edge_degree
-    if d_s == 1 or d_t == 1:
-        return {}, True  # local exact line paths are cheap and complete
-    result: dict[tuple[int, int], list | None] = {}
     if not pairs:
-        return result, False
+        return {}
     # every edge pair of the cell pairs, in first-seen order (the Newton
-    # chunks, and so the roots, depend on it), with overlapping boxes
+    # chunks, and so the roots, depend on it)
     cells = np.array(pairs)
     ce_s = source.cell_edges[cells[:, 0]]
     ce_t = target.cell_edges[cells[:, 1]]
@@ -159,73 +154,10 @@ def _edge_pair_roots(source: CurvilinearMesh, target: CurvilinearMesh,
     et = np.tile(ce_t, (1, ce_s.shape[1])).ravel()
     first = np.sort(np.unique(es * target.n_edges + et, return_index=True)[1])
     es, et = es[first], et[first]
-    bs, bt = _edge_boxes(source)[es], _edge_boxes(target)[et]
-    hit = ((bs[:, 0] <= bt[:, 2]) & (bt[:, 0] <= bs[:, 2])
-           & (bs[:, 1] <= bt[:, 3]) & (bt[:, 1] <= bs[:, 3]))
-    es, et = es[hit], et[hit]
-    na, nb = source.points[source.edges[es]], target.points[target.edges[et]]
-    if d_s == d_t:
-        # clipping.curve_flip's test, over all pairs at once: the same
-        # curve in either direction
-        tol = SNAP_TOL * max(1.0, float(np.max(np.abs(source.points))),
-                             float(np.max(np.abs(target.points))))
-        same = ((np.abs(na - nb).max(axis=(1, 2)) <= tol)
-                | (np.abs(na - nb[:, ::-1]).max(axis=(1, 2)) <= tol))
-        result.update(dict.fromkeys(zip(es[same].tolist(), et[same].tolist())))
-        es, et, na, nb = es[~same], et[~same], na[~same], nb[~same]
-    if len(es) == 0:
-        return result, False
-    coefa = np.stack([source.edge_curve(e).power_coeffs for e in es.tolist()])
-    coefb = np.stack([target.edge_curve(e).power_coeffs for e in et.tolist()])
-    whole = np.tile([0.0, 1.0], (len(es), 1))
-    pair, tt, ss, _res = newton_roots(coefa, coefb, whole, whole)
-    order = np.lexsort((ss, tt, pair))
-    pair, tt, ss = pair[order], tt[order], ss[order]
-    keep = _first_of_close(pair, tt, ss)
-    pair, tt, ss = pair[keep], tt[keep], ss[keep]
-    pa, pb = na[pair], nb[pair]
-    pts = eval_rows(_lagrange_basis(d_s, tt), pa)
-    da = eval_rows(_lagrange_dbasis(d_s, tt), pa).tolist()
-    db = eval_rows(_lagrange_dbasis(d_t, ss), pb).tolist()
-    entries: list[list] = [[] for _ in range(len(es))]
-    for k, t, s, (x, y), ta, tb in zip(pair.tolist(), tt.tolist(), ss.tolist(),
-                                       pts.tolist(), da, db):
-        entries[k].append((t, s, x, y, transversal(ta, tb)))
-    result.update(zip(zip(es.tolist(), et.tolist()), entries))
-    return result, False
-
-
-def _edge_boxes(mesh: CurvilinearMesh) -> np.ndarray:
-    """(E, 4) hull boxes (xmin, ymin, xmax, ymax) of the edges, inflated by
-    SNAP_TOL."""
-    boxes = [mesh.edge_curve(e).bbox() for e in range(mesh.n_edges)]
-    out = np.array([[b.xmin, b.ymin, b.xmax, b.ymax] for b in boxes])
-    out[:, :2] -= SNAP_TOL
-    out[:, 2:] += SNAP_TOL
-    return out
-
-
-def _first_of_close(pair: np.ndarray, t: np.ndarray,
-                    s: np.ndarray) -> np.ndarray:
-    """Mask of the roots kept of seeds sorted by (pair, t, s): a seed is
-    kept unless it lies within DEDUP_PARAM in both t and s of a kept seed
-    of its pair (intersect_curves says why it keeps another).
-
-    Runs in rounds: each keeps every pair's first remaining seed and drops
-    the remaining seeds of that pair close to it. A seed before the one
-    kept was dropped by an earlier kept seed, so this is the greedy rule.
-    """
-    keep = np.zeros(len(pair), dtype=bool)
-    rem = np.arange(len(pair))
-    while len(rem):
-        p = pair[rem]
-        head = np.ones(len(rem), dtype=bool)
-        head[1:] = p[1:] != p[:-1]
-        keep[rem[head]] = True
-        h = rem[head][np.cumsum(head) - 1]
-        rem = rem[(np.abs(t[rem] - t[h]) > DEDUP_PARAM)
-                  | (np.abs(s[rem] - s[h]) > DEDUP_PARAM)]
-    return keep
+    spans_s = [CurveSpan(source.edge_curve(e)) for e in range(source.n_edges)]
+    spans_t = [CurveSpan(target.edge_curve(e)) for e in range(target.n_edges)]
+    found = intersect_curves(spans_s, spans_t, es, et)
+    return {(int(es[k]), int(et[k])): f for k, f in enumerate(found) if f}
 
 
 # --------------------------------------------------------------------------
@@ -313,7 +245,7 @@ def build_plan(source: CurvilinearMesh, target: CurvilinearMesh,
     timings["pairs"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    roots, local_only = _edge_pair_roots(source, target, pairs)
+    roots = _edge_pair_roots(source, target, pairs)
     timings["newton"] = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -321,33 +253,23 @@ def build_plan(source: CurvilinearMesh, target: CurvilinearMesh,
     edges_s = list(zip(source.cell_edges.tolist(), source.cell_dirs.tolist()))
     edges_t = list(zip(target.cell_edges.tolist(), target.cell_dirs.tolist()))
     for (ci, ct) in pairs:
-        sub = source.cell_polygon(ci)
-        clp = target.cell_polygon(ct)
         raw: list[CurveIntersection] = []
         for ks, (es, ds) in enumerate(zip(*edges_s[ci])):
             for kc, (et, dt_) in enumerate(zip(*edges_t[ct])):
-                entry = roots.get((es, et), [])
-                if local_only or entry is None:
-                    for inter in intersect_curves(sub.spans[ks], clp.spans[kc]):
-                        inter.subject_span = ks
-                        inter.clip_span = kc
-                        raw.append(inter)
-                    continue
-                for (t, s, x, y, tv) in entry:
-                    u = t if ds > 0 else 1.0 - t
-                    v = s if dt_ > 0 else 1.0 - s
-                    raw.append(CurveIntersection((x, y), u, v, ks, kc,
-                                                 transversal=tv))
+                for r in roots.get((es, et), ()):
+                    u = r.t if ds > 0 else 1.0 - r.t
+                    v = r.s if dt_ > 0 else 1.0 - r.s
+                    raw.append(CurveIntersection(r.point, u, v, ks, kc,
+                                                 transversal=r.transversal))
         try:
-            res = wa_clip(sub, clp, raw=raw)
+            res = wa_clip(source.cell_polygon(ci), target.cell_polygon(ct),
+                          raw=raw)
         except (ClipTopologyError, GeometryError) as exc:
             raise type(exc)(
                 f"clipping failed for source cell {ci} vs target cell {ct}: "
                 f"{exc}") from exc
-        drop = 1e-14 * min(area_s[ci], area_t[ct])
-        loops = [lp for lp in res.loops if lp.signed_area() > drop]
-        if loops:
-            clipped.append((ci, ct, loops))
+        if res.loops:
+            clipped.append((ci, ct, res.loops))
     polys = [lp for _, _, loops in clipped for lp in loops]
     samples = _a_samples(polys, k_max)
     s0 = time.monotonic()

@@ -15,7 +15,7 @@ from curveremap.geometry import (SNAP_TOL, CurvedPolygon, CurveSpan,
 from curveremap.experiments import accuracy_meshes, demo_quads, REFERENCE_AREA
 from curveremap.mesh import (gen_deformed_square_mesh, gen_disk_mesh,
                              rotate_mesh)
-from curveremap.remap import _edge_pair_roots, build_plan, candidate_pairs
+from curveremap.remap import build_plan
 
 from conftest import elevated_demo_quads, sample_curved_quads
 
@@ -35,7 +35,7 @@ TABLE2 = [
 def test_straight_cross():
     a = straight_span((0, 0), (1, 1))
     b = straight_span((0, 1), (1, 0))
-    roots = intersect_curves(a, b)
+    roots = intersect_curves([a], [b], [0], [0])[0]
     assert len(roots) == 1
     r = roots[0]
     assert abs(r.t - 0.5) < 1e-12 and abs(r.s - 0.5) < 1e-12
@@ -46,7 +46,7 @@ def test_straight_cross():
 def test_disjoint_spans_no_roots():
     a = straight_span((0, 0), (1, 0))
     b = straight_span((0, 5), (1, 5))
-    assert intersect_curves(a, b) == []
+    assert intersect_curves([a], [b], [0], [0])[0] == []
 
 
 def test_table2_point1_found(quad_pair):
@@ -55,7 +55,7 @@ def test_table2_point1_found(quad_pair):
     found = []
     for sa in qp.spans:
         for sb in qq.spans:
-            for r in intersect_curves(sa, sb):
+            for r in intersect_curves([sa], [sb], [0], [0])[0]:
                 found.append(r.point)
     best = min(found, key=lambda p: (p[0] + 1.05713663) ** 2
                + (p[1] + 1.29598616) ** 2)
@@ -328,8 +328,8 @@ def _curved_edge_pairs(src, tgt):
             for e in range(tgt.n_edges)]
     return [(es, et) for es in range(src.n_edges) for et in range(tgt.n_edges)
             if sbox[es].overlaps(tbox[et])
-            and curve_flip(src.points[src.edges[es]],
-                           tgt.points[tgt.edges[et]], SNAP_TOL) is None]
+            and not any(curve_flip(src.points[src.edges[es]][None],
+                                   tgt.points[tgt.edges[et]][None], SNAP_TOL))]
 
 
 @pytest.mark.parametrize("degree", [2, 3])
@@ -340,9 +340,10 @@ def test_reversed_window_gives_roots_at_one_minus_u(degree):
         for b in clp.spans:
             for t0, t1 in ((0.0, 1.0), (0.05, 0.9)):
                 span = CurveSpan(a.curve, t0, t1)
-                fwd = sorted((r.s, r.t) for r in intersect_curves(span, b))
+                fwd = sorted((r.s, r.t) for r in intersect_curves(
+                    [span], [b], [0], [0])[0])
                 rev = sorted((r.s, r.t) for r in intersect_curves(
-                    CurveSpan(a.curve, t1, t0), b))
+                    [CurveSpan(a.curve, t1, t0)], [b], [0], [0])[0])
                 assert len(fwd) == len(rev)
                 for (v, u), (v2, u2) in zip(fwd, rev):
                     assert abs(v2 - v) <= 1e-14
@@ -369,19 +370,3 @@ def test_batched_roots_equal_roots_of_each_pair_alone(case):
         assert np.abs(v[mine] - v1).max(initial=0.0) <= 1e-12
         found += len(u1)
     assert found > len(pairs)
-
-
-@pytest.mark.parametrize("case", range(2))
-def test_intersect_curves_counts_the_plan_edge_roots(case):
-    _name, src, tgt = _mesh_pairs()[case]
-    roots, local_only = _edge_pair_roots(src, tgt, candidate_pairs(src, tgt))
-    assert not local_only
-    checked = 0
-    for (es, et), entry in roots.items():
-        if entry is None:
-            continue
-        got = intersect_curves(CurveSpan(src.edge_curve(es)),
-                               CurveSpan(tgt.edge_curve(et)))
-        assert len(got) == len(entry), (es, et)
-        checked += len(entry)
-    assert checked > 0

@@ -10,7 +10,7 @@ from curveremap.geometry import (SNAP_TOL, Aabb, CurvedPolygon, CurveSpan,
                                  GeometryError, ParamCurve,
                                  _polyline_self_intersects, _span_closest,
                                  polygon_from_points, real_roots_in,
-                                 real_roots_in_many, straight_span)
+                                 straight_span)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -226,7 +226,7 @@ def test_interior_point_is_inside(quad_pair):
 
 
 def _roots_one_by_one(coeffs, lo, hi, tol=1e-9):
-    """The per-polynomial root finder real_roots_in_many must match:
+    """The per-polynomial root finder real_roots_in must match:
     trim, closed forms below degree 3, numpy's polyroots from degree 3."""
     c = list(map(float, coeffs))
     scale = max(map(abs, c))
@@ -263,11 +263,10 @@ def test_batched_roots_equal_one_by_one_roots():
               for r in rng.uniform(0.0, 1.0, 100)]
     polys += [np.array([1e-3, -2.0, 1.0, 1e-17])]  # trimmed to a quadratic
     windows = [tuple(sorted(rng.uniform(-1.5, 1.5, 2))) for _ in polys]
-    got = real_roots_in_many(polys, windows)
+    got = [real_roots_in(c, lo, hi) for c, (lo, hi) in zip(polys, windows)]
     assert any(len(r) > 1 for r in got)
     for c, (lo, hi), roots in zip(polys, windows, got):
         assert roots == _roots_one_by_one(c, lo, hi)
-        assert real_roots_in(c, lo, hi) == roots
 
 
 def _closest_cases():

@@ -44,9 +44,9 @@ def _kernel_args(name, monkeypatch):
     """The arguments the plan passes to newton_roots on a mesh pair."""
     if name not in _KERNEL_ARGS:
         calls = []
-        kernel = remap.newton_roots
+        kernel = clipping.newton_roots
         with monkeypatch.context() as mp:
-            mp.setattr(remap, "newton_roots",
+            mp.setattr(clipping, "newton_roots",
                        lambda *args: calls.append(args) or kernel(*args))
             src, tgt = _mesh_pair(name)
             remap._edge_pair_roots(src, tgt, remap.candidate_pairs(src, tgt))
@@ -98,7 +98,7 @@ def test_round_dedup_keeps_the_first_and_third_of_a_chain():
     # 0.6e-8 apart: the second is close to both others, the third only to
     # the second, which is dropped
     t = np.array([0.0, 0.6e-8, 1.2e-8])
-    keep = remap._first_of_close(np.zeros(3, int), t, np.zeros(3))
+    keep = clipping._first_of_close(np.zeros(3, int), t, np.zeros(3))
     assert np.flatnonzero(keep).tolist() == [0, 2]
 
 
@@ -116,7 +116,7 @@ def test_round_dedup_is_the_greedy_rule(seed):
     pair, t, s = np.array(pair), np.array(t), np.array(s)
     order = np.lexsort((s, t, pair))
     pair, t, s = pair[order], t[order], s[order]
-    keep = remap._first_of_close(pair, t, s)
+    keep = clipping._first_of_close(pair, t, s)
     assert np.flatnonzero(keep).tolist() == _greedy(pair, t, s)
     assert keep.sum() < len(pair)
 
@@ -124,14 +124,13 @@ def test_round_dedup_is_the_greedy_rule(seed):
 @pytest.mark.parametrize("name", ["accuracy", "cubic"])
 def test_edge_roots_are_the_curves_own_points_and_tangents(name):
     src, tgt = _mesh_pair(name)
-    roots, _local = remap._edge_pair_roots(src, tgt,
-                                           remap.candidate_pairs(src, tgt))
+    roots = remap._edge_pair_roots(src, tgt, remap.candidate_pairs(src, tgt))
     checked = 0
     for (es, et), entry in roots.items():
         ca, cb = src.edge_curve(es), tgt.edge_curve(et)
-        for (t, s, x, y, tv) in entry or ():
-            assert [x, y] == ca.eval(t).tolist()
-            assert tv == transversal(ca.deriv(t), cb.deriv(s))
+        for r in entry:
+            assert list(r.point) == ca.eval(r.t).tolist()
+            assert r.transversal == transversal(ca.deriv(r.t), cb.deriv(r.s))
             checked += 1
     assert checked > 100
 

@@ -246,6 +246,44 @@ def test_plan_failure_names_the_cell_pair(monkeypatch):
         assert str(info.value.__cause__) == "no label"
 
 
+@pytest.mark.parametrize("degrees", [(1, 1), (2, 1)])
+def test_straight_edged_plan_shares_every_crossing(degrees, monkeypatch):
+    # each cell pair that meets a (source edge, target edge) pair must cut
+    # it at the same floats, or neighbouring pieces leave gaps
+    import importlib
+    remap_module = importlib.import_module("curveremap.remap")
+    src = gen_deformed_square_mesh(8, "gresho_like", 0.3, degrees[0],
+                                   roughen=0.1)
+    tgt = gen_deformed_square_mesh(8, "taylor_green_like", 0.04, degrees[1],
+                                   roughen=0.1)
+    calls = []
+
+    def spy(subject, clip, raw=None):
+        calls.append((subject, clip, raw))
+        return wa_clip(subject, clip, raw=raw)
+
+    monkeypatch.setattr(remap_module, "wa_clip", spy)
+    plan = build_plan(src, tgt, k_max=2)
+    cell_s = {id(src.cell_polygon(i)): i for i in range(src.n_cells)}
+    cell_t = {id(tgt.cell_polygon(i)): i for i in range(tgt.n_cells)}
+    seen = {}
+    for subject, clip, raw in calls:
+        ci, ct = cell_s[id(subject)], cell_t[id(clip)]
+        per_edges = {}
+        for r in raw:
+            key = (src.cell_edges[ci, r.subject_span],
+                   tgt.cell_edges[ct, r.clip_span])
+            per_edges.setdefault(key, []).append((r.point, r.transversal))
+        for key, found in per_edges.items():
+            seen.setdefault(key, set()).add(tuple(sorted(found)))
+    assert len(seen) > 100
+    assert all(len(reports) == 1 for reports in seen.values())
+    area_t = tgt.cell_areas()
+    cover = np.array([sum(lp.area for pg in per for lp in pg.loops)
+                      for per in plan.per_target])
+    assert np.max(np.abs(cover - area_t) / area_t) <= 1e-14
+
+
 @pytest.mark.parametrize("n", (5, 7))
 def test_degree3_plans_with_triangles_at_odd_sizes(n):
     # both plans raised GeometryError from a point probe on the straight

@@ -15,7 +15,7 @@ import build_plan` reaches into it as well.
 from .geometry import (Aabb, CurvedPolygon, CurveSpan, GeometryError,
                        ParamCurve, polygon_from_points, straight_span)
 from .clipping import (ClipResult, ClipTopologyError, CurveIntersection,
-                       intersect_curves, wa_clip)
+                       intersect_curves, kept_loops, wa_clip)
 from .integrate import IntegrationError, TriangulationError, triangulate
 from .limiter import LimiterError, positivity_limit
 from .mesh import (Adjacency, CurvilinearMesh, Field, MeshError,

@@ -11,14 +11,17 @@ those are iterated, so the roots are those of running every seed to the
 end.
 
 Entry/exit labels follow one rule, the sign of the cross product of the
-clip and subject tangents at a crossing (Weiler & Atherton 1977; Greiner &
-Hormann 1998). When every event of a pair is a transversal crossing away
-from the corners of both polygons and the labels alternate around the
-subject boundary, that rule labels them all. Otherwise boundary-arc state
-probes label the whole list: they alone resolve corners, tangencies and
-shared or overlapping edges. A pair without crossings is nested or
-disjoint; a corner outside the other polygon's hull box settles it, and
-point probes settle the rest.
+subject and clip tangents at a crossing (Weiler & Atherton 1977; Greiner &
+Hormann 1998), which intersect_curves records on each crossing. When every
+event of a pair is a transversal crossing away from the corners of both
+polygons and the labels alternate around the subject boundary, that rule
+labels them all. Otherwise boundary-arc state probes label the whole list:
+they alone resolve corners, tangencies and shared or overlapping edges. A
+pair without crossings is nested or disjoint; a corner outside the other
+polygon's hull box settles it, and point probes settle the rest.
+
+wa_clip traces the loops; kept_loops checks their areas, which the remap
+plan fills for all its loops at once.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (SNAP_TOL, CurvedPolygon, CurveSpan, _lagrange_basis,
-                       _lagrange_dbasis, _poly_at, eval_rows, fill_areas,
-                       real_roots_in)
+                       _lagrange_dbasis, eval_rows, real_roots_in)
 
 NEWTON_TOL = 1e-12     # accepted residual for curve-curve roots
 DEDUP_PARAM = 1e-8     # parameter radius separating distinct roots
@@ -49,6 +51,9 @@ class CurveIntersection:
     """One intersection of a subject span and a clip span.
 
     t and s are local parameters (in [0, 1]) on the subject and clip spans.
+    cross is the cross product of the spans' unit tangents there, subject
+    first, in their traversal directions: negative where the subject
+    enters the clip.
     """
 
     point: tuple[float, float]
@@ -57,10 +62,12 @@ class CurveIntersection:
     subject_span: int
     clip_span: int
     transversal: bool = True
+    cross: float = 0.0
 
 
 @dataclass
 class ClipResult:
+    # the loops traced, before kept_loops checks their areas
     loops: list[CurvedPolygon] = field(default_factory=list)
     containment: str = "none"  # none | subject_in_clip | clip_in_subject
     # the labelled crossings, sorted by subject boundary coordinate
@@ -202,31 +209,6 @@ def _unit_cross(da, db) -> float:
     """Cross product of the unit tangents along da and db."""
     ua, ub = _unit(da), _unit(db)
     return ua[0] * ub[1] - ua[1] * ub[0]
-
-
-def _span_tangent(span: CurveSpan, u: float) -> tuple[float, float]:
-    """Tangent of a span at local parameter u, in traversal direction."""
-    _px, _py, dx, dy = span.curve.plain_coeffs
-    h = span.t1 - span.t0
-    t = span.t0 + u * h
-    return _poly_at(dx, t) * h, _poly_at(dy, t) * h
-
-
-def _tangent_kind(subject: CurveSpan, t: float, clip: CurveSpan,
-                  s: float) -> str | None:
-    """Label of a crossing of subject (at local t) and clip (at local s):
-    'entry' when the subject passes to the left of the counterclockwise
-    clip boundary, 'exit' to its right, None when the tangents are nearly
-    parallel."""
-    cross = _unit_cross(_span_tangent(clip, s), _span_tangent(subject, t))
-    if abs(cross) <= CROSS_TOL:
-        return None
-    return "entry" if cross > 0.0 else "exit"
-
-
-def transversal(da, db) -> bool:
-    """Whether curves with tangents da and db cross rather than touch."""
-    return abs(_unit_cross(da, db)) > CROSS_TOL
 
 
 def curve_flip(na: np.ndarray, nb: np.ndarray,
@@ -395,8 +377,8 @@ def intersect_curves(spans_a, spans_b, ia,
     straight span take exact polynomial roots (_line_span_roots). The
     curved pairs of each pair of degrees go through one newton_roots call,
     in input order, and of close roots the first is kept
-    (_first_of_close). A root is transversal when the unit tangents are
-    not parallel.
+    (_first_of_close). Each root records the cross product of the unit
+    tangents, and is transversal when they are not parallel.
     """
     ia, ib = np.asarray(ia, int), np.asarray(ib, int)
     live = _box_hits(spans_a, spans_b, ia, ib)
@@ -449,9 +431,10 @@ def intersect_curves(spans_a, spans_b, ia,
     for k, p, uk, vk, end, ta, tb in zip(
             pair.tolist(), pts.tolist(), u.tolist(), v.tolist(),
             ends.tolist(), tan_a.tolist(), tan_b.tolist()):
+        cross = _unit_cross(ta, tb)
         found[k].append(CurveIntersection(
             tuple(p), uk, vk, int(ia[k]), int(ib[k]),
-            transversal=not end and transversal(ta, tb)))
+            transversal=not end and abs(cross) > CROSS_TOL, cross=cross))
     return found
 
 
@@ -495,6 +478,7 @@ class _Event:
     transversal: bool
     kind: str | None = None
     visited: bool = False
+    cross: float = 0.0  # CurveIntersection.cross of the crossing
 
 
 def _build_events(subject: CurvedPolygon, clip: CurvedPolygon,
@@ -506,7 +490,8 @@ def _build_events(subject: CurvedPolygon, clip: CurvedPolygon,
         sig_c = (r.clip_span + r.s) % nc
         sig_s = _snap_sigma(subject, sig_s, r.point)
         sig_c = _snap_sigma(clip, sig_c, r.point)
-        events.append(_Event(r.point, sig_s, sig_c, r.transversal))
+        events.append(_Event(r.point, sig_s, sig_c, r.transversal,
+                             cross=r.cross))
     events.sort(key=lambda e: (e.sig_s, e.sig_c))
     merged: list[_Event] = []
 
@@ -568,30 +553,30 @@ def _label_events(subject: CurvedPolygon, clip: CurvedPolygon,
     return events
 
 
-def _span_coord(poly: CurvedPolygon,
-                sig: float) -> tuple[CurveSpan, float] | None:
-    """(span, local parameter) at boundary coordinate sig, or None within
-    _SIG_TOL of a corner."""
-    k = int(sig)
-    u = sig - k
-    if u <= _SIG_TOL or 1.0 - u <= _SIG_TOL:
-        return None
-    return poly.spans[k % len(poly.spans)], u
+def _near_corner(sig: float) -> bool:
+    """Whether boundary coordinate sig lies within _SIG_TOL of a corner."""
+    u = sig - int(sig)
+    return u <= _SIG_TOL or 1.0 - u <= _SIG_TOL
 
 
 def _tangent_labels(subject: CurvedPolygon, clip: CurvedPolygon,
                     events: list[_Event]) -> list[str] | None:
-    """Labels of events sorted by sig_s by the tangent rule, or None unless
-    every event is transversal, away from the corners of both polygons,
-    with tangents not nearly parallel, and the labels alternate."""
+    """Labels of the events of subject against clip, sorted by sig_s, by
+    the tangent rule, or None unless every event is transversal, away from
+    the corners of both polygons, with tangents not nearly parallel, and
+    the labels alternate.
+
+    The subject enters the counterclockwise clip where it passes to the
+    left of the clip boundary: where the cross product of the subject and
+    clip unit tangents, recorded on the event, is negative.
+    """
     kinds: list[str] = []
     for e in events:
-        at_s = _span_coord(subject, e.sig_s)
-        at_c = _span_coord(clip, e.sig_c)
-        if not e.transversal or at_s is None or at_c is None:
+        if (not e.transversal or abs(e.cross) <= CROSS_TOL
+                or _near_corner(e.sig_s) or _near_corner(e.sig_c)):
             return None
-        kind = _tangent_kind(*at_s, *at_c)
-        if kind is None or (kinds and kind == kinds[-1]):
+        kind = "entry" if e.cross < 0.0 else "exit"
+        if kinds and kind == kinds[-1]:
             return None
         kinds.append(kind)
     return kinds if kinds[0] != kinds[-1] else None
@@ -679,6 +664,9 @@ def wa_clip(subject: CurvedPolygon, clip: CurvedPolygon,
     clip list to the next entry, until the loop closes; unused entries seed
     further loops. Loop geometry reuses sub-spans of the original edges,
     never a re-approximation.
+
+    The result holds every loop traced, without looking at its area: the
+    intersection is kept_loops(result.loops, subject, clip).
     """
     if not subject.bbox().inflate(SNAP_TOL).overlaps(clip.bbox().inflate(SNAP_TOL)):
         return ClipResult()
@@ -752,15 +740,25 @@ def wa_clip(subject: CurvedPolygon, clip: CurvedPolygon,
         raise ClipTopologyError(
             f"unused intersection points after traversal: "
             f"{[e.point for e in events if not e.visited]}")
+    return ClipResult(loops, crossings=events)
 
+
+def kept_loops(loops: list[CurvedPolygon], subject: CurvedPolygon,
+               clip: CurvedPolygon) -> list[CurvedPolygon]:
+    """The loops of a clip of subject by clip that bound area.
+
+    Relative to the smaller polygon's area, a loop below -1e-9 of it
+    raises ClipTopologyError, and one at or below 1e-12 of it is dropped:
+    a sliver of boundaries that touch. A loop without a cached area gets
+    it on its own; fill_areas gives many loops theirs in one pass.
+    """
     scale = min(abs(subject.signed_area()), abs(clip.signed_area()))
     drop_tol = 1e-12 * max(scale, 1e-30)
-    fill_areas(loops)
-    final = []
+    kept = []
     for lp in loops:
         area = lp.signed_area()
         if area < -1e-9 * scale:
             raise ClipTopologyError(f"negative-area loop ({area:.3e}) emitted")
         if area > drop_tol:
-            final.append(lp)
-    return ClipResult(final, crossings=events)
+            kept.append(lp)
+    return kept

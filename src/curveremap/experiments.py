@@ -14,7 +14,7 @@ import numpy as np
 
 from .geometry import (CurvedPolygon, CurveSpan, ParamCurve, span_gauss,
                        straight_span)
-from .clipping import wa_clip
+from .clipping import kept_loops, wa_clip
 from .integrate import triangulate
 from .mesh import (CurvilinearMesh, exact_cell_averages,
                    gen_deformed_square_mesh, gen_disk_mesh, rotate_mesh)
@@ -327,17 +327,18 @@ def run_clipdemo(degree: int = 2) -> ClipDemoResult:
 def run_clipdemo_on(subject: CurvedPolygon, clip: CurvedPolygon) -> ClipDemoResult:
     """Clip two user-supplied polygons with the full demo reporting."""
     res = wa_clip(subject, clip)
+    loops = kept_loops(res.loops, subject, clip)
     points = [(e.point[0], e.point[1], e.kind) for e in res.crossings]
-    area_a = sum(_contour_integral(lp, lambda x, y: x, 0) for lp in res.loops)
+    area_a = sum(_contour_integral(lp, lambda x, y: x, 0) for lp in loops)
     area_b = 0.0
     tris = []
-    for _, jw, fans in triangulate(res.loops, 0):
+    for _, jw, fans in triangulate(loops, 0):
         # a dot product: jw.sum() adds in another order
         area_b += float(np.dot(np.ones(len(jw)), jw))
         tris += [CurvedPolygon([straight_span(c, s.start), s,
                                 straight_span(s.end, c)])
                  for piece, c in fans for s in piece.spans]
-    return ClipDemoResult(points, res.loops, area_a, area_b, subject, clip, tris)
+    return ClipDemoResult(points, loops, area_a, area_b, subject, clip, tris)
 
 
 def _contour_integral(loop: CurvedPolygon, f2, k: int) -> float:

@@ -219,6 +219,18 @@ def _poly_at(c, t: float) -> float:
     return v
 
 
+def power_rows(nodes: np.ndarray) -> np.ndarray:
+    """Power-basis coefficients (k, d+1, 2), low order first, of the
+    degree-d curves through the nodes (k, d+1, 2): one solve for the whole
+    stack, each row bitwise the solve of its curve alone."""
+    d = nodes.shape[1] - 1
+    if d == 1:
+        # what the solve gives: its LU factors are exact here
+        return np.stack([nodes[:, 0], nodes[:, 1] - nodes[:, 0]], axis=1)
+    vand = np.vander(_uniform_params(d), d + 1, increasing=True)
+    return np.linalg.solve(vand, nodes)
+
+
 class ParamCurve:
     """Degree-d Lagrange parametric curve through d+1 nodes at t = j/d.
 
@@ -266,13 +278,8 @@ class ParamCurve:
     @property
     def power_coeffs(self) -> np.ndarray:
         """Power-basis coefficients, shape (d+1, 2), low order first."""
-        if self._power is None and self.degree == 1:
-            # what the solve below gives: its LU factors are exact here
-            self._power = np.array([self.nodes[0], self.nodes[1] - self.nodes[0]])
         if self._power is None:
-            u = _uniform_params(self.degree)
-            vand = np.vander(u, self.degree + 1, increasing=True)
-            self._power = np.linalg.solve(vand, self.nodes)
+            self._power = power_rows(self.nodes[None])[0]
         return self._power
 
     @property

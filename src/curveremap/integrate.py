@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clipping import ClipTopologyError, wa_clip
+from .clipping import ClipTopologyError, kept_loops, wa_clip
 from .geometry import (CurvedPolygon, GeometryError, by_degree, gauss_rule_01,
                        polygon_from_points, span_gauss, span_samples)
 
@@ -116,9 +116,10 @@ def _halves(poly: CurvedPolygon) -> list[CurvedPolygon]:
     else:
         m = 0.5 * (b.ymin + b.ymax)
         boxes = [(x0, y0, x1, m), (x0, m, x1, y1)]
-    loops = [lp for xa, ya, xb, yb in boxes
-             for lp in wa_clip(poly, polygon_from_points(
-                 [(xa, ya), (xb, ya), (xb, yb), (xa, yb)])).loops]
+    loops = []
+    for xa, ya, xb, yb in boxes:
+        half = polygon_from_points([(xa, ya), (xb, ya), (xb, yb), (xa, yb)])
+        loops += kept_loops(wa_clip(poly, half).loops, poly, half)
     if not loops:
         raise GeometryError("the cut left no piece of the loop")
     return loops

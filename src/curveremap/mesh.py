@@ -16,7 +16,7 @@ import numpy as np
 from .geometry import (SNAP_TOL, Aabb, CurvedPolygon, CurveSpan, ParamCurve,
                        _bezier_conversion, _lagrange_basis, _lagrange_dbasis,
                        _polyline_self_intersects, eval_rows, fill_areas,
-                       gauss_rule_01)
+                       gauss_rule_01, power_rows)
 
 
 class MeshError(ValueError):
@@ -55,8 +55,7 @@ class CurvilinearMesh:
         if not np.all(np.isfinite(self.points)):
             raise MeshError("mesh points must be finite")
         self.edge_degree = self.edges.shape[1] - 1
-        self._curves: list[ParamCurve | None] = [None] * len(self.edges)
-        self._polys: list[CurvedPolygon | None] = [None] * len(self.cell_edges)
+        self._tables: tuple[list[ParamCurve], list[CurvedPolygon]] | None = None
         self._areas: np.ndarray | None = None
         self._adjacency = None
         if validate:
@@ -74,29 +73,21 @@ class CurvilinearMesh:
     def n_edges(self) -> int:
         return len(self.edges)
 
+    def _curves_and_polygons(self):
+        if self._tables is None:
+            self._tables = _mesh_tables(self)
+        return self._tables
+
     def edge_curve(self, e: int) -> ParamCurve:
-        c = self._curves[e]
-        if c is None:
-            c = ParamCurve._of_checked(self.points[self.edges[e]])
-            self._curves[e] = c
-        return c
+        return self._curves_and_polygons()[0][e]
 
     def cell_polygon(self, i: int) -> CurvedPolygon:
         """The 4-span counterclockwise loop of cell i."""
-        poly = self._polys[i]
-        if poly is None:
-            spans = []
-            for e, d in zip(self.cell_edges[i], self.cell_dirs[i]):
-                curve = self.edge_curve(int(e))
-                spans.append(CurveSpan(curve, 0.0, 1.0) if d > 0
-                             else CurveSpan(curve, 1.0, 0.0))
-            poly = CurvedPolygon(spans)
-            self._polys[i] = poly
-        return poly
+        return self._curves_and_polygons()[1][i]
 
     def cell_areas(self) -> np.ndarray:
         if self._areas is None:
-            polys = [self.cell_polygon(i) for i in range(self.n_cells)]
+            polys = self._curves_and_polygons()[1]
             fill_areas(polys)
             self._areas = np.array([p.signed_area() for p in polys])
         return self._areas
@@ -118,6 +109,41 @@ class CurvilinearMesh:
     def __repr__(self):
         return (f"CurvilinearMesh({self.n_cells} cells, {self.n_edges} edges, "
                 f"degree {self.edge_degree})")
+
+
+def _mesh_tables(mesh: CurvilinearMesh):
+    """Every edge curve and cell polygon of a mesh, from stacked passes.
+
+    The curves get their power coefficients (one solve for all edges),
+    Bezier points and hull boxes; each cell polygon gets its corners, from
+    one basis product at t in {0, 1} rounded as CurveSpan.start rounds
+    them, and its box, the union of its spans' hull boxes. plain_coeffs
+    stays lazy: locate needs it on few curves.
+    """
+    d = mesh.edge_degree
+    nodes = mesh.points[mesh.edges]
+    bez = _bezier_conversion(d) @ nodes
+    boxes = np.hstack([bez.min(axis=1), bez.max(axis=1)])
+    curves = []
+    for row, power, ctrl, box in zip(nodes, power_rows(nodes), bez,
+                                     boxes.tolist()):
+        curve = ParamCurve._of_checked(row)
+        curve._power, curve._bezier, curve._bbox = power, ctrl, Aabb(*box)
+        curves.append(curve)
+    rev = mesh.cell_dirs < 0
+    corners = eval_rows(_lagrange_basis(d, rev.ravel().astype(float)),
+                        nodes[mesh.cell_edges.ravel()]).reshape(-1, 4, 2)
+    cell_boxes = np.hstack([boxes[mesh.cell_edges, :2].min(axis=1),
+                            boxes[mesh.cell_edges, 2:].max(axis=1)])
+    polys = []
+    for edges, back, pts, box in zip(mesh.cell_edges.tolist(), rev.tolist(),
+                                     corners.tolist(), cell_boxes.tolist()):
+        poly = CurvedPolygon([CurveSpan(curves[e], 1.0, 0.0) if b
+                              else CurveSpan(curves[e], 0.0, 1.0)
+                              for e, b in zip(edges, back)])
+        poly._corners, poly._bbox = tuple(map(tuple, pts)), Aabb(*box)
+        polys.append(poly)
+    return curves, polys
 
 
 @dataclass
@@ -282,23 +308,14 @@ def _cell_samples(mesh: CurvilinearMesh) -> np.ndarray:
 def _invalid_cells(mesh: CurvilinearMesh, areas: np.ndarray) -> list:
     """(cell, reason) of every cell that fails a loop check, in cell order.
 
-    Also gives each edge curve its Bezier points and hull box, and each
-    cell polygon its box, the union of its spans' hull boxes, from the
-    hulls that scale the closure check.
+    The closure check is scaled by the diagonal of each cell polygon's
+    box, as CurvedPolygon.validate scales it.
     """
     samples = _cell_samples(mesh)
     ends, starts = samples[:, :, 16], np.roll(samples[:, :, 0], -1, axis=1)
     gap = _hypot(ends - starts).max(axis=1)
-    bez = _bezier_conversion(mesh.edge_degree) @ mesh.points[mesh.edges]
-    boxes = np.hstack([bez.min(axis=1), bez.max(axis=1)])
-    for e, box in enumerate(boxes.tolist()):
-        curve = mesh.edge_curve(e)
-        curve._bezier, curve._bbox = bez[e], Aabb(*box)
-    low = boxes[mesh.cell_edges, :2].min(axis=1)
-    high = boxes[mesh.cell_edges, 2:].max(axis=1)
-    for i, box in enumerate(np.hstack([low, high]).tolist()):
-        mesh.cell_polygon(i)._bbox = Aabb(*box)
-    scale = np.maximum(_hypot(high - low), 1.0)
+    scale = np.array([max(mesh.cell_polygon(i).bbox().diag, 1.0)
+                      for i in range(mesh.n_cells)])
     open_ = gap > 10.0 * SNAP_TOL * scale
     cw = ~open_ & (areas <= 0.0)
     loops = samples[:, :, :16].reshape(-1, 64, 2)

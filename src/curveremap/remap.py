@@ -21,17 +21,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clipping import (ClipTopologyError, CurveIntersection, intersect_curves,
-                       wa_clip)
+                       kept_loops, wa_clip)
 from .geometry import (CurvedPolygon, CurveSpan, GeometryError, by_degree,
-                       span_gauss)
+                       fill_areas, span_gauss)
 from .integrate import TriangulationError, triangulate
 from .limiter import POSITIVITY_FLOOR, positivity_limit
 from .mesh import CurvilinearMesh, Field
 from .reconstruct import _order_degree, weno_reconstruct
 
 _APPROACHES = ("A", "B", "both")
-# clipped loops evaluated together in build_plan's Approach A samples and in
-# apply_plan's integration sweep
+# clipped loops evaluated together in build_plan's loop areas and Approach A
+# samples and in apply_plan's integration sweep
 _LOOPS_PER_CHUNK = 64
 
 
@@ -249,27 +249,38 @@ def build_plan(source: CurvilinearMesh, target: CurvilinearMesh,
     timings["newton"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    clipped = []  # (source cell, target cell, loops kept)
+    traced = []  # (source cell, target cell, loops traced)
     edges_s = list(zip(source.cell_edges.tolist(), source.cell_dirs.tolist()))
     edges_t = list(zip(target.cell_edges.tolist(), target.cell_dirs.tolist()))
-    for (ci, ct) in pairs:
-        raw: list[CurveIntersection] = []
-        for ks, (es, ds) in enumerate(zip(*edges_s[ci])):
-            for kc, (et, dt_) in enumerate(zip(*edges_t[ct])):
-                for r in roots.get((es, et), ()):
-                    u = r.t if ds > 0 else 1.0 - r.t
-                    v = r.s if dt_ > 0 else 1.0 - r.s
-                    raw.append(CurveIntersection(r.point, u, v, ks, kc,
-                                                 transversal=r.transversal))
-        try:
+    ci = ct = -1  # the cell pair a failure names
+    try:
+        for (ci, ct) in pairs:
+            raw: list[CurveIntersection] = []
+            for ks, (es, ds) in enumerate(zip(*edges_s[ci])):
+                for kc, (et, dt_) in enumerate(zip(*edges_t[ct])):
+                    for r in roots.get((es, et), ()):
+                        u = r.t if ds > 0 else 1.0 - r.t
+                        v = r.s if dt_ > 0 else 1.0 - r.s
+                        raw.append(CurveIntersection(
+                            r.point, u, v, ks, kc, transversal=r.transversal,
+                            cross=r.cross * ds * dt_))
             res = wa_clip(source.cell_polygon(ci), target.cell_polygon(ct),
                           raw=raw)
-        except (ClipTopologyError, GeometryError) as exc:
-            raise type(exc)(
-                f"clipping failed for source cell {ci} vs target cell {ct}: "
-                f"{exc}") from exc
-        if res.loops:
-            clipped.append((ci, ct, res.loops))
+            if res.loops:
+                traced.append((ci, ct, res.loops))
+        polys = [lp for _, _, loops in traced for lp in loops]
+        for lo in range(0, len(polys), _LOOPS_PER_CHUNK):
+            fill_areas(polys[lo:lo + _LOOPS_PER_CHUNK])
+        clipped = []  # (source cell, target cell, loops kept)
+        for ci, ct, loops in traced:
+            loops = kept_loops(loops, source.cell_polygon(ci),
+                               target.cell_polygon(ct))
+            if loops:
+                clipped.append((ci, ct, loops))
+    except (ClipTopologyError, GeometryError) as exc:
+        raise type(exc)(
+            f"clipping failed for source cell {ci} vs target cell {ct}: "
+            f"{exc}") from exc
     polys = [lp for _, _, loops in clipped for lp in loops]
     samples = _a_samples(polys, k_max)
     s0 = time.monotonic()

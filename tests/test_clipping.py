@@ -6,9 +6,10 @@ import pytest
 
 from curveremap import clipping
 from curveremap.clipping import (ClipTopologyError, curve_flip,
-                                 intersect_curves, newton_roots, wa_clip,
+                                 intersect_curves, kept_loops, newton_roots,
+                                 wa_clip,
                                  _build_events, _label_events,
-                                 _raw_intersections, _tangent_kind)
+                                 _raw_intersections, _unit_cross)
 from curveremap.geometry import (SNAP_TOL, CurvedPolygon, CurveSpan,
                                  ParamCurve, polygon_from_points,
                                  straight_span)
@@ -69,10 +70,16 @@ def _labelled_events(sub, clp):
 
 
 def _tangent_label(event, sub, clp):
-    """The tangent rule's label of an event at its spans' local parameters."""
+    """The tangent rule's label of an event from the spans' own tangents at
+    its local parameters, not from the crossing record: 'entry' where the
+    subject passes to the left of the counterclockwise clip boundary."""
     k, kc = int(event.sig_s), int(event.sig_c)
-    return _tangent_kind(sub.spans[k % len(sub.spans)], event.sig_s - k,
-                         clp.spans[kc % len(clp.spans)], event.sig_c - kc)
+    cross = _unit_cross(
+        clp.spans[kc % len(clp.spans)].tangent_at(event.sig_c - kc),
+        sub.spans[k % len(sub.spans)].tangent_at(event.sig_s - k))
+    if abs(cross) <= clipping.CROSS_TOL:
+        return None
+    return "entry" if cross > 0.0 else "exit"
 
 
 def test_classify_matches_table2(quad_pair):
@@ -307,6 +314,30 @@ def test_topology_error_reports_points(monkeypatch):
     msg = str(info.value)
     assert "2 entries, 0 exits" in msg
     assert "(2.0, 1.0)" in msg and "(1.0, 2.0)" in msg
+
+
+def test_kept_loops_drops_slivers_and_refuses_clockwise_loops(unit_square):
+    big = polygon_from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
+    scale = unit_square.signed_area()  # the smaller polygon's area
+    drop = 1e-12 * scale
+
+    def loop(area):
+        lp = polygon_from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
+        lp._area = area
+        return lp
+
+    at_drop, above = loop(drop), loop(np.nextafter(drop, 1.0))
+    at_floor = loop(-1e-9 * scale)
+    for sub, clp in ((unit_square, big), (big, unit_square)):
+        assert kept_loops([at_drop, above, at_floor], sub, clp) == [above]
+    sliver = polygon_from_points([(0.5, 0.5), (0.5 + 1e-7, 0.5),
+                                  (0.5 + 1e-7, 0.5 + 1e-7), (0.5, 0.5 + 1e-7)])
+    assert 0.0 < sliver.signed_area() <= drop
+    assert kept_loops([sliver, above], unit_square, big) == [above]
+    clockwise = polygon_from_points([(0, 0), (0, 1), (1, 1), (1, 0)])
+    for bad in (loop(np.nextafter(-1e-9 * scale, -1.0)), clockwise):
+        with pytest.raises(ClipTopologyError, match="negative-area loop"):
+            kept_loops([above, bad], unit_square, big)
 
 
 # --------------------------------------------------------------------------

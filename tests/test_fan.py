@@ -14,9 +14,11 @@ import math
 import numpy as np
 import pytest
 
+from curveremap import integrate
 from curveremap.clipping import wa_clip
 from curveremap.experiments import _centroid, accuracy_meshes, cylinder_field
-from curveremap.integrate import _fans, triangulate
+from curveremap.geometry import CurvedPolygon, CurveSpan, ParamCurve
+from curveremap.integrate import _fans, _halves, triangulate
 from curveremap.mesh import exact_cell_averages, gen_disk_mesh, rotate_mesh
 from curveremap.remap import _a_samples, _loop_integrals, apply_plan, \
     build_plan
@@ -125,6 +127,27 @@ def test_small_loop_far_from_the_origin_is_fanned_whole():
     assert np.all(fan[1] > 0.0)
     for x, y in fan[0].tolist():
         assert poly.locate(x, y) != "outside"
+
+
+def test_halves_drop_a_sliver_piece(monkeypatch):
+    # a D whose bulge reaches 5e-9 past the middle of its hull box: the
+    # cut leaves a cap of area 2.4e-13 beyond it, below 1e-12 of the D
+    d = CurvedPolygon([CurveSpan(ParamCurve([(0, 0), (1, 0.5), (0, 1)])),
+                       CurveSpan(ParamCurve([(0, 1), (-5e-9, 0.5), (0, 0)]))])
+    traced = []
+
+    def spy(subject, clip):
+        res = wa_clip(subject, clip)
+        traced.extend(res.loops)
+        return res
+
+    monkeypatch.setattr(integrate, "wa_clip", spy)
+    [piece] = _halves(d)
+    assert len(traced) == 2 and piece in traced
+    [cap] = [lp for lp in traced if lp is not piece]
+    assert 0.0 < cap.signed_area() <= 1e-12 * d.signed_area()
+    assert abs(piece.signed_area() + cap.signed_area()
+               - d.signed_area()) <= 1e-15
 
 
 def test_one_triangulate_call_per_plan_with_triangles(monkeypatch):

@@ -549,20 +549,35 @@ def test_cell_samples_equal_boundary_points(degree):
         assert gaps[i] == poly.closure_gap()
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 5])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, "disk", "turned"])
 def test_validated_boxes_equal_per_curve_boxes(degree):
-    from curveremap.geometry import ParamCurve
-    m = gen_deformed_square_mesh(4, "gresho_like", 0.4, degree)
+    # a mesh's tables, built for all its curves and cells at once, hold
+    # each curve's and cell's own values
+    from curveremap.geometry import (Aabb, _bezier_conversion,
+                                     _uniform_params)
+    if degree == "disk":
+        m = gen_disk_mesh(4)
+    elif degree == "turned":
+        m = rotate_mesh(gen_disk_mesh(4), 0.3)
+    else:
+        m = gen_deformed_square_mesh(4, "gresho_like", 0.4, degree)
+    d = m.edge_degree
+    vand = np.vander(_uniform_params(d), d + 1, increasing=True)
+    boxes = []
     for e in range(m.n_edges):
-        fresh = ParamCurve(m.points[m.edges[e]])
-        assert np.array_equal(m.edge_curve(e).bezier_points,
-                              fresh.bezier_points)
-        assert m.edge_curve(e).bbox() == fresh.bbox()
+        curve, nodes = m.edge_curve(e), m.points[m.edges[e]]
+        bez = _bezier_conversion(d) @ nodes
+        assert np.array_equal(curve.power_coeffs, np.linalg.solve(vand, nodes))
+        assert np.array_equal(curve.bezier_points, bez)
+        boxes.append(Aabb.of_points(bez))
+        assert curve.bbox() == boxes[-1]
     for i in range(m.n_cells):
         poly = m.cell_polygon(i)
-        box = poly.spans[0].bbox()
-        for s in poly.spans[1:]:
-            box = box.union(s.bbox())
+        assert poly.corners == tuple(tuple(s.start.tolist())
+                                     for s in poly.spans)
+        box = boxes[m.cell_edges[i, 0]]
+        for e in m.cell_edges[i, 1:]:
+            box = box.union(boxes[e])
         assert poly.bbox() == box
 
 

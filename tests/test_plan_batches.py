@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from curveremap import clipping
-from curveremap.clipping import DEDUP_PARAM, transversal
+from curveremap.clipping import CROSS_TOL, DEDUP_PARAM, _unit_cross
 from curveremap.experiments import accuracy_meshes
 from curveremap.geometry import gauss_rule_01
 from curveremap.mesh import gen_disk_mesh, rotate_mesh
@@ -130,7 +130,9 @@ def test_edge_roots_are_the_curves_own_points_and_tangents(name):
         ca, cb = src.edge_curve(es), tgt.edge_curve(et)
         for r in entry:
             assert list(r.point) == ca.eval(r.t).tolist()
-            assert r.transversal == transversal(ca.deriv(r.t), cb.deriv(r.s))
+            cross = _unit_cross(ca.deriv(r.t), cb.deriv(r.s))
+            assert r.transversal == (abs(cross) > CROSS_TOL)
+            assert r.cross == cross
             checked += 1
     assert checked > 100
 

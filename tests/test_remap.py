@@ -246,6 +246,26 @@ def test_plan_failure_names_the_cell_pair(monkeypatch):
         assert str(info.value.__cause__) == "no label"
 
 
+def test_plan_refuses_a_clockwise_loop_and_names_the_cell_pair(monkeypatch):
+    import importlib
+    from curveremap import ClipResult, ClipTopologyError
+    from curveremap.geometry import CurvedPolygon
+    remap_module = importlib.import_module("curveremap.remap")
+    m = gen_deformed_square_mesh(2, "identity", degree=2)
+
+    def clockwise(subject, clip, raw=None):
+        return ClipResult([CurvedPolygon([s.flipped()
+                                          for s in reversed(subject.spans)])])
+
+    monkeypatch.setattr(remap_module, "wa_clip", clockwise)
+    with pytest.raises(ClipTopologyError,
+                       match=r"^clipping failed for source cell 0 vs target "
+                             r"cell 0: negative-area loop") as info:
+        build_plan(m, m, k_max=2)
+    assert type(info.value.__cause__) is ClipTopologyError
+    assert str(info.value.__cause__).startswith("negative-area loop")
+
+
 @pytest.mark.parametrize("degrees", [(1, 1), (2, 1)])
 def test_straight_edged_plan_shares_every_crossing(degrees, monkeypatch):
     # each cell pair that meets a (source edge, target edge) pair must cut

@@ -668,8 +668,6 @@ def wa_clip(subject: CurvedPolygon, clip: CurvedPolygon,
     The result holds every loop traced, without looking at its area: the
     intersection is kept_loops(result.loops, subject, clip).
     """
-    if not subject.bbox().inflate(SNAP_TOL).overlaps(clip.bbox().inflate(SNAP_TOL)):
-        return ClipResult()
     if raw is None:
         raw = _raw_intersections(subject, clip)
     events = _label_events(subject, clip, _build_events(subject, clip, raw))

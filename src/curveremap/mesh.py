@@ -696,38 +696,34 @@ def read_field(path, mesh: CurvilinearMesh | None = None) -> Field:
 
 # Gauss points per panel and direction of the cell-map quadrature
 _PANEL_POINTS = 8
-# quadrature points per evaluation chunk of exact_cell_averages; a cell with
-# more points than this is a chunk of its own
+# quadrature points per evaluation chunk of exact_cell_averages
 _AVERAGE_CHUNK_POINTS = 2 ** 14
 # the relative tolerance at which exact_cell_averages takes an average
 _AVERAGE_REL_TOL = 1e-13
-# the last level (2^2 x 2^2 panels) at which exact_cell_averages refines a
-# cell as a whole; past it only the panels that still change are refined
-_WHOLE_CELL_LEVELS = 2
 
 
-def _coons_integrals(nodes, rev, func, panels: int, x0=0.0, y0=0.0, h=1.0):
+def _coons_integrals(nodes, rev, func, panels: int, x0, y0, h):
     """Integrals of func over the Coons (transfinite) maps of k items, each
     a sub-square of one cell's unit square, and the minimum Jacobian
     determinant of each cell map at the item's nodes.
 
     nodes (k, 4, d+1, 2) and rev (k, 4) give each item's cell's four
-    spans; x0, y0 and h, scalars or (k,) arrays, are the item's lower-left
+    spans; x0, y0 and h, (k,) arrays, are the item's lower-left
     corner and side in the unit square. An item carries panels x panels
     panels of 8 x 8 Gauss points. Each boundary curve depends on one
     coordinate only, so it is evaluated at that coordinate's nodes and
     broadcast over the grid ("ij" order, xi slowest). func is called once,
     on 1-D arrays of every point.
 
-    Returns the item sums (k,), the panel sums (k, panels^2), panel (a, b)
-    at a * panels + b with a along xi, and the minima (k,).
+    Returns the panel sums (k, panels^2), panel (a, b) at a * panels + b
+    with a along xi, and the minima (k,).
     """
     k = len(nodes)
     d = nodes.shape[2] - 1
     xi1, w1 = gauss_rule_01(_PANEL_POINTS)
     offs = np.arange(panels) / panels
     x = (offs[:, None] + xi1[None, :] / panels).ravel()
-    x0, y0, h = (np.asarray(a, float)[..., None] for a in (x0, y0, h))
+    x0, y0, h = (a[:, None] for a in (x0, y0, h))
     xs, ys, w = x0 + h * x, y0 + h * x, np.tile(w1 / panels, panels) * h
 
     def curve(s, u):
@@ -768,8 +764,7 @@ def _coons_integrals(nodes, rev, func, panels: int, x0=0.0, y0=0.0, h=1.0):
     p = _PANEL_POINTS
     per = (terms.reshape(k, panels, p, panels, p).swapaxes(2, 3)
            .reshape(k, panels * panels, p * p))
-    return (np.sum(terms.reshape(k, -1), axis=1), np.sum(per, axis=2),
-            jac.reshape(k, -1).min(axis=1))
+    return np.sum(per, axis=2), jac.reshape(k, -1).min(axis=1)
 
 
 def exact_cell_averages(mesh: CurvilinearMesh, func, max_levels: int = 10,
@@ -778,117 +773,75 @@ def exact_cell_averages(mesh: CurvilinearMesh, func, max_levels: int = 10,
 
     func must accept numpy arrays (x, y) and evaluate elementwise. Each
     cell's Coons map carries panels of 8 x 8 Gauss points on its unit
-    square. A cell converges when two successive estimates agree to
-    1e-13 relative (of max(|estimate|, 1e-3 area)).
+    square, and every cell starts as one panel. Each round splits every
+    open panel of every open cell into four and sums the quarters' 8 x 8
+    rules, so the cell's two estimates differ by the sum of its split
+    panels' changes. A cell converges when that sum is within 1e-13
+    relative (of max(|estimate|, 1e-3 area)); a split panel whose change
+    is within its area share of the cell's tolerance is closed, the
+    others' quarters stay open. The finest panels are 2^max_levels to a
+    side, with at most 1200 Gauss points a side. A cell still open after
+    the finest round is an error in strict mode (naming the lowest-index
+    such cell and its last estimate) and a best-effort result otherwise,
+    flagged on the field as nonconverged (the field is then typically
+    discontinuous). A map with J <= 0 at a Gauss point is an error.
 
-    Uniform levels: 1, 2 x 2 and 4 x 4 panels, the whole cell at once.
-    A cell that has not converged by then goes on in panel rounds from its
-    4 x 4 panels: each round splits every open panel into four and sums
-    the quarters' 8 x 8 rules. The cell's two estimates then differ by the
-    sum of its split panels' changes; a split panel whose change is within
-    its area share of the cell's tolerance is closed, the others' quarters
-    stay open. The finest panels are 2^max_levels to a side, with at most
-    1200 Gauss points a side. A cell still open after the finest round is
-    an error in strict mode (naming the lowest-index such cell and its
-    last estimate) and a best-effort result otherwise, flagged on the
-    field as nonconverged (the field is then typically discontinuous). A
-    map with J <= 0 at a Gauss point is an error.
-
-    Each level and round evaluates all its cells or panels at once, in
-    chunks of about 2^14 quadrature points, with the same elementwise
-    arithmetic and the same per-cell sums as a cell-by-cell loop, so the
-    averages do not depend on the chunking.
+    The panels are one table, each cell's panels together and in an order
+    of their own (a panel that stays open is replaced by its four
+    quarters, in place), so each cell's estimate is a sequential sum in
+    that order. Each round evaluates all its panels at once, in chunks of
+    about 2^14 quadrature points, with elementwise arithmetic and per-panel
+    sums, so the averages do not depend on the chunks.
     """
     areas = mesh.cell_areas()
     nodes = mesh.points[mesh.edges][mesh.cell_edges]
     rev = mesh.cell_dirs < 0
-    prev = np.empty(mesh.n_cells)
-    flipped = np.zeros(mesh.n_cells, bool)
-    active = np.arange(mesh.n_cells)
-    levels = [lv for lv in range(max_levels + 1)
-              if 2 ** lv * _PANEL_POINTS <= 1200]
+    n = mesh.n_cells
+    flipped = np.zeros(n, bool)
 
-    def tolerance(cur, ids):
-        return _AVERAGE_REL_TOL * np.maximum(np.abs(cur), 1e-3 * areas[ids])
+    def panel_sums(cell, x0, y0, h, panels):
+        """The (len(cell), panels^2) sub-panel sums of the given panels."""
+        out = np.empty((len(cell), panels * panels))
+        chunk = _AVERAGE_CHUNK_POINTS // (_PANEL_POINTS * panels) ** 2
+        for lo in range(0, len(cell), chunk):
+            at = slice(lo, lo + chunk)
+            c = cell[at]
+            out[at], jmin = _coons_integrals(
+                nodes[c], rev[c], func, panels, x0[at], y0[at], h[at])
+            flipped[c[jmin <= 0.0]] = True
+        return out
 
-    for lv in levels[:_WHOLE_CELL_LEVELS + 1]:
-        panels = 2 ** lv
-        chunk = max(1, _AVERAGE_CHUNK_POINTS // (_PANEL_POINTS * panels) ** 2)
-        cur = np.empty(len(active))
-        per = np.empty((len(active), panels * panels))
-        for lo in range(0, len(active), chunk):
-            ids = active[lo:lo + chunk]
-            cur[lo:lo + chunk], per[lo:lo + chunk], jmin = _coons_integrals(
-                nodes[ids], rev[ids], func, panels)
-            flipped[ids] = jmin <= 0.0
-        keep = ~flipped[active]
-        if lv:
-            keep &= ~(np.abs(cur - prev[active]) <= tolerance(cur, active))
-        prev[active] = cur
-        active, per = active[keep], per[keep]
+    def unflipped(active):
+        active = active[~flipped[active]]
         if flipped.any():
             # an error is raised; only a cell before the first flipped one
             # can change which
-            below = active < np.argmax(flipped)
-            active, per = active[below], per[below]
-    rounds = len(levels) - _WHOLE_CELL_LEVELS - 1
-    if rounds > 0 and len(active):
-        active = _panel_rounds(nodes, rev, func, active, per, rounds,
-                               tolerance, prev, flipped)
-    if strict and len(active):
-        i = int(active[0])  # below every flipped cell
-        raise MeshError(
-            f"cell {i}: average quadrature did not converge after "
-            f"{max_levels} levels (last value {float(prev[i])!r})")
-    if flipped.any():
-        raise MeshError("cell map is not orientation-preserving")
-    return Field(prev / areas, mesh, nonconverged=bool(len(active)))
+            active = active[active < np.argmax(flipped)]
+        return active
 
-
-def _panel_rounds(nodes, rev, func, active, per, rounds, tolerance, prev,
-                  flipped):
-    """The panel rounds of exact_cell_averages for the cells active (sorted)
-    from their panel sums per (len(active), panels^2). Writes each cell's
-    estimate to prev and its J <= 0 to flipped, and returns the cells
-    still open after the last round.
-
-    The panels are one list, each cell's panels together and in an order
-    of their own (a panel that stays open is replaced by its four
-    quarters, in place), so each cell's sums are sequential sums in that
-    order.
-    """
-    n = len(prev)
-    panels = math.isqrt(per.shape[1])
-    a, b = np.divmod(np.arange(panels * panels), panels)
-    cell = np.repeat(active, panels * panels)
-    x0 = np.tile(a / panels, len(active))
-    y0 = np.tile(b / panels, len(active))
-    h = np.full(len(cell), 1.0 / panels)
-    val = per.ravel()
-    is_open = np.ones(len(cell), bool)
-    chunk = _AVERAGE_CHUNK_POINTS // (2 * _PANEL_POINTS) ** 2
-    for _ in range(rounds):
+    # the panel table: cell, lower-left corner, side, integral, open
+    cell = np.arange(n)
+    x0, y0, h = np.zeros(n), np.zeros(n), np.ones(n)
+    val = panel_sums(cell, x0, y0, h, 1)[:, 0]
+    prev = val.copy()
+    active = unflipped(cell)
+    is_open = np.isin(cell, active)
+    for lv in range(1, max_levels + 1):
+        if not len(active) or 2 ** lv * _PANEL_POINTS > 1200:
+            break
         split = np.flatnonzero(is_open)
         quarters = np.zeros((len(cell), 4))
-        for lo in range(0, len(split), chunk):
-            ids = split[lo:lo + chunk]
-            c = cell[ids]
-            _, quarters[ids], jmin = _coons_integrals(
-                nodes[c], rev[c], func, 2, x0[ids], y0[ids], h[ids])
-            flipped[c[jmin <= 0.0]] = True
+        quarters[split] = panel_sums(cell[split], x0[split], y0[split],
+                                     h[split], 2)
         q = quarters[split]
         new = q[:, 0] + q[:, 1] + q[:, 2] + q[:, 3]
         change = new - val[split]
         val[split] = new
         cur = np.bincount(cell, val, n)
         diff = np.bincount(cell[split], change, n)
-        tol = np.zeros(n)
-        tol[active] = tolerance(cur[active], active)
+        tol = _AVERAGE_REL_TOL * np.maximum(np.abs(cur), 1e-3 * areas)
         prev[active] = cur[active]
-        keep = ~flipped[active] & ~(np.abs(diff[active]) <= tol[active])
-        active = active[keep]
-        if flipped.any():
-            active = active[active < np.argmax(flipped)]
+        active = unflipped(active[~(np.abs(diff[active]) <= tol[active])])
         # a split panel whose change exceeds its share of the cell's
         # tolerance stays open, as its four quarters
         grow = np.zeros(len(cell), bool)
@@ -903,4 +856,11 @@ def _panel_rounds(nodes, rev, func, active, per, rounds, tolerance, prev,
         y0 = y0[idx] + np.where(is_open, kid % 2, 0) * side
         h, cell = side, cell[idx]
         val = np.where(is_open, quarters[idx, kid], val[idx])
-    return active
+    if strict and len(active):
+        i = int(active[0])  # below every flipped cell
+        raise MeshError(
+            f"cell {i}: average quadrature did not converge after "
+            f"{max_levels} levels (last value {float(prev[i])!r})")
+    if flipped.any():
+        raise MeshError("cell map is not orientation-preserving")
+    return Field(prev / areas, mesh, nonconverged=bool(len(active)))

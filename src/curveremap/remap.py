@@ -318,6 +318,8 @@ def apply_plan(plan: RemapPlan, averages, order: int = 3,
         raise ValueError(f"approach must be one of {_APPROACHES}")
     if approach in ("B", "both") and not plan.with_tris:
         raise ValueError("plan was built without triangulations")
+    if positivity and not plan.with_tris:
+        raise ValueError("positivity limiting needs a plan with triangulations")
     if _order_degree(order) > plan.k_max:
         raise ValueError(f"plan was built for degree <= {plan.k_max}")
     avg = np.asarray(averages, float)
@@ -341,8 +343,6 @@ def apply_plan(plan: RemapPlan, averages, order: int = 3,
     tgt = np.array([ct for ct, _, _ in loops], dtype=int)
     src = np.array([s for _, s, _ in loops], dtype=int)
     if positivity:
-        if not plan.with_tris:
-            raise ValueError("positivity limiting needs a plan with triangulations")
         if avg.min() < POSITIVITY_FLOOR:
             warnings.append(
                 f"positivity requested but min average {avg.min():.3e} is "

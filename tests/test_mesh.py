@@ -303,9 +303,7 @@ def _per_point_integrate(poly, func, panels: int, order: int = 8,
 def _per_cell_averages(mesh, func, rel_tol=1e-13, max_levels=10,
                        strict=True):
     """The earlier exact_cell_averages rule as a cell-by-cell loop over
-    _per_point_integrate: panels double per level until two levels agree.
-    exact_cell_averages keeps it bitwise for the cells that converge by
-    4 x 4 panels."""
+    _per_point_integrate: panels double per level until two levels agree."""
     areas = mesh.cell_areas()
     out = np.empty(mesh.n_cells)
     warned = False
@@ -336,16 +334,14 @@ def _per_cell_averages(mesh, func, rel_tol=1e-13, max_levels=10,
 def _panel_rule_averages(mesh, func, rel_tol=1e-13, max_levels=10,
                          strict=True):
     """exact_cell_averages as a cell-by-cell loop over _per_point_integrate:
-    the whole cell through 4 x 4 panels, then rounds that split each open
-    panel into four. The cell converges when the sum of its split panels'
+    the cell starts as one panel, and each round splits every open panel
+    into four. The cell converges when the sum of its split panels'
     changes is within its tolerance; a split panel whose change is within
     its area share of that tolerance is closed, the others' quarters stay
-    open. Returns the averages, whether any cell was left open, and which
-    cells converged by 4 x 4 panels."""
+    open. Returns the averages and whether any cell was left open."""
     areas = mesh.cell_areas()
     finest = max(lv for lv in range(max_levels + 1) if 2 ** lv * 8 <= 1200)
     out = np.empty(mesh.n_cells)
-    whole = np.zeros(mesh.n_cells, bool)
     warned = False
     for i in range(mesh.n_cells):
         poly = mesh.cell_polygon(i)
@@ -353,20 +349,11 @@ def _panel_rule_averages(mesh, func, rel_tol=1e-13, max_levels=10,
         def tol(cur):
             return rel_tol * max(abs(cur), 1e-3 * areas[i])
 
-        prev, per = _per_point_integrate(poly, func, 1)
+        prev, _ = _per_point_integrate(poly, func, 1)
+        # panels [x0, y0, h, integral, open]
+        panels = [[0.0, 0.0, 1.0, prev, True]]
         converged = False
-        for level in range(1, min(finest, 2) + 1):
-            cur, per = _per_point_integrate(poly, func, 2 ** level)
-            converged = abs(cur - prev) <= tol(cur)
-            prev = cur
-            if converged:
-                whole[i] = True
-                break
-        # panels [x0, y0, h, integral, open], in the order of the 4 x 4 grid
-        panels = [[a / 4, b / 4, 0.25, v, True]
-                  for (a, b), v in zip(itertools.product(range(4), repeat=2),
-                                       per)]
-        for level in range(3, finest + 1):
+        for level in range(1, finest + 1):
             if converged:
                 break
             quarters, diff, changes = {}, 0.0, {}
@@ -398,7 +385,7 @@ def _panel_rule_averages(mesh, func, rel_tol=1e-13, max_levels=10,
                     f"{max_levels} levels (last value {prev!r})")
             warned = True
         out[i] = prev / areas[i]
-    return out, warned, whole
+    return out, warned
 
 
 @pytest.mark.parametrize("kind", ["disk", "degree3", "wave"])
@@ -419,9 +406,8 @@ def test_coons_grid_averages_equal_per_point_form(kind):
         field = lambda x, y: np.sin(40 * x) * np.cos(37 * y)
         opts = {"max_levels": 7}
     grid = exact_cell_averages(m, field, **opts)
-    ref, _, whole = _panel_rule_averages(m, field, **opts)
+    ref, _ = _panel_rule_averages(m, field, **opts)
     assert np.array_equal(grid.averages, ref)
-    assert not whole.all()
 
 
 @functools.lru_cache(maxsize=None)
@@ -444,15 +430,12 @@ def _average_case(case):
 
 @pytest.mark.parametrize("case", ["sine", "disk", "cylinder"])
 def test_batched_averages_equal_per_cell_loop(case):
-    m, field, opts, uniform = _average_case(case)
+    m, field, opts, _ = _average_case(case)
     got = exact_cell_averages(m, field, **opts)
-    ref, warned, whole = _panel_rule_averages(m, field, **opts)
+    ref, warned = _panel_rule_averages(m, field, **opts)
     assert np.array_equal(got.averages, ref)
     assert got.nonconverged == warned
     assert warned == (case != "sine")
-    # cells that converge by 4 x 4 panels keep the uniform rule's bits
-    assert whole.any() and (case != "sine" or whole.all())
-    assert np.array_equal(got.averages[whole], uniform[whole])
 
 
 @pytest.mark.parametrize("case", ["disk", "cylinder"])
@@ -466,6 +449,24 @@ def test_panel_rounds_keep_the_uniform_rule_accuracy(case):
     areas = m.cell_areas()
     assert err @ areas <= 1.1 * (err_uniform @ areas)
     assert err.max() <= 1.01 * err_uniform.max()
+
+
+@pytest.mark.parametrize("case", ["disk", "cylinder"])
+def test_averages_do_not_depend_on_the_chunks(case, monkeypatch):
+    from curveremap import mesh as mesh_mod
+    from curveremap.experiments import (accuracy_meshes, composite_disk_field,
+                                        cylinder_field)
+    if case == "disk":
+        m, field, opts = gen_disk_mesh(8), composite_disk_field, {"max_levels": 5}
+    else:
+        # the default max_levels: the rounds go down to 2^7 panels a side
+        m, field, opts = accuracy_meshes(8, degree=3)[0], cylinder_field, {}
+    opts["strict"] = False
+    want = exact_cell_averages(m, field, **opts)
+    monkeypatch.setattr(mesh_mod, "_AVERAGE_CHUNK_POINTS", 2 ** 9)
+    got = exact_cell_averages(m, field, **opts)
+    assert np.array_equal(got.averages, want.averages)
+    assert got.nonconverged == want.nonconverged
 
 
 def test_strict_averages_name_the_lowest_unconverged_cell():

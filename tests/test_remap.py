@@ -183,6 +183,29 @@ def test_unknown_order_is_a_value_error():
             remap(RemapRequest(src, avg, src, order=order))
 
 
+@pytest.mark.parametrize("kwargs, n_avg, match", [
+    ({"approach": "C"}, 9, "approach must be one of"),
+    ({"approach": "B"}, 9, "plan was built without triangulations"),
+    ({"approach": "both"}, 9, "plan was built without triangulations"),
+    ({"order": 5}, 9, r"plan was built for degree <= 2"),
+    ({}, 8, "field length does not match the source mesh"),
+    ({"positivity": True}, 9,
+     "positivity limiting needs a plan with triangulations"),
+], ids=["approach", "B", "both", "order", "length", "positivity"])
+def test_apply_plan_checks_its_arguments_before_reconstructing(
+        kwargs, n_avg, match, monkeypatch):
+    import importlib
+    remap_module = importlib.import_module("curveremap.remap")
+    src = gen_deformed_square_mesh(3, "identity", degree=2)
+    plan = build_plan(src, src, k_max=2)
+    calls = []
+    monkeypatch.setattr(remap_module, "weno_reconstruct",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=match):
+        apply_plan(plan, np.ones(n_avg), **kwargs)
+    assert calls == []
+
+
 def test_degree3_mesh_remap_end_to_end():
     src = gen_deformed_square_mesh(4, "gresho_like", 0.3, degree=3)
     tgt = gen_deformed_square_mesh(4, "taylor_green_like", 0.04, degree=3)

@@ -16,11 +16,12 @@ from .integrate import IntegrationError
 from .mesh import (MeshError, MeshParseError, Field,
                    gen_deformed_square_mesh, gen_disk_mesh, read_field,
                    read_mesh, write_field, write_mesh)
+from .reconstruct import ReconstructionError
 from .remap import RemapRequest, remap
 from .svg import render_clip_svg, render_triangulation_svg
 
 _RUNTIME_ERRORS = (MeshError, MeshParseError, ClipTopologyError,
-                   IntegrationError, ValueError)
+                   IntegrationError, ReconstructionError, ValueError)
 
 
 def _say(args, msg: str) -> None:

@@ -10,14 +10,16 @@ stops at an exact fixed point of its step, and once few seeds move only
 those are iterated, so the roots are those of running every seed to the
 end.
 
-Entry/exit labels follow one rule, the sign of the cross product of the
-subject and clip tangents at a crossing (Weiler & Atherton 1977; Greiner &
-Hormann 1998), which intersect_curves records on each crossing. When every
-event of a pair is a transversal crossing away from the corners of both
-polygons and the labels alternate around the subject boundary, that rule
-labels them all. Otherwise boundary-arc state probes label the whole list:
-they alone resolve corners, tangencies and shared or overlapping edges. A
-pair without crossings is nested or disjoint; a corner outside the other
+Entry/exit labels follow one rule (Weiler & Atherton 1977; Greiner &
+Hormann 1998): each subject arc between consecutive events is in, out or
+on the clip boundary, and an event is an entry or exit where the state
+passes into or out of "in". A clean crossing at either end of an arc,
+transversal and away from the corners of both polygons, gives the arc its
+state from the sign of the cross product of the two tangents, which
+intersect_curves records on each crossing. Point probes give the other
+arcs theirs, and every arc of a list with a tangency or an overlap end:
+they resolve corners, tangencies and shared or overlapping edges. A pair
+without crossings is nested or disjoint; a corner outside the other
 polygon's hull box settles it, and point probes settle the rest.
 
 wa_clip traces the loops; kept_loops checks their areas, which the remap
@@ -512,16 +514,18 @@ def _build_events(subject: CurvedPolygon, clip: CurvedPolygon,
     return merged
 
 
-def _arc_state(poly_point, other: CurvedPolygon, sig_a: float, sig_b: float,
-               n: int) -> str:
-    """State (in/out/bdry) of the boundary arc (sig_a, sig_b) of one polygon
-    with respect to the other polygon."""
+def _arc_state(poly: CurvedPolygon, other: CurvedPolygon, sig_a: float,
+               sig_b: float) -> str:
+    """State (in/out/bdry) of the boundary arc (sig_a, sig_b) of poly with
+    respect to other, by point location at the arc's middle, and at its
+    quarters when the middle lies on other's boundary."""
+    n = len(poly.spans)
     if sig_b <= sig_a + 1e-12:
         sig_b += n
     votes = {"inside": 0, "outside": 0}
     boundary = 0
     for frac in (0.5, 0.25, 0.75):
-        p = poly_point(sig_a + frac * (sig_b - sig_a))
+        p = _sigma_point(poly, sig_a + frac * (sig_b - sig_a))
         loc = other.locate(float(p[0]), float(p[1]))
         if loc == "boundary":
             boundary += 1
@@ -534,74 +538,45 @@ def _arc_state(poly_point, other: CurvedPolygon, sig_a: float, sig_b: float,
     return "in" if votes["inside"] >= votes["outside"] else "out"
 
 
-def _label_events(subject: CurvedPolygon, clip: CurvedPolygon,
-                  events: list[_Event]) -> list[_Event]:
-    """Assign entry/exit labels, sorted by subject boundary coordinate;
-    drop non-transition events.
-
-    The tangent rule labels the list when it can (_tangent_labels);
-    otherwise the arc-state probes label all of it (_probe_labels).
-    """
-    if not events:
-        return []
-    events = sorted(events, key=lambda e: e.sig_s)
-    kinds = _tangent_labels(subject, clip, events)
-    if kinds is None:
-        return _probe_labels(subject, clip, events)
-    for e, kind in zip(events, kinds):
-        e.kind = kind
-    return events
-
-
 def _near_corner(sig: float) -> bool:
     """Whether boundary coordinate sig lies within _SIG_TOL of a corner."""
     u = sig - int(sig)
     return u <= _SIG_TOL or 1.0 - u <= _SIG_TOL
 
 
-def _tangent_labels(subject: CurvedPolygon, clip: CurvedPolygon,
-                    events: list[_Event]) -> list[str] | None:
-    """Labels of the events of subject against clip, sorted by sig_s, by
-    the tangent rule, or None unless every event is transversal, away from
-    the corners of both polygons, with tangents not nearly parallel, and
-    the labels alternate.
-
-    The subject enters the counterclockwise clip where it passes to the
-    left of the clip boundary: where the cross product of the subject and
-    clip unit tangents, recorded on the event, is negative.
-    """
-    kinds: list[str] = []
-    for e in events:
-        if (not e.transversal or abs(e.cross) <= CROSS_TOL
-                or _near_corner(e.sig_s) or _near_corner(e.sig_c)):
-            return None
-        kind = "entry" if e.cross < 0.0 else "exit"
-        if kinds and kind == kinds[-1]:
-            return None
-        kinds.append(kind)
-    return kinds if kinds[0] != kinds[-1] else None
-
-
-def _probe_labels(subject: CurvedPolygon, clip: CurvedPolygon,
+def _label_events(subject: CurvedPolygon, clip: CurvedPolygon,
                   events: list[_Event]) -> list[_Event]:
-    """Labels of events sorted by sig_s from the states of the boundary
-    arcs between them; events with no state change are dropped."""
-    ns = len(subject.spans)
-    m = len(events)
+    """Entry/exit labels of the events, sorted by subject boundary
+    coordinate; events with no state change are dropped.
+
+    Each subject arc between consecutive events is in, out or bdry, and an
+    event is an entry or exit where the state passes into or out of "in".
+    An arc meets the clip only at its ends, so a clean crossing at either
+    end (transversal, |cross| > CROSS_TOL, away from both polygons'
+    corners) gives it its state: the subject enters the counterclockwise
+    clip where cross < 0. _arc_state probes the arcs with no clean end or
+    with ends that disagree, and every arc of a list with a tangential
+    event or an overlap end.
+    """
+    if not events:
+        return []
+    events = sorted(events, key=lambda e: e.sig_s)
+    tangential = any(not e.transversal or abs(e.cross) <= CROSS_TOL
+                     for e in events)
+    # the states (before, after) that a clean crossing gives its two arcs
+    sides = [(None, None) if tangential or _near_corner(e.sig_s)
+             or _near_corner(e.sig_c)
+             else ("out", "in") if e.cross < 0.0 else ("in", "out")
+             for e in events]
     states = []
-    for i in range(m):
-        a, b = events[i], events[(i + 1) % m]
-        sig_b = b.sig_s if (i + 1) < m else b.sig_s + ns
-        states.append(_arc_state(lambda s: _sigma_point(subject, s), clip,
-                                 a.sig_s, sig_b, ns))
+    for i, (a, b) in enumerate(zip(events, events[1:] + events[:1])):
+        ends = {sides[i][1], sides[(i + 1) % len(events)][0]} - {None}
+        states.append(ends.pop() if len(ends) == 1
+                      else _arc_state(subject, clip, a.sig_s, b.sig_s))
     kept = []
-    for i, e in enumerate(events):
-        before, after = states[i - 1], states[i]
-        if before != "in" and after == "in":
-            e.kind = "entry"
-            kept.append(e)
-        elif before == "in" and after != "in":
-            e.kind = "exit"
+    for e, before, after in zip(events, states[-1:] + states[:-1], states):
+        if (before == "in") != (after == "in"):
+            e.kind = "entry" if after == "in" else "exit"
             kept.append(e)
     return kept
 

@@ -14,12 +14,12 @@ each half is fanned again. `remap._loop_integrals` sums the samples.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .clipping import ClipTopologyError, kept_loops, wa_clip
-from .geometry import (CurvedPolygon, GeometryError, by_degree, gauss_rule_01,
+from .geometry import (CurvedPolygon, GeometryError, _bezier_conversion,
+                       _uniform_params, by_degree, gauss_rule_01,
                        polygon_from_points, span_gauss, span_samples)
 
 
@@ -41,17 +41,6 @@ class TriangulationError(IntegrationError):
 FAN_MARGIN = 1e-12
 # rounds of halving a loop whose fan is not certified
 MAX_SPLITS = 8
-
-
-@lru_cache(maxsize=None)
-def _bernstein_nodes(degree: int):
-    """Nodes u_j = j / degree and the matrix that maps the values there of
-    a polynomial of that degree to its Bernstein coefficients on [0, 1]."""
-    u = np.linspace(0.0, 1.0, degree + 1)
-    k = np.arange(degree + 1)
-    comb = np.array([math.comb(degree, j) for j in k], float)
-    vals = comb * u[:, None] ** k * (1.0 - u[:, None]) ** (degree - k)
-    return u, np.linalg.inv(vals)
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -183,9 +172,9 @@ def _fans(polys: list[CurvedPolygon], k_max: int) -> list:
         pts[at] = (c[:, :, None, :] + r[:, None] * rel[:, :, None, :]).reshape(
             len(ids), -1, 2)
         jw[at] = ((w * g)[:, :, None] * (wr * r)).reshape(len(ids), -1)
-        u, to_bernstein = _bernstein_nodes(2 * d - 1)
-        pb, dpb, hb = span_samples(group, u)
-        bern = (_cross(pb - c, dpb) * hb[:, None]) @ to_bernstein.T
+        dg = 2 * d - 1  # the degree of g
+        pb, dpb, hb = span_samples(group, _uniform_params(dg))
+        bern = (_cross(pb - c, dpb) * hb[:, None]) @ _bezier_conversion(dg).T
         low[ids] = bern.min(axis=1)
         top[ids] = np.abs(bern).max(axis=1)
     ok = (np.minimum.reduceat(low, first)

@@ -100,6 +100,22 @@ def test_field_length_mismatch_is_error(tmp_path):
     assert code == 3
 
 
+def test_reconstruction_failure_is_exit_3(tmp_path, capsys):
+    # the unit square as one cell, which has no neighbours for the default
+    # order-3 stencil
+    mesh, fld = tmp_path / "one.curvemesh", tmp_path / "one.field"
+    mesh.write_text("curvemesh 1 2\npoints 8\n0 0\n1 0\n1 1\n0 1\n"
+                    "0.5 0\n1 0.5\n0.5 1\n0 0.5\n"
+                    "edges 4\n0 4 1\n1 5 2\n3 6 2\n0 7 3\n"
+                    "cells 1\n+0 +1 -2 -3\n")
+    write_field(Field(np.ones(1)), fld)
+    code = run_cli("--quiet", "remap", "--src-mesh", str(mesh),
+                   "--src-field", str(fld), "--dst-mesh", str(mesh),
+                   "--out", str(tmp_path / "o.field"))
+    assert code == 3
+    assert "error: cell 0 has no stencil neighbors" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code_2():
     # the child imports the package from where this process found it
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

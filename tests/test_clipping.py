@@ -19,6 +19,7 @@ from curveremap.mesh import (gen_deformed_square_mesh, gen_disk_mesh,
 from curveremap.remap import build_plan
 
 from conftest import elevated_demo_quads, sample_curved_quads
+from reference_labels import probe_labels
 
 # Published intersection table for the worked example (x, y, type)
 TABLE2 = [
@@ -227,15 +228,23 @@ def test_disjoint_cells_with_overlapping_boxes_return_no_loops(curved,
     assert probed == [small, small]
 
 
-def test_tangent_rule_needs_alternating_labels(quad_pair):
+def test_only_arcs_without_an_agreeing_clean_end_are_probed(quad_pair,
+                                                           monkeypatch):
     qp, qq = quad_pair
     events = sorted(clipping._build_events(qp, qq, _raw_intersections(qp, qq)),
                     key=lambda e: e.sig_s)
-    kinds = clipping._tangent_labels(qp, qq, events)
+    probed = []
+    state = clipping._arc_state
+    monkeypatch.setattr(clipping, "_arc_state",
+                        lambda *args: probed.append(args[2:]) or state(*args))
+    kinds = [e.kind for e in _label_events(
+        qp, qq, [dataclasses.replace(e) for e in events])]
     assert kinds == ["exit", "entry"] * 4 or kinds == ["entry", "exit"] * 4
-    # with a crossing missing, two neighbours carry the same label
-    assert clipping._tangent_labels(qp, qq, events[:3] + events[4:]) is None
-    assert clipping._tangent_labels(qp, qq, events[:1]) is None
+    assert probed == []
+    # with a crossing missing, its two neighbours carry the same label, so
+    # the arc between them has ends that disagree, and only it is probed
+    _label_events(qp, qq, events[:3] + events[4:])
+    assert probed == [(events[2].sig_s, events[4].sig_s)]
 
 
 def _label_cases():
@@ -252,29 +261,34 @@ def _label_cases():
 
 @pytest.mark.parametrize("case", range(6))
 def test_tangent_labels_equal_the_arc_state_labels(case, monkeypatch):
+    # the labels of every pair's events equal those of the frozen labeller
+    # that probes every arc
     name, src, tgt = _label_cases()[case]
-    label = clipping._label_events
-    counts = {"tangent": 0, "probes": 0}
+    label, state = clipping._label_events, clipping._arc_state
+    counts = {"arcs": 0, "probes": 0}
 
     def checked(subject, clip, events):
         ordered = sorted(events, key=lambda e: e.sig_s)
-        if ordered:
-            rule = clipping._tangent_labels(subject, clip, ordered)
-            counts["probes" if rule is None else "tangent"] += 1
-        oracle = clipping._probe_labels(
+        oracle = probe_labels(
             subject, clip, [dataclasses.replace(e) for e in ordered])
+        counts["arcs"] += len(events)
         got = label(subject, clip, events)
         assert [(e.sig_s, e.sig_c, e.kind) for e in got] == \
             [(e.sig_s, e.sig_c, e.kind) for e in oracle]
         return got
 
+    def probe(*args):
+        counts["probes"] += 1
+        return state(*args)
+
     monkeypatch.setattr(clipping, "_label_events", checked)
+    monkeypatch.setattr(clipping, "_arc_state", probe)
     build_plan(src, tgt, k_max=0)
-    # every plan has corner events, which the probes label; the identity
-    # remap and the tiny turns have nothing else
+    # every plan has corner events, whose arcs are probed; on the identity
+    # remap and the tiny turns no crossing gives an arc its state
     assert counts["probes"] > 0
-    assert (counts["tangent"] > 0) == (name in ("accuracy_n8", "cubic_n8",
-                                                "disk_turned_0.785"))
+    assert (counts["probes"] < counts["arcs"]) == (
+        name in ("accuracy_n8", "cubic_n8", "disk_turned_0.785"))
 
 
 def test_clip_symmetry_and_boundedness_random():

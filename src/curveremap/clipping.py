@@ -19,8 +19,9 @@ state from the sign of the cross product of the two tangents, which
 intersect_curves records on each crossing. Point probes give the other
 arcs theirs, and every arc of a list with a tangency or an overlap end:
 they resolve corners, tangencies and shared or overlapping edges. A pair
-without crossings is nested or disjoint; a corner outside the other
-polygon's hull box settles it, and point probes settle the rest.
+whose events change no state is nested or disjoint; a corner outside the
+other polygon's hull box settles it, and otherwise the same probe, run on
+the whole boundary as one arc, does.
 
 wa_clip traces the loops; kept_loops checks their areas, which the remap
 plan fills for all its loops at once.
@@ -607,33 +608,14 @@ def _corners_in_hull(inner: CurvedPolygon, outer: CurvedPolygon) -> bool:
     return all(box.contains(x, y) for x, y in inner.corners)
 
 
-def _robust_inside(inner: CurvedPolygon, outer: CurvedPolygon) -> bool:
-    """Whether a representative interior point of inner lies inside outer."""
-    x, y = inner.interior_point()
-    loc = outer.locate(x, y)
-    if loc != "boundary":
-        return loc == "inside"
-    # interior point of inner happens to sit on outer's boundary: probe more
-    box = inner.bbox()
-    for k in (7, 13, 29):
-        xs = np.linspace(box.xmin, box.xmax, k + 2)[1:-1]
-        ys = np.linspace(box.ymin, box.ymax, k + 2)[1:-1]
-        for cx in xs:
-            for cy in ys:
-                if inner.locate(float(cx), float(cy)) != "inside":
-                    continue
-                loc = outer.locate(float(cx), float(cy))
-                if loc != "boundary":
-                    return loc == "inside"
-    raise ClipTopologyError("containment test found no decisive probe point")
-
-
 def wa_clip(subject: CurvedPolygon, clip: CurvedPolygon,
             raw: list[CurveIntersection] | None = None) -> ClipResult:
     """Intersection of two curved polygons by Weiler-Atherton traversal.
 
-    Without intersections, containment is resolved by the corners' hull
-    box test and then an interior representative point. Otherwise
+    Without entry/exit events the polygons are nested or disjoint. One
+    lies inside the other when its corners lie in the other's hull box and
+    _arc_state, probing its whole boundary as one arc, does not read "out";
+    when both do, the smaller comes back, the subject on a tie. Otherwise
     entry/exit events are placed in two circular lists and loops are traced
     by walking the subject list from each entry to the next exit, then the
     clip list to the next entry, until the loop closes; unused entries seed
@@ -648,14 +630,15 @@ def wa_clip(subject: CurvedPolygon, clip: CurvedPolygon,
     events = _label_events(subject, clip, _build_events(subject, clip, raw))
 
     if not events:
-        # No transversal crossings: interiors are nested or disjoint. A
-        # single representative point cannot tell which polygon is the
-        # inner one (both probes land inside for nested cells), so probe
-        # both ways and return the smaller region when nested.
+        # No state changes: the cells are nested or disjoint. Each
+        # direction probes the whole boundary of the would-be inner cell
+        # as one arc. An arc on the other's boundary counts as held, so
+        # cells that share the probed points, identical ones among them,
+        # nest both ways and the smaller comes back.
         sub_in = (_corners_in_hull(subject, clip)
-                  and _robust_inside(subject, clip))
+                  and _arc_state(subject, clip, 0.5, 0.5) != "out")
         clip_in = (_corners_in_hull(clip, subject)
-                   and _robust_inside(clip, subject))
+                   and _arc_state(clip, subject, 0.5, 0.5) != "out")
         if sub_in and clip_in:
             if subject.signed_area() <= clip.signed_area():
                 return ClipResult([subject], "subject_in_clip")
@@ -668,7 +651,7 @@ def wa_clip(subject: CurvedPolygon, clip: CurvedPolygon,
 
     n_entry = sum(1 for e in events if e.kind == "entry")
     n_exit = len(events) - n_entry
-    if n_entry != n_exit or not events:
+    if n_entry != n_exit:
         raise ClipTopologyError(
             f"unbalanced entry/exit events: {n_entry} entries, {n_exit} exits "
             f"(points {[e.point for e in events]})")

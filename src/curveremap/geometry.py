@@ -582,7 +582,7 @@ class CurvedPolygon:
     self-intersect (sampling check).
     """
 
-    __slots__ = ("spans", "_bbox", "_area", "_interior", "_corners")
+    __slots__ = ("spans", "_bbox", "_area", "_corners")
 
     def __init__(self, spans):
         self.spans = tuple(spans)
@@ -590,7 +590,6 @@ class CurvedPolygon:
             raise GeometryError("polygon needs at least 2 spans")
         self._bbox = None
         self._area = None
-        self._interior = None
         self._corners = None
 
     def bbox(self) -> Aabb:
@@ -688,45 +687,6 @@ class CurvedPolygon:
                 if fwd > 0.0:
                     count += 1
         return count
-
-    def interior_point(self) -> tuple[float, float]:
-        """A deterministic point strictly inside the polygon."""
-        if self._interior is not None:
-            return self._interior
-        mids = np.array([s.point_at(0.5) for s in self.spans])
-        cands = [tuple(mids.mean(axis=0))]
-        # walk inward from span midpoints (interior is left of a CCW boundary)
-        scale = math.sqrt(max(self.signed_area(), 1e-30))
-        for s in self.spans:
-            p = s.point_at(0.5)
-            tg = s.tangent_at(0.5)
-            norm = math.hypot(tg[0], tg[1])
-            if norm == 0.0:
-                continue
-            nx, ny = -tg[1] / norm, tg[0] / norm
-            for frac in (0.25, 0.1, 0.02, 0.004):
-                cands.append((p[0] + nx * frac * scale, p[1] + ny * frac * scale))
-        for cx, cy in cands:
-            try:
-                if self.locate(cx, cy) == "inside":
-                    self._interior = (float(cx), float(cy))
-                    return self._interior
-            except GeometryError:
-                continue
-        # last resort: scan a grid over the bounding box
-        box = self.bbox()
-        for k in (5, 11, 23):
-            xs = np.linspace(box.xmin, box.xmax, k + 2)[1:-1]
-            ys = np.linspace(box.ymin, box.ymax, k + 2)[1:-1]
-            for cx in xs:
-                for cy in ys:
-                    try:
-                        if self.locate(float(cx), float(cy)) == "inside":
-                            self._interior = (float(cx), float(cy))
-                            return self._interior
-                    except GeometryError:
-                        continue
-        raise GeometryError("could not find an interior point")
 
     def __repr__(self):
         return f"CurvedPolygon({len(self.spans)} spans)"

@@ -597,6 +597,18 @@ class _LineReader:
                              "unexpected end of file")
 
 
+def _read_int(path, ln: int, tok: str, what: str, minimum: int = 0) -> int:
+    """tok as an integer of at least minimum; otherwise MeshParseError
+    naming what."""
+    try:
+        value = int(tok)
+    except ValueError:
+        value = minimum - 1
+    if value < minimum:
+        raise MeshParseError(path, ln, f"bad {what} {tok!r}")
+    return value
+
+
 def read_mesh(path) -> CurvilinearMesh:
     """Read and validate a mesh file; malformed input raises MeshParseError."""
     rd = _LineReader(path)
@@ -604,20 +616,14 @@ def read_mesh(path) -> CurvilinearMesh:
     parts = header.split()
     if len(parts) != 3 or parts[0] != "curvemesh" or parts[1] != "1":
         raise MeshParseError(path, ln, f"bad header {header!r}")
-    try:
-        degree = int(parts[2])
-    except ValueError:
-        raise MeshParseError(path, ln, f"bad edge degree {parts[2]!r}") from None
+    degree = _read_int(path, ln, parts[2], "edge degree", minimum=1)
 
     def section(name):
         ln, line = rd.next()
         parts = line.split()
         if len(parts) != 2 or parts[0] != name:
             raise MeshParseError(path, ln, f"expected '{name} <count>', got {line!r}")
-        try:
-            return int(parts[1])
-        except ValueError:
-            raise MeshParseError(path, ln, f"bad count {parts[1]!r}") from None
+        return _read_int(path, ln, parts[1], "count")
 
     npts = section("points")
     pts = np.empty((npts, 2))
@@ -677,12 +683,8 @@ def read_field(path, mesh: CurvilinearMesh | None = None) -> Field:
     parts = header.split()
     if len(parts) != 3 or parts[0] != "field" or parts[1] != "1":
         raise MeshParseError(path, ln, f"bad field header {header!r}")
-    try:
-        count = int(parts[2])
-    except ValueError:
-        raise MeshParseError(path, ln, f"bad count {parts[2]!r}") from None
-    vals = np.empty(count)
-    for k in range(count):
+    vals = np.empty(_read_int(path, ln, parts[2], "count"))
+    for k in range(len(vals)):
         ln, line = rd.next()
         try:
             vals[k] = float(line)

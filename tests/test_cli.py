@@ -135,6 +135,16 @@ def test_malformed_mesh_is_exit_3_not_crash(tmp_path):
     assert code == 3
 
 
+def test_negative_count_is_exit_3_naming_the_line(tmp_path, capsys):
+    bad = tmp_path / "bad.curvemesh"
+    bad.write_text("curvemesh 1 2\npoints -3\n")
+    code = run_cli("--quiet", "remap", "--src-mesh", str(bad),
+                   "--src-field", str(bad), "--dst-mesh", str(bad),
+                   "--out", str(tmp_path / "o.field"))
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {bad}:2: bad count '-3'\n"
+
+
 def test_clipdemo_outputs_and_determinism(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -19,7 +20,10 @@ from curveremap.mesh import (gen_deformed_square_mesh, gen_disk_mesh,
 from curveremap.remap import build_plan
 
 from conftest import elevated_demo_quads, sample_curved_quads
+from reference_labels import containment as point_containment
 from reference_labels import probe_labels
+
+remap_module = importlib.import_module("curveremap.remap")
 
 # Published intersection table for the worked example (x, y, type)
 TABLE2 = [
@@ -186,6 +190,20 @@ def _curved_quad(corners, bulge):
     return CurvedPolygon(spans)
 
 
+def _spy_arc_state(monkeypatch) -> list:
+    """(polygon, sig_a, sig_b, state) of every _arc_state call from now
+    on."""
+    probed = []
+    state = clipping._arc_state
+
+    def spy(poly, other, sig_a, sig_b):
+        probed.append((poly, sig_a, sig_b, state(poly, other, sig_a, sig_b)))
+        return probed[-1][-1]
+
+    monkeypatch.setattr(clipping, "_arc_state", spy)
+    return probed
+
+
 @pytest.mark.parametrize("curved", [False, True])
 def test_nested_cells_without_crossings_return_the_inner_cell(curved,
                                                               monkeypatch):
@@ -195,16 +213,14 @@ def test_nested_cells_without_crossings_return_the_inner_cell(curved,
         outer, inner = _curved_quad(square, 0.1), _curved_quad(small, -0.15)
     else:
         outer, inner = polygon_from_points(square), polygon_from_points(small)
-    probed = []
-    robust = clipping._robust_inside
-    monkeypatch.setattr(clipping, "_robust_inside",
-                        lambda a, b: probed.append(a) or robust(a, b))
+    probed = _spy_arc_state(monkeypatch)
     for res, kind in ((wa_clip(inner, outer), "subject_in_clip"),
                       (wa_clip(outer, inner), "clip_in_subject")):
         assert res.containment == kind
         assert res.loops == [inner]
-    # outer's corners lie outside inner's hull box, so only inner is probed
-    assert probed == [inner, inner]
+    # outer's corners lie outside inner's hull box, so only inner is
+    # probed, as one arc around its whole boundary
+    assert probed == [(inner, 0.5, 0.5, "in")] * 2
 
 
 @pytest.mark.parametrize("curved", [False, True])
@@ -218,14 +234,63 @@ def test_disjoint_cells_with_overlapping_boxes_return_no_loops(curved,
         dart, small = _curved_quad(dart, -0.02), _curved_quad(small, 0.1)
     else:
         dart, small = polygon_from_points(dart), polygon_from_points(small)
-    probed = []
-    robust = clipping._robust_inside
-    monkeypatch.setattr(clipping, "_robust_inside",
-                        lambda a, b: probed.append(a) or robust(a, b))
+    probed = _spy_arc_state(monkeypatch)
     for a, b in ((dart, small), (small, dart)):
         res = wa_clip(a, b)
         assert res.loops == [] and res.containment == "none"
-    assert probed == [small, small]
+    assert probed == [(small, 0.5, 0.5, "out")] * 2
+
+
+def _touching_quads(kind):
+    """(outer, inner): inner lies in the square [0, 4]^2 and touches its
+    bottom and left sides, at two corners or where two of its edges bow
+    out to meet them tangentially."""
+    outer = polygon_from_points([(0, 0), (4, 0), (4, 4), (0, 4)])
+    if kind == "corners":
+        return outer, polygon_from_points([(2, 0), (3, 2), (2, 3), (0, 2)])
+    corners = [(1, 1), (3, 1), (3, 3), (1, 3)]
+    mids = [(2, 0), (3.2, 2), (2, 3.2), (0, 2)]
+    return outer, CurvedPolygon([
+        CurveSpan(ParamCurve([corners[k], mids[k], corners[(k + 1) % 4]]))
+        for k in range(4)])
+
+
+@pytest.mark.parametrize("kind", ["corners", "tangent"])
+def test_nested_cells_that_touch_return_the_inner_cell(kind, monkeypatch):
+    # the boundaries meet, so there are events, but the state never
+    # changes on them: no event is kept and the whole-loop probe decides
+    outer, inner = _touching_quads(kind)
+    probed = _spy_arc_state(monkeypatch)
+    for a, b, nested in ((inner, outer, "subject_in_clip"),
+                         (outer, inner, "clip_in_subject")):
+        assert _build_events(a, b, _raw_intersections(a, b))
+        res = wa_clip(a, b)
+        assert res.crossings == []
+        assert res.containment == nested and res.loops == [inner]
+    assert [p for p in probed if p[1:3] == (0.5, 0.5)] == \
+        [(inner, 0.5, 0.5, "in")] * 2
+
+
+def test_cells_sharing_three_sides_return_the_smaller_cell(monkeypatch):
+    # inner is the square with its bottom side bowed in, so the two cells
+    # share three whole sides. With the square as subject its bottom is
+    # out and its other sides bdry, so no event is kept. Both whole-loop
+    # probes land on the shared sides and read bdry, which counts as
+    # nested both ways, and the smaller cell comes back.
+    outer = polygon_from_points([(0, 0), (4, 0), (4, 4), (0, 4)])
+    bowed = CurveSpan(ParamCurve([(0, 0), (2, 1), (4, 0)]))
+    inner = CurvedPolygon([bowed, *outer.spans[1:]])
+    probed = _spy_arc_state(monkeypatch)
+    res = wa_clip(outer, inner)
+    assert res.crossings == []
+    assert res.containment == "clip_in_subject" and res.loops == [inner]
+    assert probed[-2:] == [(outer, 0.5, 0.5, "bdry"),
+                           (inner, 0.5, 0.5, "bdry")]
+    # with inner as subject its bowed side is an "in" arc between two
+    # kept events, and the traced loop is inner itself
+    res = wa_clip(inner, outer)
+    assert [e.kind for e in res.crossings] == ["entry", "exit"]
+    assert math.isclose(res.total_area, inner.signed_area(), rel_tol=1e-14)
 
 
 def test_only_arcs_without_an_agreeing_clean_end_are_probed(quad_pair,
@@ -289,6 +354,30 @@ def test_tangent_labels_equal_the_arc_state_labels(case, monkeypatch):
     assert counts["probes"] > 0
     assert (counts["probes"] < counts["arcs"]) == (
         name in ("accuracy_n8", "cubic_n8", "disk_turned_0.785"))
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_whole_loop_probe_equals_the_interior_point_rule(case, monkeypatch):
+    # on every pair of a plan whose events change no state, the
+    # containment of the whole-loop probe equals that of the frozen rule
+    # that located interior points
+    name, src, tgt = _label_cases()[case]
+    clip_pair, probed = remap_module.wa_clip, []
+
+    def checked(subject, clip, raw=None):
+        res = clip_pair(subject, clip, raw)
+        if not res.crossings:
+            assert res.containment == point_containment(subject, clip, probed)
+        return res
+
+    monkeypatch.setattr(remap_module, "wa_clip", checked)
+    build_plan(src, tgt, k_max=0)
+    # the old probe ran only where the cells nearly coincide or touch:
+    # once in each accuracy plan, on most pairs of the tiny turn and of
+    # the identity remap
+    assert len(probed) == {"accuracy_n8": 1, "cubic_n8": 1,
+                           "disk_turned_0.785": 0, "disk_turned_1e-09": 0,
+                           "disk_turned_1e-12": 128, "identity": 32}[name]
 
 
 def test_clip_symmetry_and_boundedness_random():

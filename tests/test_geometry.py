@@ -219,12 +219,6 @@ def test_signed_area_triangle():
     assert math.isclose(tri.signed_area(), 2.0, rel_tol=1e-14)
 
 
-def test_interior_point_is_inside(quad_pair):
-    for poly in quad_pair:
-        x, y = poly.interior_point()
-        assert poly.locate(x, y) == "inside"
-
-
 def _roots_one_by_one(coeffs, lo, hi, tol=1e-9):
     """The per-polynomial root finder real_roots_in must match:
     trim, closed forms below degree 3, numpy's polyroots from degree 3."""

@@ -207,6 +207,22 @@ def test_malformed_tokens_are_parse_errors(tmp_path):
     assert "3" in str(err.value)  # line number reported
 
 
+@pytest.mark.parametrize("reader, text, line", [
+    (read_mesh, "curvemesh 1 0\n", 1),
+    (read_mesh, "curvemesh 1 -2\n", 1),
+    (read_mesh, "curvemesh 1 2\npoints -3\n", 2),
+    (read_mesh, "curvemesh 1 1\npoints 0\nedges -1\n", 3),
+    (read_mesh, "curvemesh 1 1\npoints 0\nedges 0\ncells -5\n", 4),
+    (read_field, "field 1 -4\n", 1),
+], ids=["degree-0", "degree-minus-2", "points", "edges", "cells", "field"])
+def test_negative_sizes_are_parse_errors(tmp_path, reader, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(MeshParseError) as err:
+        reader(path)
+    assert str(err.value).startswith(f"{path}:{line}: bad ")
+
+
 def test_handwritten_quad_p_file_matches_memory(tmp_path):
     mem = one_cell_quad_p()
     path = tmp_path / "quadp.curvemesh"

@@ -310,30 +310,74 @@ class ParamCurve:
         return f"ParamCurve(degree={self.degree})"
 
 
+def _straddles(line: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """Whether the two ends of the segments seg lie strictly on both sides
+    of the lines of the segments line, elementwise. Each is a stack
+    (ax, ay, dx, dy, ex, ey) of starts a, directions d and ends e = a + d."""
+    ax, ay, dx, dy = line[:4]
+    ca = dx * (seg[1] - ay) - dy * (seg[0] - ax)
+    cb = dx * (seg[5] - ay) - dy * (seg[4] - ax)
+    return ca * cb < 0
+
+
+def _crossings(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Proper crossings of the segments i and j (stacks as _straddles
+    takes them): the ends of each straddle the other's line. The second
+    test runs only where the first holds."""
+    hit = _straddles(i, j)
+    at = (slice(None),) + np.nonzero(hit)
+    hit[at[1:]] = _straddles(j[at], i[at])
+    return hit
+
+
 def _polyline_self_intersects(pts: np.ndarray) -> np.ndarray:
-    """All-pairs proper-crossing test on closed sampled polylines, one per
-    row of pts (B, m, 2); returns (B,) bools. A polyline has m segments,
-    the last one from pts[:, -1] back to pts[:, 0]."""
-    pts = np.concatenate([pts, pts[:, :1]], axis=1)
-    a = pts[:, :-1]
-    n = a.shape[1]
-    if n < 3:
-        return np.zeros(len(pts), bool)
-    d = pts[:, 1:] - a
-    # Segment pair (i, j) crosses if endpoints of each straddle the other.
-    ax, ay = a[:, None, :, 0], a[:, None, :, 1]
-    axi, ayi = a[:, :, None, 0], a[:, :, None, 1]
-    dx, dy = d[:, None, :, 0], d[:, None, :, 1]
-    dxi, dyi = d[:, :, None, 0], d[:, :, None, 1]
-    # cross_i(p) = dx_i*(py-ay_i) - dy_i*(px-ax_i), sign straddle both ways
-    ca = dxi * (ay - ayi) - dyi * (ax - axi)
-    cb = dxi * (ay + dy - ayi) - dyi * (ax + dx - axi)
-    straddle = ca * cb < 0
-    proper = straddle & straddle.transpose(0, 2, 1)
-    # ignore adjacent segments and the wrap pair
-    gap = np.abs(np.arange(n)[:, None] - np.arange(n))
-    proper &= ~((gap <= 1) | (gap == n - 1))
-    return proper.any(axis=(1, 2))
+    """Proper-crossing test on closed sampled polylines, one per row of pts
+    (B, m, 2); returns (B,) bools. A polyline has m segments, the last one
+    from pts[:, -1] back to pts[:, 0]; adjacent segments are not compared.
+
+    The segments form groups of 4 consecutive ones. Pairs less than 8
+    segments apart (cyclic offsets 2 to 7) are tested for every polyline
+    as rolled (B, m) arrays. Pairs further apart lie in groups at least
+    two groups apart both ways round, and are tested only where the two
+    groups' closed boxes overlap: in exact arithmetic a proper crossing
+    implies that. (Rounding can make two segments on one line with
+    disjoint boxes test as crossed; such a pair counts only where it is
+    tested.)
+    """
+    b, m = pts.shape[:2]
+    crossed = np.zeros(b, bool)
+    if m < 4:  # every pair is adjacent
+        return crossed
+    g = 4
+    start = np.moveaxis(pts, -1, 0)
+    step = np.roll(start, -1, axis=2) - start
+    seg = np.concatenate([start, step, start + step])  # (6, B, m)
+    # extended cyclically, so that each near offset is a slice
+    ext = np.concatenate([seg, seg[:, :, :2 * g]], axis=2)
+    for off in range(2, min(2 * g, m - 1)):
+        crossed |= _crossings(seg, ext[:, :, off:off + m]).any(axis=1)
+    n_groups = -(-m // g)
+    # group pairs (p, q), p < q, at least two groups apart both ways round
+    p, q = np.nonzero(np.triu(np.ones((n_groups, n_groups), bool), 2))
+    keep = n_groups - (q - p) >= 2
+    p, q = p[keep], q[keep]
+    if not len(p):
+        return crossed
+    # group k holds segments k g ... k g + g - 1, the last group padded
+    # with repeats of segment m - 1; its box is the union of theirs
+    members = np.minimum(np.arange(n_groups)[:, None] * g + np.arange(g),
+                         m - 1)
+    lo = np.minimum(seg[:2], seg[4:])[:, :, members].min(axis=3)
+    hi = np.maximum(seg[:2], seg[4:])[:, :, members].max(axis=3)
+    row, k = np.nonzero(((lo[:, :, p] <= hi[:, :, q])
+                         & (lo[:, :, q] <= hi[:, :, p])).all(axis=0))
+    if len(row):
+        rows = row[:, None, None]
+        i = seg[:, rows, members[p[k]][:, :, None]]
+        j = seg[:, rows, members[q[k]][:, None, :]]
+        i, j = np.broadcast_arrays(i, j)
+        crossed[row[_crossings(i, j).any(axis=(1, 2))]] = True
+    return crossed
 
 
 def _trim_leading(coeffs) -> list[float]:

@@ -55,7 +55,8 @@ class CurvilinearMesh:
         if not np.all(np.isfinite(self.points)):
             raise MeshError("mesh points must be finite")
         self.edge_degree = self.edges.shape[1] - 1
-        self._tables: tuple[list[ParamCurve], list[CurvedPolygon]] | None = None
+        self._tables: tuple[list[ParamCurve], list[CurvedPolygon],
+                            np.ndarray] | None = None
         self._areas: np.ndarray | None = None
         self._adjacency = None
         if validate:
@@ -92,14 +93,6 @@ class CurvilinearMesh:
             self._areas = np.array([p.signed_area() for p in polys])
         return self._areas
 
-    def cell_corners(self, i: int) -> list[int]:
-        """Point indices of the 4 corner vertices, in CCW order."""
-        out = []
-        for e, d in zip(self.cell_edges[i], self.cell_dirs[i]):
-            row = self.edges[int(e)]
-            out.append(int(row[0] if d > 0 else row[-1]))
-        return out
-
     @property
     def adjacency(self):
         if self._adjacency is None:
@@ -112,7 +105,8 @@ class CurvilinearMesh:
 
 
 def _mesh_tables(mesh: CurvilinearMesh):
-    """Every edge curve and cell polygon of a mesh, from stacked passes.
+    """Every edge curve and cell polygon of a mesh, from stacked passes,
+    and the cell boxes (C, 4) as (xmin, ymin, xmax, ymax) rows.
 
     The curves get their power coefficients (one solve for all edges),
     Bezier points and hull boxes; each cell polygon gets its corners, from
@@ -143,7 +137,7 @@ def _mesh_tables(mesh: CurvilinearMesh):
                               for e, b in zip(edges, back)])
         poly._corners, poly._bbox = tuple(map(tuple, pts)), Aabb(*box)
         polys.append(poly)
-    return curves, polys
+    return curves, polys, cell_boxes
 
 
 @dataclass
@@ -174,37 +168,46 @@ class Adjacency:
 
 
 def build_adjacency(mesh: CurvilinearMesh) -> Adjacency:
-    """Edge-sharing and vertex-sharing neighbor lists per cell.
+    """Edge-sharing and vertex-sharing neighbor lists per cell, each
+    sorted, from sorted arrays of (cell, neighbor) keys.
 
     Reports non-manifold edges (referenced by more than two cells).
     """
-    edge_cells: dict[int, list[int]] = {}
-    for i in range(mesh.n_cells):
-        for e in mesh.cell_edges[i]:
-            edge_cells.setdefault(int(e), []).append(i)
-    bad = {e: cs for e, cs in edge_cells.items() if len(cs) > 2}
-    if bad:
-        raise MeshError(f"non-manifold edges (used by >2 cells): {sorted(bad)}")
-    edge_nb: list[set[int]] = [set() for _ in range(mesh.n_cells)]
-    for cs in edge_cells.values():
-        if len(cs) == 2:
-            a, b = cs
-            edge_nb[a].add(b)
-            edge_nb[b].add(a)
-    vertex_cells: dict[int, set[int]] = {}
-    corners = [mesh.cell_corners(i) for i in range(mesh.n_cells)]
-    for i, cs in enumerate(corners):
-        for v in cs:
-            vertex_cells.setdefault(v, set()).add(i)
-    vert_nb: list[set[int]] = [set() for _ in range(mesh.n_cells)]
-    for i, cs in enumerate(corners):
-        for v in cs:
-            vert_nb[i] |= vertex_cells[v]
-    out_e, out_v = [], []
-    for i in range(mesh.n_cells):
-        out_e.append(sorted(edge_nb[i]))
-        out_v.append(sorted(vert_nb[i] - edge_nb[i] - {i}))
-    return Adjacency(out_e, out_v)
+    n = mesh.n_cells
+    flat = mesh.cell_edges.ravel()
+    count = np.bincount(flat, minlength=mesh.n_edges)
+    bad = np.flatnonzero(count > 2)
+    if len(bad):
+        raise MeshError(
+            f"non-manifold edges (used by >2 cells): {bad.tolist()}")
+    cell = np.repeat(np.arange(n), 4)
+    # the two cells of an edge used twice are consecutive in edge order
+    order = np.argsort(flat, kind="stable")
+    a, b = cell[order][count[flat[order]] == 2].reshape(-1, 2).T
+    edge_keys = np.unique(np.concatenate([a * n + b, b * n + a]))
+    # the distinct (vertex, cell) incidences, by vertex: every two cells
+    # at a vertex are vertex neighbors
+    corners = np.where(mesh.cell_dirs > 0, mesh.edges[mesh.cell_edges, 0],
+                       mesh.edges[mesh.cell_edges, -1])
+    vert, at = np.divmod(np.unique(corners.ravel() * n + cell), n)
+    keys = [np.empty(0, int)]
+    for off in range(1, len(vert)):
+        same = vert[off:] == vert[:-off]
+        if not same.any():
+            break
+        a, b = at[:-off][same], at[off:][same]
+        keys += [a * n + b, b * n + a]
+    vertex_keys = np.setdiff1d(np.concatenate(keys), edge_keys)
+    return Adjacency(_neighbor_lists(edge_keys, n),
+                     _neighbor_lists(vertex_keys, n))
+
+
+def _neighbor_lists(keys: np.ndarray, n: int) -> list[list[int]]:
+    """Per cell i, the sorted j of the sorted keys i * n + j."""
+    cell, nb = np.divmod(keys, n)
+    bounds = np.searchsorted(cell, np.arange(n + 1)).tolist()
+    nb = nb.tolist()
+    return [nb[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _boundary_chain(mesh: CurvilinearMesh) -> list[tuple[int, int]]:
@@ -242,9 +245,10 @@ def boundary_loop(mesh: CurvilinearMesh) -> CurvedPolygon:
                           for e, d in _boundary_chain(mesh)])
 
 
-# cells per chunk of the sampled crossing test; each cell's test holds a
-# few 64 x 64 arrays
-_CROSSING_CHUNK = 16
+# cells per call of the sampled crossing test, so that its (cells, 64)
+# segment arrays stay in cache: on a 2-core Xeon an n=32 mesh took 14 ms in
+# calls of 128 cells and 22 ms in one call
+_CROSSING_CHUNK = 128
 
 
 def _span_params(u: np.ndarray, rev: np.ndarray) -> np.ndarray:
@@ -258,19 +262,21 @@ def _span_params(u: np.ndarray, rev: np.ndarray) -> np.ndarray:
 def validate_mesh(mesh: CurvilinearMesh) -> None:
     """Structural and geometric mesh validation, in whole-mesh array passes.
 
-    Exact checks: index ranges, manifoldness, and the partition property
-    (cell areas must sum to the area enclosed by the boundary loop). Per
-    cell, as CurvedPolygon.validate checks one loop: closure (span ends
-    meet the next span's start within 10 SNAP_TOL of the Bezier hull
-    diagonal, at least 1), counterclockwise orientation (the batched cell
-    areas), and a sampled crossing test on each cell's closed 64-point
-    polyline, 16 points per span, run on chunks of cells. The error lists
-    the first 8 invalid cells with the reason of each.
+    Exact checks: a mesh has cells, index ranges, manifoldness, and the
+    partition property (cell areas must sum to the area enclosed by the
+    boundary loop). Per cell, as CurvedPolygon.validate checks one loop:
+    closure (span ends meet the next span's start within 10 SNAP_TOL of the
+    Bezier hull diagonal, at least 1), counterclockwise orientation (the
+    batched cell areas), and the sampled crossing test
+    (_polyline_self_intersects) on each cell's closed 64-point polyline,
+    16 points per span, run on chunks of cells. The error lists the first 8
+    invalid cells with the reason of each.
     """
-    if mesh.edges.min() < 0 or mesh.edges.max() >= mesh.n_points:
-        raise MeshError("edge point index out of range")
     if mesh.n_cells == 0:
         raise MeshError("mesh has no cells")
+    if mesh.n_edges and (mesh.edges.min() < 0
+                         or mesh.edges.max() >= mesh.n_points):
+        raise MeshError("edge point index out of range")
     if mesh.cell_edges.min() < 0 or mesh.cell_edges.max() >= mesh.n_edges:
         raise MeshError("cell edge index out of range")
     if not np.all(np.abs(mesh.cell_dirs) == 1):
@@ -309,13 +315,13 @@ def _invalid_cells(mesh: CurvilinearMesh, areas: np.ndarray) -> list:
     """(cell, reason) of every cell that fails a loop check, in cell order.
 
     The closure check is scaled by the diagonal of each cell polygon's
-    box, as CurvedPolygon.validate scales it.
+    box (the mesh tables' cell boxes), as CurvedPolygon.validate scales it.
     """
     samples = _cell_samples(mesh)
     ends, starts = samples[:, :, 16], np.roll(samples[:, :, 0], -1, axis=1)
     gap = _hypot(ends - starts).max(axis=1)
-    scale = np.array([max(mesh.cell_polygon(i).bbox().diag, 1.0)
-                      for i in range(mesh.n_cells)])
+    boxes = mesh._curves_and_polygons()[2]
+    scale = np.maximum(_hypot(boxes[:, 2:] - boxes[:, :2]), 1.0)
     open_ = gap > 10.0 * SNAP_TOL * scale
     cw = ~open_ & (areas <= 0.0)
     loops = samples[:, :, :16].reshape(-1, 64, 2)
@@ -387,55 +393,28 @@ def _structured_mesh(n: int, degree: int, phi, lo: float, hi: float,
         verts_ref[:, 0] += amp * (2.0 * _index_noise(ii, jj, 17 + 1000 * salt) - 1.0)
         verts_ref[:, 1] += amp * (2.0 * _index_noise(ii, jj, 89 + 1000 * salt) - 1.0)
 
-    def vid(i, j):
-        return j * nv + i
+    # horizontal edges v(i, j) -> v(i+1, j), then vertical edges
+    # v(i, j) -> v(i, j+1), each in row-major order by j; vertex (i, j) is
+    # point j * nv + i
+    horiz = (np.arange(nv)[:, None] * nv + np.arange(n)).ravel()
+    vert = np.arange(n * nv)
+    ends = np.column_stack([np.r_[horiz, vert], np.r_[horiz + 1, vert + nv]])
+    # d - 1 interior points per edge, at k/d along its reference chord,
+    # numbered after the vertices in edge order
+    a, b = verts_ref[ends[:, 0]], verts_ref[ends[:, 1]]
+    frac = (np.arange(1, d) / d)[:, None]
+    interior_ref = (a[:, None] + (b - a)[:, None] * frac).reshape(-1, 2)
+    inner = nv * nv + np.arange(len(interior_ref)).reshape(len(ends), d - 1)
+    edge_rows = np.column_stack([ends[:, :1], inner, ends[:, 1:]])
+    points = phi(np.vstack([verts_ref, interior_ref]))
 
-    edges = []
-    edge_pts_ref = []
-    # horizontal edges he(i, j): v(i, j) -> v(i+1, j)
-    for j in range(nv):
-        for i in range(n):
-            a, b = verts_ref[vid(i, j)], verts_ref[vid(i + 1, j)]
-            edges.append((vid(i, j), vid(i + 1, j)))
-            edge_pts_ref.append((a, b))
-    # vertical edges ve(i, j): v(i, j) -> v(i, j+1)
-    for j in range(n):
-        for i in range(nv):
-            a, b = verts_ref[vid(i, j)], verts_ref[vid(i, j + 1)]
-            edges.append((vid(i, j), vid(i, j + 1)))
-            edge_pts_ref.append((a, b))
-
-    def he(i, j):
-        return j * n + i
-
-    def ve(i, j):
-        return n * nv + j * nv + i
-
-    n_vert_pts = len(verts_ref)
-    edge_rows = []
-    interior_ref = []
-    next_pt = n_vert_pts
-    for (va, vb), (a, b) in zip(edges, edge_pts_ref):
-        row = [va]
-        for k in range(1, d):
-            interior_ref.append(a + (b - a) * (k / d))
-            row.append(next_pt)
-            next_pt += 1
-        row.append(vb)
-        edge_rows.append(row)
-
-    ref_points = np.vstack([verts_ref] + ([np.array(interior_ref)]
-                                          if interior_ref else []))
-    points = phi(ref_points)
-
-    cell_edges = np.empty((n * n, 4), int)
-    cell_dirs = np.empty((n * n, 4), int)
-    for j in range(n):
-        for i in range(n):
-            c = j * n + i
-            cell_edges[c] = (he(i, j), ve(i + 1, j), he(i, j + 1), ve(i, j))
-            cell_dirs[c] = (1, 1, -1, -1)
-    return CurvilinearMesh(points, np.array(edge_rows), cell_edges, cell_dirs,
+    # cell (i, j) is he(i, j), ve(i+1, j), he(i, j+1), ve(i, j), with
+    # he(i, j) = j n + i and ve(i, j) = n nv + j nv + i
+    j, i = np.divmod(np.arange(n * n), n)
+    left = n * nv + j * nv + i
+    cell_edges = np.column_stack([j * n + i, left + 1, (j + 1) * n + i, left])
+    cell_dirs = np.tile([1, 1, -1, -1], (n * n, 1))
+    return CurvilinearMesh(points, edge_rows, cell_edges, cell_dirs,
                            validate=validate)
 
 
@@ -704,62 +683,75 @@ _AVERAGE_CHUNK_POINTS = 2 ** 14
 _AVERAGE_REL_TOL = 1e-13
 
 
-def _coons_integrals(nodes, rev, func, panels: int, x0, y0, h):
-    """Integrals of func over the Coons (transfinite) maps of k items, each
-    a sub-square of one cell's unit square, and the minimum Jacobian
-    determinant of each cell map at the item's nodes.
+def _coons_map(nodes, rev, xs, ys):
+    """Points x, y and Jacobian determinants, each (k, n, n) in "ij" order
+    (xi slowest), of the Coons (transfinite) maps of k cells at the grids
+    xs x ys, (k, n) each.
 
-    nodes (k, 4, d+1, 2) and rev (k, 4) give each item's cell's four
-    spans; x0, y0 and h, (k,) arrays, are the item's lower-left
-    corner and side in the unit square. An item carries panels x panels
-    panels of 8 x 8 Gauss points. Each boundary curve depends on one
-    coordinate only, so it is evaluated at that coordinate's nodes and
-    broadcast over the grid ("ij" order, xi slowest). func is called once,
-    on 1-D arrays of every point.
+    nodes (k, 4, d+1, 2) and rev (k, 4) give each cell's four spans. The
+    map is formed on grid lines and combined once, in the form of Gordon
+    and Hall: B and T, the bottom and top curves less the linear
+    interpolants of their corners, depend on xi only, and the left and
+    right curves cl and cr on eta only, so
 
-    Returns the panel sums (k, panels^2), panel (a, b) at a * panels + b
-    with a along xi, and the minima (k,).
+        F       = B + eta (T - B) + cl + xi (cr - cl)
+        dF/dxi  = dB + eta (dT - dB) + (cr - cl)
+        dF/deta = (T - B) + dcl + xi (dcr - dcl).
     """
-    k = len(nodes)
     d = nodes.shape[2] - 1
-    xi1, w1 = gauss_rule_01(_PANEL_POINTS)
-    offs = np.arange(panels) / panels
-    x = (offs[:, None] + xi1[None, :] / panels).ravel()
-    x0, y0, h = (a[:, None] for a in (x0, y0, h))
-    xs, ys, w = x0 + h * x, y0 + h * x, np.tile(w1 / panels, panels) * h
 
-    def curve(s, u):
+    def curve(s, u):  # points and derivatives (2, k, n) along span s
         t = _span_params(u, rev[:, s])
         sign = np.where(rev[:, s], -1.0, 1.0)[:, None, None]
-        return (_lagrange_basis(d, t) @ nodes[:, s],
-                _lagrange_dbasis(d, t) @ nodes[:, s] * sign)
+        return (np.moveaxis(_lagrange_basis(d, t) @ nodes[:, s], -1, 0),
+                np.moveaxis(_lagrange_dbasis(d, t) @ nodes[:, s] * sign,
+                            -1, 0))
 
-    def corner(s, t):  # one point per cell, rounded as ParamCurve.eval
-        return eval_rows(_lagrange_basis(d, t), nodes[:, s])[:, None, None]
+    def corner(s, t):  # (2, k, 1), rounded as ParamCurve.eval
+        return eval_rows(_lagrange_basis(d, t), nodes[:, s]).T[:, :, None]
 
     end = np.where(rev, 0.0, 1.0)  # each span's t1
     p00 = corner(0, 1.0 - end[:, 0])
     p10, p11, p01 = (corner(s, end[:, s]) for s in range(3))
     (cb, dcb), (ct, dct) = curve(0, xs), curve(2, 1.0 - xs)
     (cl, dcl), (cr, dcr) = curve(3, 1.0 - ys), curve(1, ys)
-    # xi runs along axis 1 of the grid and eta along axis 2
-    cb, ct, dcb, dct = (a[:, :, None] for a in (cb, ct, dcb, -dct))
-    cl, cr, dcl, dcr = (a[:, None] for a in (cl, cr, -dcl, dcr))
-    xi_ = xs[..., :, None, None]
-    eta_ = ys[..., None, :, None]
-    blend = ((1 - xi_) * (1 - eta_) * p00 + xi_ * (1 - eta_) * p10
-             + (1 - xi_) * eta_ * p01 + xi_ * eta_ * p11)
-    F = (1 - eta_) * cb + eta_ * ct + (1 - xi_) * cl + xi_ * cr - blend
-    dF_dxi = ((1 - eta_) * dcb + eta_ * dct + (cr - cl)
-              - (-(1 - eta_) * p00 + (1 - eta_) * p10
-                 - eta_ * p01 + eta_ * p11))
-    dF_deta = ((ct - cb) + (1 - xi_) * dcl + xi_ * dcr
-               - (-(1 - xi_) * p00 - xi_ * p10
-                  + (1 - xi_) * p01 + xi_ * p11))
-    jac = (dF_dxi[..., 0] * dF_deta[..., 1]
-           - dF_dxi[..., 1] * dF_deta[..., 0])
-    pts = F.reshape(-1, 2)
-    vals = np.asarray(func(pts[:, 0], pts[:, 1]), float)
+    # the grid is (2, k, n, n): xi lines along axis 2, eta lines along 3
+    b = (cb - (p00 + xs * (p10 - p00)))[..., None]
+    tb = (ct - (p01 + xs * (p11 - p01)))[..., None] - b
+    db = (dcb - (p10 - p00))[..., None]
+    dtb = (-dct - (p11 - p01))[..., None] - db
+    cl, dcl = cl[:, :, None], -dcl[:, :, None]
+    rl, drl = cr[:, :, None] - cl, dcr[:, :, None] - dcl
+    xi_, eta_ = xs[:, :, None], ys[:, None, :]
+    F = (eta_ * tb + b) + (xi_ * rl + cl)
+    dF_dxi = (eta_ * dtb + db) + rl
+    dF_deta = (tb + dcl) + xi_ * drl
+    jac = dF_dxi[0] * dF_deta[1] - dF_dxi[1] * dF_deta[0]
+    return F[0], F[1], jac
+
+
+def _coons_integrals(nodes, rev, func, panels: int, x0, y0, h):
+    """Integrals of func over the Coons maps (_coons_map) of k items, each
+    a sub-square of one cell's unit square, and the minimum Jacobian
+    determinant of each cell map at the item's Gauss points.
+
+    nodes (k, 4, d+1, 2) and rev (k, 4) give each item's cell's four
+    spans; x0, y0 and h, (k,) arrays, are the item's lower-left corner
+    and side in the unit square. An item carries panels x panels panels
+    of 8 x 8 Gauss points. func is called once, on 1-D arrays of every
+    point.
+
+    Returns the panel sums (k, panels^2), panel (a, b) at a * panels + b
+    with a along xi, and the minima (k,).
+    """
+    k = len(nodes)
+    xi1, w1 = gauss_rule_01(_PANEL_POINTS)
+    offs = np.arange(panels) / panels
+    x = (offs[:, None] + xi1[None, :] / panels).ravel()
+    x0, y0, h = (a[:, None] for a in (x0, y0, h))
+    xs, ys, w = x0 + h * x, y0 + h * x, np.tile(w1 / panels, panels) * h
+    px, py, jac = _coons_map(nodes, rev, xs, ys)
+    vals = np.asarray(func(px.ravel(), py.ravel()), float)
     if vals.ndim:
         vals = vals.reshape(jac.shape)
     terms = vals * jac * (w[..., :, None] * w[..., None, :])

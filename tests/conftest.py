@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from curveremap.geometry import CurvedPolygon, CurveSpan, ParamCurve, \
     polygon_from_points
 from curveremap.experiments import demo_quads
+
+# property tests draw the same examples on every run and keep no example
+# database in the checkout
+settings.register_profile("repo", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("repo")
 
 
 @pytest.fixture(scope="session")

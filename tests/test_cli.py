@@ -145,6 +145,17 @@ def test_negative_count_is_exit_3_naming_the_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {bad}:2: bad count '-3'\n"
 
 
+def test_empty_mesh_is_exit_3_with_one_error_line(tmp_path, capsys):
+    empty = tmp_path / "empty.curvemesh"
+    empty.write_text("curvemesh 1 1\npoints 0\nedges 0\ncells 0\n")
+    code = run_cli("--quiet", "remap", "--src-mesh", str(empty),
+                   "--src-field", str(empty), "--dst-mesh", str(empty),
+                   "--out", str(tmp_path / "o.field"))
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error: {empty}: mesh failed validation: mesh has no cells\n")
+
+
 def test_clipdemo_outputs_and_determinism(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

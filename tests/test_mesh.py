@@ -223,6 +223,30 @@ def test_negative_sizes_are_parse_errors(tmp_path, reader, text, line):
     assert str(err.value).startswith(f"{path}:{line}: bad ")
 
 
+@pytest.mark.parametrize("n_points, n_edges, cells, message", [
+    (0, 0, [], "mesh has no cells"),
+    (4, 4, [], "mesh has no cells"),
+    (4, 0, [[0, 1, 2, 3]], "cell edge index out of range"),
+], ids=["nothing", "no-cells", "no-edges"])
+def test_empty_mesh_is_a_mesh_error(n_points, n_edges, cells, message):
+    pts = [(0, 0), (1, 0), (1, 1), (0, 1)][:n_points]
+    edges = [[0, 1], [1, 2], [2, 3], [3, 0]][:n_edges]
+    with pytest.raises(MeshError) as err:
+        CurvilinearMesh(np.reshape(pts, (-1, 2)), np.reshape(edges, (-1, 2)),
+                        np.reshape(cells, (-1, 4)),
+                        np.ones((len(cells), 4), int))
+    assert str(err.value) == message
+
+
+def test_empty_mesh_file_is_a_mesh_error_naming_the_path(tmp_path):
+    path = tmp_path / "empty.curvemesh"
+    path.write_text("curvemesh 1 1\npoints 0\nedges 0\ncells 0\n")
+    with pytest.raises(MeshError) as err:
+        read_mesh(path)
+    assert str(err.value) == (f"{path}: mesh failed validation: "
+                              "mesh has no cells")
+
+
 def test_handwritten_quad_p_file_matches_memory(tmp_path):
     mem = one_cell_quad_p()
     path = tmp_path / "quadp.curvemesh"
@@ -297,19 +321,20 @@ def _per_point_integrate(poly, func, panels: int, order: int = 8,
     dcb, dct = s0.tangent_at(xi), -s2.tangent_at(1.0 - xi)
     dcl, dcr = -s3.tangent_at(1.0 - eta), s1.tangent_at(eta)
     xi_, eta_ = xi[:, None], eta[:, None]
-    blend = ((1 - xi_) * (1 - eta_) * p00 + xi_ * (1 - eta_) * p10
-             + (1 - xi_) * eta_ * p01 + xi_ * eta_ * p11)
-    F = (1 - eta_) * cb + eta_ * ct + (1 - xi_) * cl + xi_ * cr - blend
-    dF_dxi = ((1 - eta_) * dcb + eta_ * dct + (cr - cl)
-              - (-(1 - eta_) * p00 + (1 - eta_) * p10 - eta_ * p01
-                 + eta_ * p11))
-    dF_deta = ((ct - cb) + (1 - xi_) * dcl + xi_ * dcr
-               - (-(1 - xi_) * p00 - xi_ * p10 + (1 - xi_) * p01
-                  + xi_ * p11))
+    # mesh._coons_map's factored form, at every point
+    b = cb - (p00 + xi_ * (p10 - p00))
+    tb = (ct - (p01 + xi_ * (p11 - p01))) - b
+    db = dcb - (p10 - p00)
+    dtb = (dct - (p11 - p01)) - db
+    rl, drl = cr - cl, dcr - dcl
+    F = (eta_ * tb + b) + (xi_ * rl + cl)
+    dF_dxi = (eta_ * dtb + db) + rl
+    dF_deta = (tb + dcl) + xi_ * drl
     jac = dF_dxi[:, 0] * dF_deta[:, 1] - dF_dxi[:, 1] * dF_deta[:, 0]
     if jac.min() <= 0.0:
         raise MeshError("cell map is not orientation-preserving")
-    vals = np.asarray(func(F[:, 0], F[:, 1]), float)
+    fx, fy = np.ascontiguousarray(F.T)
+    vals = np.asarray(func(fx, fy), float)
     terms = vals * jac * (WX * WY).ravel()
     per = terms.reshape(panels, order, panels, order).swapaxes(1, 2)
     return (float(np.sum(terms)),

@@ -14,7 +14,7 @@ import build_plan` reaches into it as well.
 
 from .geometry import (Aabb, CurvedPolygon, CurveSpan, GeometryError,
                        ParamCurve, polygon_from_points, straight_span)
-from .clipping import (ClipResult, ClipTopologyError, CurveIntersection,
+from .clipping import (ClipResult, ClipTopologyError, Crossings,
                        intersect_curves, kept_loops, wa_clip)
 from .integrate import IntegrationError, TriangulationError, triangulate
 from .limiter import LimiterError, positivity_limit
@@ -24,7 +24,7 @@ from .mesh import (Adjacency, CurvilinearMesh, Field, MeshError,
                    gen_disk_mesh, read_field, read_mesh, rotate_mesh,
                    validate_mesh, write_field, write_mesh)
 from .reconstruct import ReconField, build_stencil, weno_reconstruct
-from .remap import (PairIndex, RemapPlan, RemapReport, RemapRequest,
-                    apply_plan, build_plan, candidate_pairs, remap)
+from .remap import (RemapPlan, RemapReport, RemapRequest, apply_plan,
+                    build_plan, candidate_pairs, remap)
 
 __version__ = "0.1.0"

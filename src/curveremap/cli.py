@@ -21,7 +21,7 @@ from .remap import RemapRequest, remap
 from .svg import render_clip_svg, render_triangulation_svg
 
 _RUNTIME_ERRORS = (MeshError, MeshParseError, ClipTopologyError,
-                   IntegrationError, ReconstructionError, ValueError)
+                   IntegrationError, ReconstructionError, ValueError, OSError)
 
 
 def _say(args, msg: str) -> None:

@@ -3,12 +3,14 @@
 Every curve-curve intersection comes from intersect_curves, over span
 pairs given as index arrays: the remap plan passes every candidate pair of
 whole mesh edges in one call, a single clip the span pairs of its two
-polygons. Curved pairs go to one seeded Newton kernel, newton_roots, on
-the 2x2 parametric system x_a(t) = x_b(s), y_a(t) = y_b(s), which iterates
-a batch of span pairs at once, each with its own parameter window. A seed
-stops at an exact fixed point of its step, and once few seeds move only
-those are iterated, so the roots are those of running every seed to the
-end.
+polygons. It returns one Crossings table of arrays, a row per crossing,
+ordered by pair; event_rows alone turns table rows into the rows that the
+labelling reads, in a polygon's own span indices and directions. Curved
+pairs go to one seeded Newton kernel, newton_roots, on the 2x2 parametric
+system x_a(t) = x_b(s), y_a(t) = y_b(s), which iterates a batch of span
+pairs at once, each with its own parameter window. A seed stops at an
+exact fixed point of its step, and once few seeds move only those are
+iterated, so the roots are those of running every seed to the end.
 
 Entry/exit labels follow one rule (Weiler & Atherton 1977; Greiner &
 Hormann 1998): each subject arc between consecutive events is in, out or
@@ -31,11 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (SNAP_TOL, CurvedPolygon, CurveSpan, _lagrange_basis,
-                       _lagrange_dbasis, eval_rows, real_roots_in)
+from .geometry import (SNAP_TOL, CurvedPolygon, CurveSpan, _hypot,
+                       _lagrange_basis, _lagrange_dbasis, eval_rows,
+                       real_roots_in)
 
 NEWTON_TOL = 1e-12     # accepted residual for curve-curve roots
 DEDUP_PARAM = 1e-8     # parameter radius separating distinct roots
@@ -49,23 +53,18 @@ class ClipTopologyError(RuntimeError):
     """Inconsistent intersection topology (reported, never silent)."""
 
 
-@dataclass
-class CurveIntersection:
-    """One intersection of a subject span and a clip span.
+class Crossings(NamedTuple):
+    """Crossings of span pairs, a row each, ordered by pair: the local
+    parameters u and v (in [0, 1]) on the pair's two spans, the point
+    (n, 2), and the cross product of the unit tangents there, first span
+    first: negative where the first enters the second."""
 
-    t and s are local parameters (in [0, 1]) on the subject and clip spans.
-    cross is the cross product of the spans' unit tangents there, subject
-    first, in their traversal directions: negative where the subject
-    enters the clip.
-    """
-
-    point: tuple[float, float]
-    t: float
-    s: float
-    subject_span: int
-    clip_span: int
-    transversal: bool = True
-    cross: float = 0.0
+    pair: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    point: np.ndarray
+    transversal: np.ndarray
+    cross: np.ndarray
 
 
 @dataclass
@@ -201,17 +200,15 @@ def newton_roots(ca: np.ndarray, cb: np.ndarray, wa: np.ndarray,
     return pair, np.clip(u, 0.0, 1.0), np.clip(v, 0.0, 1.0), res
 
 
-def _unit(vec) -> tuple[float, float]:
-    n = math.hypot(vec[0], vec[1])
-    if n == 0.0:
-        return 0.0, 0.0
-    return vec[0] / n, vec[1] / n
-
-
-def _unit_cross(da, db) -> float:
-    """Cross product of the unit tangents along da and db."""
-    ua, ub = _unit(da), _unit(db)
-    return ua[0] * ub[1] - ua[1] * ub[0]
+def _unit_cross(da, db) -> np.ndarray:
+    """Cross products of the unit tangents along the rows of da and db
+    (..., 2), each length rounded as math.hypot rounds it; a zero tangent
+    has a zero unit tangent."""
+    ua, ub = np.asarray(da, float), np.asarray(db, float)
+    na, nb = _hypot(ua)[..., None], _hypot(ub)[..., None]
+    ua = np.divide(ua, na, out=np.zeros_like(ua), where=na > 0.0)
+    ub = np.divide(ub, nb, out=np.zeros_like(ub), where=nb > 0.0)
+    return ua[..., 0] * ub[..., 1] - ua[..., 1] * ub[..., 0]
 
 
 def curve_flip(na: np.ndarray, nb: np.ndarray,
@@ -366,11 +363,10 @@ def _points_and_tangents(spans, deg, win, idx, u):
     return pts, tan
 
 
-def intersect_curves(spans_a, spans_b, ia,
-                     ib) -> list[list[CurveIntersection]]:
+def intersect_curves(spans_a, spans_b, ia, ib) -> Crossings:
     """All intersections (unlabeled) of the span pairs (spans_a[ia[k]],
-    spans_b[ib[k]]): a list per pair, in the spans' local parameters, with
-    subject_span ia[k] and clip_span ib[k].
+    spans_b[ib[k]]), as one Crossings table whose pair column is k, in the
+    spans' local parameters.
 
     Pairs whose hull boxes, inflated by SNAP_TOL, miss each other are
     culled in one array test. Spans on one curve (curve_flip within
@@ -380,8 +376,9 @@ def intersect_curves(spans_a, spans_b, ia,
     straight span take exact polynomial roots (_line_span_roots). The
     curved pairs of each pair of degrees go through one newton_roots call,
     in input order, and of close roots the first is kept
-    (_first_of_close). Each root records the cross product of the unit
-    tangents, and is transversal when they are not parallel.
+    (_first_of_close); a pair's rows keep the order of these passes. Each
+    root records the cross product of the unit tangents, and is transversal
+    when they are not parallel.
     """
     ia, ib = np.asarray(ia, int), np.asarray(ib, int)
     live = _box_hits(spans_a, spans_b, ia, ib)
@@ -425,29 +422,40 @@ def intersect_curves(spans_a, spans_b, ia,
         keep = _first_of_close(pair, u, v)
         roots += zip(k[pair[keep]].tolist(), u[keep].tolist(),
                      v[keep].tolist(), [False] * int(keep.sum()))
-    found: list[list[CurveIntersection]] = [[] for _ in range(len(ia))]
-    if not roots:
-        return found
-    pair, u, v, ends = (np.array(col) for col in zip(*roots))
+    cols = list(zip(*roots)) or [()] * 4
+    pair, u, v, ends = (np.array(col, dtype=t) for col, t in
+                        zip(cols, (int, float, float, bool)))
+    order = np.argsort(pair, kind="stable")
+    pair, u, v, ends = pair[order], u[order], v[order], ends[order]
     pts, tan_a = _points_and_tangents(spans_a, deg_a, win_a, ia[pair], u)
     _, tan_b = _points_and_tangents(spans_b, deg_b, win_b, ib[pair], v)
-    for k, p, uk, vk, end, ta, tb in zip(
-            pair.tolist(), pts.tolist(), u.tolist(), v.tolist(),
-            ends.tolist(), tan_a.tolist(), tan_b.tolist()):
-        cross = _unit_cross(ta, tb)
-        found[k].append(CurveIntersection(
-            tuple(p), uk, vk, int(ia[k]), int(ib[k]),
-            transversal=not end and abs(cross) > CROSS_TOL, cross=cross))
-    return found
+    cross = _unit_cross(tan_a, tan_b)
+    return Crossings(pair, u, v, pts, ~ends & (np.abs(cross) > CROSS_TOL),
+                     cross)
+
+
+def event_rows(found: Crossings, ks, kc, ds, dt) -> list[tuple]:
+    """The rows (ks, t, kc, s, point, transversal, cross) _build_events
+    reads of the crossings found, on subject span ks and clip span kc (a
+    value per row), which run as intersect_curves saw them (+1) or reversed
+    (-1) as ds and dt say: a reversed span's parameter u is 1 - u, and the
+    cross product takes the sign of both directions."""
+    t = np.where(ds > 0, found.u, 1.0 - found.u)
+    s = np.where(dt > 0, found.v, 1.0 - found.v)
+    return list(zip(np.asarray(ks).tolist(), t.tolist(),
+                    np.asarray(kc).tolist(), s.tolist(),
+                    map(tuple, found.point.tolist()),
+                    found.transversal.tolist(),
+                    (found.cross * ds * dt).tolist()))
 
 
 def _raw_intersections(subject: CurvedPolygon,
-                       clip: CurvedPolygon) -> list[CurveIntersection]:
-    """Intersections of every span pair of two polygons, subject major."""
+                       clip: CurvedPolygon) -> list[tuple]:
+    """Event rows of every span pair of two polygons, subject major."""
     ns, nc = len(subject.spans), len(clip.spans)
     ia, ib = np.divmod(np.arange(ns * nc), nc)
-    return [r for rs in intersect_curves(subject.spans, clip.spans, ia, ib)
-            for r in rs]
+    found = intersect_curves(subject.spans, clip.spans, ia, ib)
+    return event_rows(found, ia[found.pair], ib[found.pair], 1, 1)
 
 
 # --------------------------------------------------------------------------
@@ -481,20 +489,18 @@ class _Event:
     transversal: bool
     kind: str | None = None
     visited: bool = False
-    cross: float = 0.0  # CurveIntersection.cross of the crossing
+    cross: float = 0.0  # the crossing's cross product (Crossings.cross)
 
 
 def _build_events(subject: CurvedPolygon, clip: CurvedPolygon,
-                  raw: list[CurveIntersection]) -> list[_Event]:
+                  raw: list[tuple]) -> list[_Event]:
+    """Events of the event_rows raw, sorted, close ones merged."""
     ns, nc = len(subject.spans), len(clip.spans)
     events = []
-    for r in raw:
-        sig_s = (r.subject_span + r.t) % ns
-        sig_c = (r.clip_span + r.s) % nc
-        sig_s = _snap_sigma(subject, sig_s, r.point)
-        sig_c = _snap_sigma(clip, sig_c, r.point)
-        events.append(_Event(r.point, sig_s, sig_c, r.transversal,
-                             cross=r.cross))
+    for ks, t, kc, s, point, transversal, cross in raw:
+        sig_s = _snap_sigma(subject, (ks + t) % ns, point)
+        sig_c = _snap_sigma(clip, (kc + s) % nc, point)
+        events.append(_Event(point, sig_s, sig_c, transversal, cross=cross))
     events.sort(key=lambda e: (e.sig_s, e.sig_c))
     merged: list[_Event] = []
 
@@ -503,15 +509,12 @@ def _build_events(subject: CurvedPolygon, clip: CurvedPolygon,
         return min(d, n - d) <= _SIG_TOL
 
     for e in events:
-        dup = None
         for m in merged:
             if close(e.sig_s, m.sig_s, ns) and close(e.sig_c, m.sig_c, nc):
-                dup = m
+                m.transversal = m.transversal or e.transversal
                 break
-        if dup is None:
-            merged.append(e)
         else:
-            dup.transversal = dup.transversal or e.transversal
+            merged.append(e)
     return merged
 
 
@@ -609,7 +612,7 @@ def _corners_in_hull(inner: CurvedPolygon, outer: CurvedPolygon) -> bool:
 
 
 def wa_clip(subject: CurvedPolygon, clip: CurvedPolygon,
-            raw: list[CurveIntersection] | None = None) -> ClipResult:
+            raw: list[tuple] | None = None) -> ClipResult:
     """Intersection of two curved polygons by Weiler-Atherton traversal.
 
     Without entry/exit events the polygons are nested or disjoint. One
@@ -622,6 +625,7 @@ def wa_clip(subject: CurvedPolygon, clip: CurvedPolygon,
     further loops. Loop geometry reuses sub-spans of the original edges,
     never a re-approximation.
 
+    raw holds the crossings as event_rows, _raw_intersections' by default.
     The result holds every loop traced, without looking at its area: the
     intersection is kept_loops(result.loops, subject, clip).
     """

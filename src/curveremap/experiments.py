@@ -88,6 +88,9 @@ class ConvergenceTable:
 
     @property
     def l1_slope(self) -> float:
+        """lsq_slope of the L1 errors; nan, with no fit, below two sizes."""
+        if len(self.sizes) < 2:
+            return float("nan")
         return lsq_slope(self.sizes, self.l1)
 
     def csv_rows(self) -> list[str]:
@@ -127,7 +130,11 @@ def run_accuracy(sizes=ACCURACY_SIZES, orders=ACCURACY_ORDERS,
     """Remap the sine field between deformed meshes over a refinement sweep.
 
     One clipping plan per size is shared by all reconstruction orders.
+    A size or order given twice is a ValueError.
     """
+    for name, vals in (("sizes", sizes), ("orders", orders)):
+        if len(set(vals)) != len(vals):
+            raise ValueError(f"{name} must not repeat: {list(vals)}")
     tables = {o: ConvergenceTable(o) for o in orders}
     cons_rows = []
     k_max = max(_order_degree(o) for o in orders)
@@ -216,7 +223,10 @@ class RotationResult:
 
 def run_rotation(n: int = 20, steps: int = 8, order: int = 3,
                  positivity: bool = True, quiet: bool = True) -> RotationResult:
-    """Solid-body rotation: remap through a full turn in pi/4 increments."""
+    """Solid-body rotation: remap through a full turn in pi/4 increments.
+    A negative step count is a ValueError."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     base = gen_disk_mesh(n)
     meshes = [base] + [rotate_mesh(base, (k + 1) * math.pi / 4.0)
                        for k in range(steps)]

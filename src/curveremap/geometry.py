@@ -65,6 +65,13 @@ class Aabb:
                     float(pts[:, 0].max()), float(pts[:, 1].max()))
 
 
+def _hypot(v: np.ndarray) -> np.ndarray:
+    """Lengths of the vectors v (..., 2), each rounded as math.hypot rounds
+    it (np.hypot may differ in the last bit)."""
+    return np.array([math.hypot(x, y) for x, y in v.reshape(-1, 2).tolist()]
+                    ).reshape(v.shape[:-1])
+
+
 @lru_cache(maxsize=None)
 def _uniform_params(degree: int) -> np.ndarray:
     return np.arange(degree + 1) / degree

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (SNAP_TOL, Aabb, CurvedPolygon, CurveSpan, ParamCurve,
-                       _bezier_conversion, _lagrange_basis, _lagrange_dbasis,
-                       _polyline_self_intersects, eval_rows, fill_areas,
-                       gauss_rule_01, power_rows)
+                       _bezier_conversion, _hypot, _lagrange_basis,
+                       _lagrange_dbasis, _polyline_self_intersects, eval_rows,
+                       fill_areas, gauss_rule_01, power_rows)
 
 
 class MeshError(ValueError):
@@ -86,6 +86,11 @@ class CurvilinearMesh:
         """The 4-span counterclockwise loop of cell i."""
         return self._curves_and_polygons()[1][i]
 
+    @property
+    def cell_boxes(self) -> np.ndarray:
+        """Read-only (C, 4) rows (xmin, ymin, xmax, ymax) of the cell boxes."""
+        return self._curves_and_polygons()[2]
+
     def cell_areas(self) -> np.ndarray:
         if self._areas is None:
             polys = self._curves_and_polygons()[1]
@@ -137,6 +142,7 @@ def _mesh_tables(mesh: CurvilinearMesh):
                               for e, b in zip(edges, back)])
         poly._corners, poly._bbox = tuple(map(tuple, pts)), Aabb(*box)
         polys.append(poly)
+    cell_boxes.flags.writeable = False
     return curves, polys, cell_boxes
 
 
@@ -295,13 +301,6 @@ def validate_mesh(mesh: CurvilinearMesh) -> None:
             f"({domain!r}); relative gap {abs(total - domain) / abs(domain):.3e}")
 
 
-def _hypot(v: np.ndarray) -> np.ndarray:
-    """Lengths of the vectors v (..., 2), each rounded as math.hypot rounds
-    it (np.hypot may differ in the last bit)."""
-    return np.array([math.hypot(x, y) for x, y in v.reshape(-1, 2).tolist()]
-                    ).reshape(v.shape[:-1])
-
-
 def _cell_samples(mesh: CurvilinearMesh) -> np.ndarray:
     """Points (C, 4, 17, 2) of every cell's spans at the local parameters
     k/16, k = 0..16: the first 16 of each span are bitwise its
@@ -320,7 +319,7 @@ def _invalid_cells(mesh: CurvilinearMesh, areas: np.ndarray) -> list:
     samples = _cell_samples(mesh)
     ends, starts = samples[:, :, 16], np.roll(samples[:, :, 0], -1, axis=1)
     gap = _hypot(ends - starts).max(axis=1)
-    boxes = mesh._curves_and_polygons()[2]
+    boxes = mesh.cell_boxes
     scale = np.maximum(_hypot(boxes[:, 2:] - boxes[:, :2]), 1.0)
     open_ = gap > 10.0 * SNAP_TOL * scale
     cw = ~open_ & (areas <= 0.0)

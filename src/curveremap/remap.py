@@ -1,8 +1,9 @@
 """End-to-end conservative remap between two curvilinear meshes.
 
-Pipeline: candidate-pair culling by bounding boxes, the crossings of every
-candidate pair of edges in one intersect_curves call, exact clipping of
-every overlapping cell pair on those crossings, optional positivity
+Pipeline: candidate-pair culling by array tests of the cell boxes, the
+crossings of every candidate pair of edges as one table from one
+intersect_curves call, exact clipping of every overlapping cell pair on
+its slice of that table, optional positivity
 limiting of the reconstructed polynomials, exact integration over the
 pieces, and assembly of the new cell averages together with conservation
 diagnostics.
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clipping import (ClipTopologyError, CurveIntersection, intersect_curves,
-                       kept_loops, wa_clip)
+from .clipping import (ClipTopologyError, Crossings, event_rows,
+                       intersect_curves, kept_loops, wa_clip)
 from .geometry import (CurvedPolygon, CurveSpan, GeometryError, by_degree,
                        fill_areas, span_gauss)
 from .integrate import TriangulationError, triangulate
@@ -33,6 +34,8 @@ _APPROACHES = ("A", "B", "both")
 # clipped loops evaluated together in build_plan's loop areas and Approach A
 # samples and in apply_plan's integration sweep
 _LOOPS_PER_CHUNK = 64
+# target cells whose boxes candidate_pairs tests together
+_TARGETS_PER_BLOCK = 64
 
 
 @dataclass
@@ -79,85 +82,71 @@ class RemapReport:
         return "\n".join(lines) + "\n"
 
 
-class PairIndex:
-    """Uniform background grid over the source cells' bounding boxes."""
-
-    def __init__(self, mesh: CurvilinearMesh):
-        n = mesh.n_cells
-        self.boxes = [mesh.cell_polygon(i).bbox() for i in range(n)]
-        xmin = min(b.xmin for b in self.boxes)
-        xmax = max(b.xmax for b in self.boxes)
-        ymin = min(b.ymin for b in self.boxes)
-        ymax = max(b.ymax for b in self.boxes)
-        self.origin = (xmin, ymin)
-        g = max(1, int(math.sqrt(n)))
-        self.shape = (g, g)
-        self.dx = max((xmax - xmin) / g, 1e-300)
-        self.dy = max((ymax - ymin) / g, 1e-300)
-        self.buckets: dict[tuple[int, int], list[int]] = {}
-        for i, b in enumerate(self.boxes):
-            for gx, gy in self._cover(b):
-                self.buckets.setdefault((gx, gy), []).append(i)
-
-    def _cover(self, box):
-        g = self.shape[0]
-        x0 = min(max(int((box.xmin - self.origin[0]) / self.dx), 0), g - 1)
-        x1 = min(max(int((box.xmax - self.origin[0]) / self.dx), 0), g - 1)
-        y0 = min(max(int((box.ymin - self.origin[1]) / self.dy), 0), g - 1)
-        y1 = min(max(int((box.ymax - self.origin[1]) / self.dy), 0), g - 1)
-        return [(gx, gy) for gx in range(x0, x1 + 1) for gy in range(y0, y1 + 1)]
-
-    def query(self, box) -> list[int]:
-        seen: set[int] = set()
-        for key in self._cover(box):
-            seen.update(self.buckets.get(key, ()))
-        return sorted(i for i in seen if self.boxes[i].overlaps(box))
+def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Closed-interval overlap of the boxes a and b (..., 4), broadcast."""
+    return ((a[..., 0] <= b[..., 2]) & (b[..., 0] <= a[..., 2])
+            & (a[..., 1] <= b[..., 3]) & (b[..., 1] <= a[..., 3]))
 
 
 def candidate_pairs(source: CurvilinearMesh,
                     target: CurvilinearMesh) -> list[tuple[int, int]]:
-    """All (source, target) cell pairs whose bounding boxes overlap.
-
-    A superset of the truly overlapping pairs (hull boxes cannot miss an
-    intersection), suitable for feeding the exact clipper.
-    """
-    index = PairIndex(source)
+    """All (source, target) cell pairs whose cell boxes overlap, by target
+    and then by source: a superset of the truly overlapping pairs (hull
+    boxes cannot miss an intersection) for the exact clipper. Targets are
+    tested _TARGETS_PER_BLOCK at a time, against the source boxes that meet
+    the box around the block."""
+    bs, bt = source.cell_boxes, target.cell_boxes
     pairs = []
-    for t in range(target.n_cells):
-        box = target.cell_polygon(t).bbox()
-        pairs.extend((s, t) for s in index.query(box))
+    for lo in range(0, len(bt), _TARGETS_PER_BLOCK):
+        b = bt[lo:lo + _TARGETS_PER_BLOCK]
+        near = np.flatnonzero(_overlaps(bs, np.concatenate(
+            [b[:, :2].min(axis=0), b[:, 2:].max(axis=0)])))
+        t, s = np.nonzero(_overlaps(bs[near], b[:, None]))
+        pairs += zip(near[s].tolist(), (t + lo).tolist())
     return pairs
 
 
 # --------------------------------------------------------------------------
 # batched edge-pair intersection
 
-def _edge_pair_roots(source: CurvilinearMesh, target: CurvilinearMesh,
-                     pairs: list[tuple[int, int]]):
-    """Crossings of every (source edge, target edge) pair of the cell pairs.
-
-    Returns {(es, et): [CurveIntersection]} of the pairs that cross or
-    touch, in the edges' own parameters, from one intersect_curves call
-    over the whole forward edge spans.
-    Every cell pair that meets an edge pair reads its crossings here, so
-    neighbouring cells cut a shared edge at the same floats and the
-    clipped pieces tile each source cell exactly.
-    """
-    if not pairs:
-        return {}
-    # every edge pair of the cell pairs, in first-seen order (the Newton
-    # chunks, and so the roots, depend on it)
-    cells = np.array(pairs)
-    ce_s = source.cell_edges[cells[:, 0]]
-    ce_t = target.cell_edges[cells[:, 1]]
-    es = np.repeat(ce_s, ce_t.shape[1], axis=1).ravel()
-    et = np.tile(ce_t, (1, ce_s.shape[1])).ravel()
-    first = np.sort(np.unique(es * target.n_edges + et, return_index=True)[1])
-    es, et = es[first], et[first]
+def _edge_crossings(source: CurvilinearMesh, target: CurvilinearMesh,
+                    cells: np.ndarray):
+    """Crossings of every (source edge, target edge) pair of the cell pairs
+    cells (P, 2), from one intersect_curves call over whole edge spans:
+    (es, et, found, slot), the edge pairs in first-seen order (the Newton
+    chunks, and so the roots, depend on it), their Crossings, and the edge
+    pair of every cell pair's (subject edge, clip edge) slot, (P * 16,)."""
+    es = np.repeat(source.cell_edges[cells[:, 0]], 4, axis=1).ravel()
+    et = np.tile(target.cell_edges[cells[:, 1]], (1, 4)).ravel()
+    _, first, inv = np.unique(es * target.n_edges + et, return_index=True,
+                              return_inverse=True)
+    order = np.argsort(first)
+    es, et = es[first[order]], et[first[order]]
     spans_s = [CurveSpan(source.edge_curve(e)) for e in range(source.n_edges)]
     spans_t = [CurveSpan(target.edge_curve(e)) for e in range(target.n_edges)]
     found = intersect_curves(spans_s, spans_t, es, et)
-    return {(int(es[k]), int(et[k])): f for k, f in enumerate(found) if f}
+    return es, et, found, np.argsort(order)[inv]
+
+
+def _pair_rows(source: CurvilinearMesh, target: CurvilinearMesh,
+               cells: np.ndarray) -> list[list[tuple]]:
+    """The event_rows of each cell pair of cells (P, 2), a list per pair
+    in (subject edge, clip edge) order and then in table order. Every cell
+    pair that meets an edge pair reads the same rows, so neighbouring cells
+    cut a shared edge at the same floats and their pieces tile exactly."""
+    es, _, found, slot = _edge_crossings(source, target, cells)
+    bounds = np.searchsorted(found.pair, np.arange(len(es) + 1))
+    start, count = bounds[slot], np.diff(bounds)[slot]
+    # each slot's table rows start, start + 1, ..., slot after slot
+    rows = (np.repeat(start - np.cumsum(count) + count, count)
+            + np.arange(count.sum()))
+    pair, k = np.divmod(np.repeat(np.arange(len(slot)), count), 16)
+    ks, kc = np.divmod(k, 4)
+    raw = event_rows(Crossings._make(col[rows] for col in found), ks, kc,
+                     source.cell_dirs[cells[pair, 0], ks],
+                     target.cell_dirs[cells[pair, 1], kc])
+    cut = np.searchsorted(pair, np.arange(len(cells) + 1)).tolist()
+    return [raw[lo:hi] for lo, hi in zip(cut[:-1], cut[1:])]
 
 
 # --------------------------------------------------------------------------
@@ -178,10 +167,6 @@ class _LoopGeom:
 class _PairGeom:
     src: int
     loops: list[_LoopGeom]
-
-    @property
-    def area(self) -> float:
-        return sum(lp.area for lp in self.loops)
 
 
 @dataclass
@@ -245,25 +230,14 @@ def build_plan(source: CurvilinearMesh, target: CurvilinearMesh,
     timings["pairs"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    roots = _edge_pair_roots(source, target, pairs)
+    raws = _pair_rows(source, target, np.array(pairs, int).reshape(-1, 2))
     timings["newton"] = time.monotonic() - t0
 
     t0 = time.monotonic()
     traced = []  # (source cell, target cell, loops traced)
-    edges_s = list(zip(source.cell_edges.tolist(), source.cell_dirs.tolist()))
-    edges_t = list(zip(target.cell_edges.tolist(), target.cell_dirs.tolist()))
     ci = ct = -1  # the cell pair a failure names
     try:
-        for (ci, ct) in pairs:
-            raw: list[CurveIntersection] = []
-            for ks, (es, ds) in enumerate(zip(*edges_s[ci])):
-                for kc, (et, dt_) in enumerate(zip(*edges_t[ct])):
-                    for r in roots.get((es, et), ()):
-                        u = r.t if ds > 0 else 1.0 - r.t
-                        v = r.s if dt_ > 0 else 1.0 - r.s
-                        raw.append(CurveIntersection(
-                            r.point, u, v, ks, kc, transversal=r.transversal,
-                            cross=r.cross * ds * dt_))
+        for (ci, ct), raw in zip(pairs, raws):
             res = wa_clip(source.cell_polygon(ci), target.cell_polygon(ct),
                           raw=raw)
             if res.loops:

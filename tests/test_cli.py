@@ -235,3 +235,72 @@ def test_clipdemo_with_polygon_files(tmp_path):
     # mismatched flag pair is a runtime error
     assert run_cli("--quiet", "clipdemo", "--subject", str(pa),
                    "--out", str(out)) == 3
+
+
+@pytest.mark.parametrize("command", ["remap", "clipdemo", "gen"])
+def test_missing_file_is_exit_3_with_one_error_line(command, tmp_path,
+                                                     capsys):
+    missing = tmp_path / "missing"
+    if command == "remap":
+        mesh = tmp_path / "m.curvemesh"
+        write_mesh(gen_deformed_square_mesh(2, "identity", degree=2), mesh)
+        argv = ["remap", "--src-mesh", str(mesh), "--src-field",
+                str(missing), "--dst-mesh", str(mesh), "--out",
+                str(tmp_path / "o.field")]
+    elif command == "clipdemo":
+        argv = ["clipdemo", "--subject", str(missing), "--clip",
+                str(missing), "--out", str(tmp_path / "demo")]
+    else:
+        missing = missing / "x" / "m.curvemesh"
+        argv = ["gen", "--kind", "identity", "--n", "2", "--out",
+                str(missing)]
+    assert run_cli("--quiet", *argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(missing) in err
+
+
+@pytest.mark.parametrize("flag, value", [("--sizes", "4,4"),
+                                         ("--orders", "3,3")])
+def test_accuracy_repeated_size_or_order_is_exit_3(flag, value, tmp_path,
+                                                    capsys):
+    out = tmp_path / "acc"
+    argv = {"--sizes": "4,8", "--orders": "1,3", flag: value}
+    assert run_cli("--quiet", "accuracy", "--sizes", argv["--sizes"],
+                   "--orders", argv["--orders"], "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        f"error: {flag[2:]} must not repeat: "
+        f"{[int(v) for v in value.split(',')]}\n")
+    assert not (out / "accuracy.csv").exists()
+
+
+def test_accuracy_at_one_size_prints_a_nan_slope(tmp_path, capsys):
+    assert run_cli("accuracy", "--sizes", "4", "--orders", "1", "--out",
+                   str(tmp_path / "acc")) == 0
+    assert "order 1: L1 slope nan (errors " in capsys.readouterr().out
+
+
+def test_run_accuracy_rejects_repeats_and_fits_no_slope_at_one_size():
+    from curveremap import experiments as ex
+    with pytest.raises(ValueError, match=r"^sizes must not repeat"):
+        ex.run_accuracy(sizes=(4, 4), orders=(1,))
+    with pytest.raises(ValueError, match=r"^orders must not repeat"):
+        ex.run_accuracy(sizes=(4,), orders=(3, 1, 3))
+    table = ex.ConvergenceTable(1, sizes=[4], l1=[0.1])
+    assert np.isnan(table.l1_slope)
+    table = ex.ConvergenceTable(1, sizes=[4, 8], l1=[0.1, 0.025])
+    assert table.l1_slope == pytest.approx(2.0, rel=1e-12)
+
+
+def test_run_rotation_rejects_a_negative_step_count():
+    from curveremap import experiments as ex
+    with pytest.raises(ValueError, match=r"^steps must be >= 0, got -1$"):
+        ex.run_rotation(n=4, steps=-1)
+
+
+def test_rotation_negative_steps_is_exit_3(tmp_path, capsys):
+    out = tmp_path / "rot"
+    assert run_cli("--quiet", "rotation", "--n", "4", "--steps", "-1",
+                   "--out", str(out)) == 3
+    assert capsys.readouterr().err == "error: steps must be >= 0, got -1\n"
+    assert not out.exists()

@@ -41,18 +41,17 @@ TABLE2 = [
 def test_straight_cross():
     a = straight_span((0, 0), (1, 1))
     b = straight_span((0, 1), (1, 0))
-    roots = intersect_curves([a], [b], [0], [0])[0]
-    assert len(roots) == 1
-    r = roots[0]
-    assert abs(r.t - 0.5) < 1e-12 and abs(r.s - 0.5) < 1e-12
-    assert np.allclose(r.point, (0.5, 0.5))
-    assert r.transversal
+    found = intersect_curves([a], [b], [0], [0])
+    assert found.pair.tolist() == [0]
+    assert abs(found.u[0] - 0.5) < 1e-12 and abs(found.v[0] - 0.5) < 1e-12
+    assert np.allclose(found.point[0], (0.5, 0.5))
+    assert found.transversal[0]
 
 
 def test_disjoint_spans_no_roots():
     a = straight_span((0, 0), (1, 0))
     b = straight_span((0, 5), (1, 5))
-    assert intersect_curves([a], [b], [0], [0])[0] == []
+    assert len(intersect_curves([a], [b], [0], [0]).pair) == 0
 
 
 def test_table2_point1_found(quad_pair):
@@ -61,8 +60,7 @@ def test_table2_point1_found(quad_pair):
     found = []
     for sa in qp.spans:
         for sb in qq.spans:
-            for r in intersect_curves([sa], [sb], [0], [0])[0]:
-                found.append(r.point)
+            found += intersect_curves([sa], [sb], [0], [0]).point.tolist()
     best = min(found, key=lambda p: (p[0] + 1.05713663) ** 2
                + (p[1] + 1.29598616) ** 2)
     assert abs(best[0] + 1.05713663) < 1e-7
@@ -474,10 +472,11 @@ def test_reversed_window_gives_roots_at_one_minus_u(degree):
         for b in clp.spans:
             for t0, t1 in ((0.0, 1.0), (0.05, 0.9)):
                 span = CurveSpan(a.curve, t0, t1)
-                fwd = sorted((r.s, r.t) for r in intersect_curves(
-                    [span], [b], [0], [0])[0])
-                rev = sorted((r.s, r.t) for r in intersect_curves(
-                    [CurveSpan(a.curve, t1, t0)], [b], [0], [0])[0])
+                f = intersect_curves([span], [b], [0], [0])
+                r = intersect_curves([CurveSpan(a.curve, t1, t0)], [b], [0],
+                                     [0])
+                fwd = sorted(zip(f.v.tolist(), f.u.tolist()))
+                rev = sorted(zip(r.v.tolist(), r.u.tolist()))
                 assert len(fwd) == len(rev)
                 for (v, u), (v2, u2) in zip(fwd, rev):
                     assert abs(v2 - v) <= 1e-14

@@ -642,3 +642,13 @@ def test_flipped_cell_map_errors_match_per_cell_loop(flipped_first, strict):
         with pytest.raises(MeshError) as got:
             exact_cell_averages(m, field, max_levels=3, strict=strict)
         assert str(got.value) == str(ref.value)
+
+
+def test_cell_boxes_are_the_polygon_boxes_and_read_only():
+    for mesh in (gen_disk_mesh(4), rotate_mesh(gen_disk_mesh(4), 0.3)):
+        assert mesh.cell_boxes.tolist() == [
+            [b.xmin, b.ymin, b.xmax, b.ymax]
+            for b in (mesh.cell_polygon(i).bbox()
+                      for i in range(mesh.n_cells))]
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.cell_boxes[0, 0] = 0.0

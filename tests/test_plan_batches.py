@@ -3,8 +3,11 @@
 The Newton kernel stops seeds at fixed points and iterates only the moving
 ones; `reference_newton.py` keeps the kernel that stepped every seed. The
 edge roots are deduplicated in rounds and evaluated in stacked products;
-loop areas, cell areas and Approach A samples come from one stacked pass
-per span degree. Every output must be bitwise the per-element one.
+the cell pairs read their crossings from one table, where
+`reference_crossings.py` keeps the per-record loop; loop areas, cell areas
+and Approach A samples come from one stacked pass per span degree. Every
+output must be bitwise the per-element one. Candidate cell pairs come
+from array box tests, against a plain all-pairs loop.
 """
 
 import importlib
@@ -17,24 +20,41 @@ from curveremap import clipping
 from curveremap.clipping import CROSS_TOL, DEDUP_PARAM, _unit_cross
 from curveremap.experiments import accuracy_meshes
 from curveremap.geometry import gauss_rule_01
-from curveremap.mesh import gen_disk_mesh, rotate_mesh
+from curveremap.mesh import (CurvilinearMesh, gen_deformed_square_mesh,
+                             gen_disk_mesh, rotate_mesh)
 
 import reference_newton
+from reference_crossings import reference_pair_rows
 from reference_newton import reference_newton_roots
 
 remap = importlib.import_module("curveremap.remap")
 
 
 def _mesh_pair(name):
+    if name.startswith("straight"):
+        ds, dt = map(int, name[-2:])
+        return (gen_deformed_square_mesh(8, "gresho_like", 0.3, ds,
+                                         roughen=0.1),
+                gen_deformed_square_mesh(8, "taylor_green_like", 0.04, dt,
+                                         roughen=0.1))
     if name == "accuracy":
         return accuracy_meshes(8)
     if name == "cubic":
         return accuracy_meshes(8, degree=3)
+    if name == "disk_chords_pi4":
+        # straight chords against arcs: an edge pair's rows are in the
+        # order of the arc's parameter, not of the chord's
+        return gen_disk_mesh(6, 1), rotate_mesh(gen_disk_mesh(6), math.pi / 4)
     base = gen_disk_mesh(8)
     if name == "identity":
         return base, base
     angle = {"disk_pi4": math.pi / 4.0, "disk_1e-9": 1e-9}[name]
     return base, rotate_mesh(base, angle)
+
+
+def _cells(src, tgt):
+    """The plan's candidate cell pairs as an array (P, 2)."""
+    return np.array(remap.candidate_pairs(src, tgt), int).reshape(-1, 2)
 
 
 _KERNEL_ARGS = {}
@@ -49,7 +69,7 @@ def _kernel_args(name, monkeypatch):
             mp.setattr(clipping, "newton_roots",
                        lambda *args: calls.append(args) or kernel(*args))
             src, tgt = _mesh_pair(name)
-            remap._edge_pair_roots(src, tgt, remap.candidate_pairs(src, tgt))
+            remap._edge_crossings(src, tgt, _cells(src, tgt))
         [_KERNEL_ARGS[name]] = calls
     return _KERNEL_ARGS[name]
 
@@ -124,17 +144,101 @@ def test_round_dedup_is_the_greedy_rule(seed):
 @pytest.mark.parametrize("name", ["accuracy", "cubic"])
 def test_edge_roots_are_the_curves_own_points_and_tangents(name):
     src, tgt = _mesh_pair(name)
-    roots = remap._edge_pair_roots(src, tgt, remap.candidate_pairs(src, tgt))
+    es, et, found, _slot = remap._edge_crossings(src, tgt, _cells(src, tgt))
     checked = 0
-    for (es, et), entry in roots.items():
-        ca, cb = src.edge_curve(es), tgt.edge_curve(et)
-        for r in entry:
-            assert list(r.point) == ca.eval(r.t).tolist()
-            cross = _unit_cross(ca.deriv(r.t), cb.deriv(r.s))
-            assert r.transversal == (abs(cross) > CROSS_TOL)
-            assert r.cross == cross
-            checked += 1
+    for k, t, s, point, transversal, cross_k in zip(
+            found.pair.tolist(), found.u.tolist(), found.v.tolist(),
+            found.point.tolist(), found.transversal.tolist(),
+            found.cross.tolist()):
+        ca, cb = src.edge_curve(es[k]), tgt.edge_curve(et[k])
+        assert point == ca.eval(t).tolist()
+        cross = _unit_cross(ca.deriv(t), cb.deriv(s))
+        assert transversal == (abs(cross) > CROSS_TOL)
+        assert cross_k == cross
+        checked += 1
     assert checked > 100
+
+
+def _bits(rows):
+    """The rows (ks, t, kc, s, point, transversal, cross) with every float
+    written out bit for bit, and the type of every field."""
+    return [(ks, t.hex(), kc, s.hex(), tuple(x.hex() for x in point),
+             transversal, cross.hex(),
+             tuple(type(f).__name__ for f in (ks, t, kc, s, *point,
+                                              transversal, cross)))
+            for ks, t, kc, s, point, transversal, cross in rows]
+
+
+@pytest.mark.parametrize("name", ["accuracy", "cubic", "disk_pi4",
+                                  "disk_1e-9", "identity", "straight11",
+                                  "straight21", "disk_chords_pi4"])
+def test_pair_rows_equal_the_record_loop_bitwise(name):
+    src, tgt = _mesh_pair(name)
+    pairs = remap.candidate_pairs(src, tgt)
+    got = remap._pair_rows(src, tgt, _cells(src, tgt))
+    ref = reference_pair_rows(src, tgt, pairs)
+    assert len(got) == len(ref) == len(pairs)
+    assert sum(map(len, ref)) > len(pairs)
+    for g, r in zip(got, ref):
+        assert _bits(g) == _bits(r)
+
+
+def _shifted(mesh, dx):
+    return CurvilinearMesh(mesh.points + np.array([dx, 0.0]), mesh.edges,
+                           mesh.cell_edges, mesh.cell_dirs)
+
+
+def _all_box_pairs(src, tgt):
+    """Every (source, target) pair whose polygon boxes overlap, by target
+    and then by source, one Aabb.overlaps call each."""
+    sb = [src.cell_polygon(i).bbox() for i in range(src.n_cells)]
+    tb = [tgt.cell_polygon(i).bbox() for i in range(tgt.n_cells)]
+    return [(s, t) for t in range(tgt.n_cells) for s in range(src.n_cells)
+            if sb[s].overlaps(tb[t])]
+
+
+def _box_case(name):
+    """A mesh pair for the candidate-pair tests; all but the identity pair
+    have more target cells than one block."""
+    square = gen_deformed_square_mesh(9, "gresho_like", 0.3, 2)
+    if name == "accuracy":
+        return accuracy_meshes(9)
+    if name == "identity":
+        return _mesh_pair(name)
+    if name == "disjoint":
+        return square, _shifted(square, 5.0)
+    if name == "square_on_disk":
+        return gen_deformed_square_mesh(5, "gresho_like", 0.3, 2), \
+            gen_disk_mesh(9)
+    if name == "disk_on_square":
+        return gen_disk_mesh(5), square
+    # closed boxes: the copy shifted by one side meets it along a line
+    straight = gen_deformed_square_mesh(9, "identity", degree=1)
+    return straight, _shifted(straight, 1.0)
+
+
+@pytest.mark.parametrize("name", ["accuracy", "identity", "disjoint",
+                                  "square_on_disk", "disk_on_square",
+                                  "touching"])
+def test_candidate_pairs_equal_all_pairs_box_tests(name):
+    src, tgt = _box_case(name)
+    ref = _all_box_pairs(src, tgt)
+    assert remap.candidate_pairs(src, tgt) == ref
+    assert (len(ref) == 0) == (name == "disjoint")
+
+
+def test_disjoint_meshes_plan_and_apply_to_an_empty_cover():
+    src, _ = accuracy_meshes(4)
+    tgt = _shifted(src, 5.0)
+    assert len(remap._edge_crossings(src, tgt, _cells(src, tgt))[2].pair) == 0
+    plan = remap.build_plan(src, tgt, k_max=4, with_tris=True)
+    assert plan.n_candidates == plan.n_pairs == plan.split_loops == 0
+    assert plan.warnings == []
+    rep = remap.apply_plan(plan, np.full(src.n_cells, 2.5), order=5,
+                           positivity=True, approach="both")
+    assert rep.field.averages.tolist() == [0.0] * tgt.n_cells
+    assert rep.e_area_c == pytest.approx(1.0, rel=1e-14)
+    assert rep.max_ab_gap == 0.0 and rep.warnings == []
 
 
 def _mixed_plan():

@@ -313,10 +313,9 @@ def test_straight_edged_plan_shares_every_crossing(degrees, monkeypatch):
     for subject, clip, raw in calls:
         ci, ct = cell_s[id(subject)], cell_t[id(clip)]
         per_edges = {}
-        for r in raw:
-            key = (src.cell_edges[ci, r.subject_span],
-                   tgt.cell_edges[ct, r.clip_span])
-            per_edges.setdefault(key, []).append((r.point, r.transversal))
+        for ks, _t, kc, _s, point, transversal, _cross in raw:
+            key = (src.cell_edges[ci, ks], tgt.cell_edges[ct, kc])
+            per_edges.setdefault(key, []).append((point, transversal))
         for key, found in per_edges.items():
             seen.setdefault(key, set()).add(tuple(sorted(found)))
     assert len(seen) > 100

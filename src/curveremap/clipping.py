@@ -8,9 +8,14 @@ ordered by pair; event_rows alone turns table rows into the rows that the
 labelling reads, in a polygon's own span indices and directions. Curved
 pairs go to one seeded Newton kernel, newton_roots, on the 2x2 parametric
 system x_a(t) = x_b(s), y_a(t) = y_b(s), which iterates a batch of span
-pairs at once, each with its own parameter window. A seed stops at an
-exact fixed point of its step, and once few seeds move only those are
-iterated, so the roots are those of running every seed to the end.
+pairs at once, each with its own parameter window, in chunks of whole
+pairs. Its seeds come from a batched Bezier subdivision of each pair's
+parameter square (_subdivision_seeds): the centres of the leaves whose
+control-point boxes still overlap, and the square's corners where such a
+leaf lies; a pair whose survivors crowd a near-coincident stretch takes a
+uniform grid of seeds instead. A seed stops at an exact fixed point of
+its step, and only the moving seeds are iterated, so the roots are those
+of running every seed to the end.
 
 Entry/exit labels follow one rule (Weiler & Atherton 1977; Greiner &
 Hormann 1998): each subject arc between consecutive events is in, out or
@@ -37,9 +42,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (SNAP_TOL, CurvedPolygon, CurveSpan, _hypot,
-                       _lagrange_basis, _lagrange_dbasis, eval_rows,
-                       real_roots_in)
+from .geometry import (SNAP_TOL, CurvedPolygon, CurveSpan,
+                       _bezier_conversion, _hypot, _lagrange_basis,
+                       _lagrange_dbasis, eval_rows, real_roots_in)
 
 NEWTON_TOL = 1e-12     # accepted residual for curve-curve roots
 DEDUP_PARAM = 1e-8     # parameter radius separating distinct roots
@@ -57,7 +62,8 @@ class Crossings(NamedTuple):
     """Crossings of span pairs, a row each, ordered by pair: the local
     parameters u and v (in [0, 1]) on the pair's two spans, the point
     (n, 2), and the cross product of the unit tangents there, first span
-    first: negative where the first enters the second."""
+    first: negative where the first enters the second. grid_seeded counts
+    the curved pairs that took the grid seeds (_subdivision_seeds)."""
 
     pair: np.ndarray
     u: np.ndarray
@@ -65,6 +71,7 @@ class Crossings(NamedTuple):
     point: np.ndarray
     transversal: np.ndarray
     cross: np.ndarray
+    grid_seeded: int = 0
 
 
 @dataclass
@@ -95,57 +102,137 @@ def _horner(c: np.ndarray, w: np.ndarray,
     return x, y
 
 
+def _bezier_cols(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Bernstein control points (d+1, 2, P), in the local parameter, of
+    power-basis curves c (P, d+1, 2) on windows w (P, 2) of (t0, t1 - t0):
+    a column per curve, so that array passes over many curves run along
+    the last axis."""
+    d = c.shape[1] - 1
+    x, y = _horner(c, w[:, :1] + np.linspace(0.0, 1.0, d + 1) * w[:, 1:])
+    bez = _bezier_conversion(d) @ np.stack([x, y], axis=-1)
+    return bez.transpose(1, 2, 0)
+
+
+def _bezier_halves(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The control points of the two halves of Bezier curves b (d+1, 2, S),
+    split at 1/2 by de Casteljau."""
+    left, right = [b[0]], [b[-1]]
+    for _ in range(b.shape[0] - 1):
+        b = 0.5 * (b[:-1] + b[1:])
+        left.append(b[0])
+        right.append(b[-1])
+    return np.stack(left), np.stack(right[::-1])
+
+
+def _grid_seeds(pairs: np.ndarray, da: int, db: int):
+    """Seeds (pair, u, v) of a uniform (da*db + 2)^2 grid over the local
+    parameter square of each pair, more points than the composed system
+    has crossings."""
+    g = np.linspace(0.0, 1.0, da * db + 2)
+    u0, v0 = (w.ravel() for w in np.meshgrid(g, g))
+    return (np.repeat(pairs, len(u0)), np.tile(u0, len(pairs)),
+            np.tile(v0, len(pairs)))
+
+
+def _subdivision_seeds(ca: np.ndarray, cb: np.ndarray, wa: np.ndarray,
+                       wb: np.ndarray):
+    """Newton seeds (pair, u, v), ordered by pair, for P pairs of spans of
+    degrees da and db given as in newton_roots, and the number of pairs
+    seeded from the grid.
+
+    Both spans' Bernstein control points are halved, level by level, and
+    of the four sub-pairs of every surviving sub-pair only those whose
+    control-point boxes overlap, inflated by SNAP_TOL times the pair's
+    size, survive (Lane & Riesenfeld 1980): a pair whose boxes part gets no
+    seed. After ceil(log2(8 da db)) levels each surviving leaf seeds its
+    centre, and a leaf at a corner of the square seeds that corner too: a
+    shared vertex can have a singular Jacobian, which only an exact corner
+    seed finds. A pair with more than 4 da db survivors at a level is a
+    near-coincident stretch that boxes cannot isolate; it leaves the
+    subdivision and takes the grid seeds (_grid_seeds).
+    """
+    P, da, db = ca.shape[0], ca.shape[1] - 1, cb.shape[1] - 1
+    depth, cap = (8 * da * db - 1).bit_length(), 4 * da * db
+    a, b = _bezier_cols(ca, wa), _bezier_cols(cb, wb)
+    pad = SNAP_TOL * np.maximum(1.0, np.maximum(np.abs(a).max(axis=(0, 1)),
+                                                np.abs(b).max(axis=(0, 1))))
+    pair, iu, iv = np.arange(P), np.zeros(P, int), np.zeros(P, int)
+    grid = np.zeros(P, dtype=bool)
+    for level in range(depth + 1):
+        if level:
+            (al, ar), (bl, br) = _bezier_halves(a), _bezier_halves(b)
+            a = np.concatenate([al, al, ar, ar], axis=-1)
+            b = np.concatenate([bl, br, bl, br], axis=-1)
+            iu = np.concatenate([2 * iu, 2 * iu, 2 * iu + 1, 2 * iu + 1])
+            iv = np.concatenate([2 * iv, 2 * iv + 1, 2 * iv, 2 * iv + 1])
+            pair = np.tile(pair, 4)
+        p = pad[pair]
+        hit = ((a.min(axis=0) <= b.max(axis=0) + p)
+               & (b.min(axis=0) <= a.max(axis=0) + p)).all(axis=0)
+        crowd = np.bincount(pair[hit], minlength=P) > cap
+        grid |= crowd
+        hit &= ~crowd[pair]
+        pair, iu, iv = pair[hit], iu[hit], iv[hit]
+        a, b = a[..., hit], b[..., hit]
+    last = 2 ** depth - 1
+    corner = ((iu == 0) | (iu == last)) & ((iv == 0) | (iv == last))
+    seeds = [(pair, (iu + 0.5) / 2 ** depth, (iv + 0.5) / 2 ** depth),
+             (pair[corner], (iu[corner] > 0).astype(float),
+              (iv[corner] > 0).astype(float)),
+             _grid_seeds(np.flatnonzero(grid), da, db)]
+    pair, u, v = (np.concatenate(col) for col in zip(*seeds))
+    order = np.argsort(pair, kind="stable")
+    return (pair[order], u[order], v[order]), int(grid.sum())
+
+
 def newton_roots(ca: np.ndarray, cb: np.ndarray, wa: np.ndarray,
-                 wb: np.ndarray):
+                 wb: np.ndarray, pair: np.ndarray, u: np.ndarray,
+                 v: np.ndarray):
     """Newton roots of a_p(u) = b_p(v) for P pairs of spans at once.
 
     ca (P, da+1, 2) and cb (P, db+1, 2) hold power coefficients, wa and wb
     (P, 2) the span windows (t0, t1 - t0): a local parameter u sits at
-    curve parameter t0 + u (t1 - t0). Seeds form a uniform (da*db + 2)^2
-    grid over each pair's local parameter square, which exceeds the
-    crossing-count bound for the composed system. Pairs are iterated in
-    chunks of at most _SEED_LANES seeds, each chunk until all of its live
-    seeds converge. Seeds whose Jacobian turns singular or that leave the
-    square are abandoned, not errors.
+    curve parameter t0 + u (t1 - t0). The seeds are flat arrays: seed i
+    starts pair[i] at local parameters (u[i], v[i]), ordered by pair
+    (_subdivision_seeds or _grid_seeds). Seeds are iterated in chunks of
+    whole pairs, at most _SEED_LANES seeds or one pair, each chunk until
+    all of its live seeds converge. Seeds whose Jacobian turns singular or
+    that leave the square are abandoned, not errors.
 
     A seed whose step leaves its (u, v, alive) unchanged is at a fixed
     point: every later step would repeat that step, so it stops, and the
-    result is the same as if it had run on. A chunk's seeds are iterated
-    as a rectangle, a row of seeds per pair, until fewer than a quarter of
-    them move; from then on only the moving seeds are, one per row. A
-    chunk ends once no seed moves; a flag keeps a stopped seed that is
-    alive but not converged in the convergence test.
+    result is the same as if it had run on. Only the moving seeds are
+    iterated. A chunk ends once no seed moves; a flag keeps a stopped seed
+    that is alive but not converged in the convergence test.
 
     Returns arrays (pair, u, v, residual) of every accepted seed, ordered
     by pair and then by unclamped u, with u and v clamped to [0, 1].
     Duplicate roots are the caller's to remove.
     """
-    P, da, db = ca.shape[0], ca.shape[1] - 1, cb.shape[1] - 1
-    m = da * db + 2
-    g = np.linspace(0.0, 1.0, m)
-    u0, v0 = (w.ravel() for w in np.meshgrid(g, g))
+    da, db = ca.shape[1] - 1, cb.shape[1] - 1
     dca = ca[:, 1:] * np.arange(1, da + 1)[None, :, None]
     dcb = cb[:, 1:] * np.arange(1, db + 1)[None, :, None]
-    chunk = max(1, _SEED_LANES // (m * m))
-    out = [(np.zeros(0, int), np.zeros(0), np.zeros(0), np.zeros(0))]
-    for lo in range(0, P, chunk):
-        sl = slice(lo, lo + chunk)
-        a, b, ad, bd = ca[sl], cb[sl], dca[sl], dcb[sl]
-        wac, wbc = wa[sl], wb[sl]
-        u, v = np.tile(u0, (len(a), 1)), np.tile(v0, (len(a), 1))
-        # the seeds iterated: all of u, v, or those at flat indices idx
-        at, idx = np.s_[:, None], None
-        uk, vk, alive = u, v, np.ones(u.shape, dtype=bool)
+    u, v = np.array(u, float), np.array(v, float)
+    # chunk ends: pair boundaries, the last within _SEED_LANES seeds
+    cuts = np.append(np.flatnonzero(pair[1:] != pair[:-1]) + 1, len(pair))
+    lo = 0
+    while lo < len(pair):
+        hi = cuts[max(np.searchsorted(cuts, lo + _SEED_LANES, "right") - 1,
+                      np.searchsorted(cuts, lo, "right"))]
+        # the seeds iterated, by flat index
+        idx = np.arange(lo, hi)
+        uk, vk, alive = u[idx], v[idx], True
         held_open = False  # a stopped seed is alive and not converged
         for _ in range(_NEWTON_STEPS):
-            ta, la = wac[(*at, 0)], wac[(*at, 1)]
-            tb, lb = wbc[(*at, 0)], wbc[(*at, 1)]
+            at = (pair[idx],)
+            ta, la = wa[(*at, 0)], wa[(*at, 1)]
+            tb, lb = wb[(*at, 0)], wb[(*at, 1)]
             t, s = ta + uk * la, tb + vk * lb
-            ax, ay = _horner(a, t, at)
-            bx, by = _horner(b, s, at)
+            ax, ay = _horner(ca, t, at)
+            bx, by = _horner(cb, s, at)
             rx, ry = ax - bx, ay - by
-            dax, day = _horner(ad, t, at)
-            dbx, dby = _horner(bd, s, at)
+            dax, day = _horner(dca, t, at)
+            dbx, dby = _horner(dcb, s, at)
             # arrays are dropped once dead, so that a chunk's memory stays
             # near one step's live arrays
             del t, s, ax, ay, bx, by
@@ -164,40 +251,38 @@ def newton_roots(ca: np.ndarray, cb: np.ndarray, wa: np.ndarray,
             del du, dv, mag, lim
             alive = ok & (np.abs(un - 0.5) < 1.2) & (np.abs(vn - 0.5) < 1.2)
             moving = alive & ((un != uk) | (vn != vk))
-            if idx is None:
-                u, v = un, vn
-            else:
-                uf[idx], vf[idx] = un, vn
+            u[idx], v[idx] = un, vn
             conv = np.hypot(rx, ry) < 1e-15
             if not held_open and bool(np.all(~alive | conv)):
                 break
-            n_moving = np.count_nonzero(moving)
-            if n_moving == 0:
+            if not moving.any():
                 break
-            if idx is None and 4 * n_moving >= u.size:
-                uk, vk = u, v
-                continue
             held_open = held_open or bool((alive & ~moving & ~conv).any())
-            if idx is None:
-                uf, vf = u.reshape(-1), v.reshape(-1)
-                idx = np.flatnonzero(moving)
-            else:
-                idx = idx[moving]
-            at, uk, vk, alive = (idx // (m * m),), un[moving], vn[moving], True
-        ta, la = wac[:, 0, None], wac[:, 1, None]
-        tb, lb = wbc[:, 0, None], wbc[:, 1, None]
-        ax, ay = _horner(a, ta + u * la)
-        bx, by = _horner(b, tb + v * lb)
-        res = np.hypot(ax - bx, ay - by)
-        slack = 1e-9
-        good = (res <= NEWTON_TOL) & (u > -slack) & (u < 1 + slack) & \
-            (v > -slack) & (v < 1 + slack)
-        pair = np.nonzero(good)[0]
-        order = np.lexsort((u[good], pair))
-        out.append((lo + pair[order], u[good][order], v[good][order],
-                    res[good][order]))
-    pair, u, v, res = (np.concatenate(col) for col in zip(*out))
+            idx, uk, vk, alive = idx[moving], un[moving], vn[moving], True
+        lo = hi
+    ax, ay = _horner(ca, wa[pair, 0] + u * wa[pair, 1], (pair,))
+    bx, by = _horner(cb, wb[pair, 0] + v * wb[pair, 1], (pair,))
+    res = np.hypot(ax - bx, ay - by)
+    slack = 1e-9
+    good = (res <= NEWTON_TOL) & (u > -slack) & (u < 1 + slack) & \
+        (v > -slack) & (v < 1 + slack)
+    order = np.lexsort((u[good], pair[good]))
+    pair, u, v, res = (col[good][order] for col in (pair, u, v, res))
     return pair, np.clip(u, 0.0, 1.0), np.clip(v, 0.0, 1.0), res
+
+
+def _curved_roots(ca: np.ndarray, cb: np.ndarray, wa: np.ndarray,
+                  wb: np.ndarray):
+    """Roots (pair, u, v) of P curved span pairs of one pair of degrees,
+    given as in newton_roots, ordered by (pair, u, v), of close roots the
+    first (_first_of_close); and the number of pairs seeded from the grid.
+    """
+    seeds, n_grid = _subdivision_seeds(ca, cb, wa, wb)
+    pair, u, v, _res = newton_roots(ca, cb, wa, wb, *seeds)
+    order = np.lexsort((v, u, pair))
+    pair, u, v = pair[order], u[order], v[order]
+    keep = _first_of_close(pair, u, v)
+    return pair[keep], u[keep], v[keep], n_grid
 
 
 def _unit_cross(da, db) -> np.ndarray:
@@ -374,11 +459,13 @@ def intersect_curves(spans_a, spans_b, ia, ib) -> Crossings:
     straight spans report the ends of their overlap, not transversal: its
     interior is a continuum, not isolated roots. Other pairs with a
     straight span take exact polynomial roots (_line_span_roots). The
-    curved pairs of each pair of degrees go through one newton_roots call,
-    in input order, and of close roots the first is kept
-    (_first_of_close); a pair's rows keep the order of these passes. Each
-    root records the cross product of the unit tangents, and is transversal
-    when they are not parallel.
+    curved pairs of each pair of degrees go through one _curved_roots call,
+    in input order: Newton from subdivision seeds, or from the grid where
+    a pair nearly coincides with its partner, and of close roots the first
+    (_first_of_close); a pair's rows keep the order of these passes, and
+    the table counts the grid-seeded pairs. Each root records the cross
+    product of the unit tangents, and is transversal when they are not
+    parallel.
     """
     ia, ib = np.asarray(ia, int), np.asarray(ib, int)
     live = _box_hits(spans_a, spans_b, ia, ib)
@@ -411,17 +498,16 @@ def intersect_curves(spans_a, spans_b, ia, ib) -> Crossings:
         else:
             roots += [(k, u, v, False) for v, u in _line_span_roots(b, a)]
     curved = rest & (da > 1) & (db > 1)
+    grid_seeded = 0
     for pa, pb in sorted(set(zip(da[curved].tolist(), db[curved].tolist()))):
         k = live[curved & (da == pa) & (db == pb)]
-        pair, u, v, _res = newton_roots(
+        pair, u, v, n_grid = _curved_roots(
             _curve_rows(spans_a, ia[k], "power_coeffs"),
             _curve_rows(spans_b, ib[k], "power_coeffs"),
             win_a[ia[k]], win_b[ib[k]])
-        order = np.lexsort((v, u, pair))
-        pair, u, v = pair[order], u[order], v[order]
-        keep = _first_of_close(pair, u, v)
-        roots += zip(k[pair[keep]].tolist(), u[keep].tolist(),
-                     v[keep].tolist(), [False] * int(keep.sum()))
+        grid_seeded += n_grid
+        roots += zip(k[pair].tolist(), u.tolist(), v.tolist(),
+                     [False] * len(pair))
     cols = list(zip(*roots)) or [()] * 4
     pair, u, v, ends = (np.array(col, dtype=t) for col, t in
                         zip(cols, (int, float, float, bool)))
@@ -431,7 +517,7 @@ def intersect_curves(spans_a, spans_b, ia, ib) -> Crossings:
     _, tan_b = _points_and_tangents(spans_b, deg_b, win_b, ib[pair], v)
     cross = _unit_cross(tan_a, tan_b)
     return Crossings(pair, u, v, pts, ~ends & (np.abs(cross) > CROSS_TOL),
-                     cross)
+                     cross, grid_seeded)
 
 
 def event_rows(found: Crossings, ks, kc, ds, dt) -> list[tuple]:

@@ -63,6 +63,7 @@ class RemapReport:
     n_candidates: int
     n_pairs: int
     split_loops: int
+    grid_seeded_pairs: int
     timings: dict[str, float]
     warnings: list[str] = field(default_factory=list)
 
@@ -76,6 +77,7 @@ class RemapReport:
             f"candidate_pairs={self.n_candidates}",
             f"clipped_pairs={self.n_pairs}",
             f"split_loops={self.split_loops}",
+            f"grid_seeded_pairs={self.grid_seeded_pairs}",
         ]
         lines += [f"time_{k}={v:.6f}" for k, v in sorted(self.timings.items())]
         lines += [f"warning={w}" for w in self.warnings]
@@ -129,11 +131,12 @@ def _edge_crossings(source: CurvilinearMesh, target: CurvilinearMesh,
 
 
 def _pair_rows(source: CurvilinearMesh, target: CurvilinearMesh,
-               cells: np.ndarray) -> list[list[tuple]]:
+               cells: np.ndarray) -> tuple[list[list[tuple]], int]:
     """The event_rows of each cell pair of cells (P, 2), a list per pair
-    in (subject edge, clip edge) order and then in table order. Every cell
-    pair that meets an edge pair reads the same rows, so neighbouring cells
-    cut a shared edge at the same floats and their pieces tile exactly."""
+    in (subject edge, clip edge) order and then in table order, and the
+    table's count of grid-seeded edge pairs. Every cell pair that meets an
+    edge pair reads the same rows, so neighbouring cells cut a shared edge
+    at the same floats and their pieces tile exactly."""
     es, _, found, slot = _edge_crossings(source, target, cells)
     bounds = np.searchsorted(found.pair, np.arange(len(es) + 1))
     start, count = bounds[slot], np.diff(bounds)[slot]
@@ -142,11 +145,13 @@ def _pair_rows(source: CurvilinearMesh, target: CurvilinearMesh,
             + np.arange(count.sum()))
     pair, k = np.divmod(np.repeat(np.arange(len(slot)), count), 16)
     ks, kc = np.divmod(k, 4)
-    raw = event_rows(Crossings._make(col[rows] for col in found), ks, kc,
+    # the row columns, all but the trailing grid count
+    raw = event_rows(Crossings(*(col[rows] for col in found[:-1])), ks, kc,
                      source.cell_dirs[cells[pair, 0], ks],
                      target.cell_dirs[cells[pair, 1], kc])
     cut = np.searchsorted(pair, np.arange(len(cells) + 1)).tolist()
-    return [raw[lo:hi] for lo, hi in zip(cut[:-1], cut[1:])]
+    return ([raw[lo:hi] for lo, hi in zip(cut[:-1], cut[1:])],
+            found.grid_seeded)
 
 
 # --------------------------------------------------------------------------
@@ -180,6 +185,7 @@ class RemapPlan:
     timings: dict[str, float]
     warnings: list[str]
     split_loops: int  # loops whose own fan was not certified
+    grid_seeded_pairs: int  # edge pairs whose Newton seeds were the grid
 
     @property
     def n_pairs(self) -> int:
@@ -230,7 +236,8 @@ def build_plan(source: CurvilinearMesh, target: CurvilinearMesh,
     timings["pairs"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    raws = _pair_rows(source, target, np.array(pairs, int).reshape(-1, 2))
+    raws, grid_seeded = _pair_rows(source, target,
+                                   np.array(pairs, int).reshape(-1, 2))
     timings["newton"] = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -282,7 +289,7 @@ def build_plan(source: CurvilinearMesh, target: CurvilinearMesh,
     if with_tris:
         timings["triangulate"] = t_tri
     return RemapPlan(source, target, per_target, k_max, with_tris,
-                     len(pairs), timings, warnings, split_loops)
+                     len(pairs), timings, warnings, split_loops, grid_seeded)
 
 
 def apply_plan(plan: RemapPlan, averages, order: int = 3,
@@ -362,7 +369,8 @@ def apply_plan(plan: RemapPlan, averages, order: int = 3,
     e_cons = abs(total_out - total_in)
     return RemapReport(Field(out, target), e_area, e_cons,
                        float(out.min()), max_gap, plan.n_candidates,
-                       plan.n_pairs, plan.split_loops, timings, warnings)
+                       plan.n_pairs, plan.split_loops, plan.grid_seeded_pairs,
+                       timings, warnings)
 
 
 def _gather(loops: list, src: np.ndarray, samples):

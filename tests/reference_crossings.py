@@ -8,7 +8,7 @@ and `reference_pair_rows` the plan's loop that re-wrapped the records of
 each cell pair's 16 edge pairs in the cells' own span indices and
 directions, as the rows (ks, t, kc, s, point, transversal, cross) that
 `clipping._build_events` reads. The root passes are the clipping module's
-own helpers, which the table did not change.
+own helpers, `_curved_roots` among them, which the table did not change.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from curveremap.clipping import (CROSS_TOL, _box_hits, _collinear_overlap,
-                                 _curve_rows, _first_of_close,
+                                 _curve_rows, _curved_roots,
                                  _line_span_roots, _points_and_tangents,
-                                 _same_curve_overlap, curve_flip,
-                                 newton_roots)
+                                 _same_curve_overlap, curve_flip)
 from curveremap.geometry import SNAP_TOL, CurveSpan
 
 
@@ -84,15 +83,12 @@ def reference_intersect_curves(spans_a, spans_b, ia, ib):
     curved = rest & (da > 1) & (db > 1)
     for pa, pb in sorted(set(zip(da[curved].tolist(), db[curved].tolist()))):
         k = live[curved & (da == pa) & (db == pb)]
-        pair, u, v, _res = newton_roots(
+        pair, u, v, _grid = _curved_roots(
             _curve_rows(spans_a, ia[k], "power_coeffs"),
             _curve_rows(spans_b, ib[k], "power_coeffs"),
             win_a[ia[k]], win_b[ib[k]])
-        order = np.lexsort((v, u, pair))
-        pair, u, v = pair[order], u[order], v[order]
-        keep = _first_of_close(pair, u, v)
-        roots += zip(k[pair[keep]].tolist(), u[keep].tolist(),
-                     v[keep].tolist(), [False] * int(keep.sum()))
+        roots += zip(k[pair].tolist(), u.tolist(), v.tolist(),
+                     [False] * len(pair))
     found = [[] for _ in range(len(ia))]
     if not roots:
         return found

@@ -492,11 +492,13 @@ def test_batched_roots_equal_roots_of_each_pair_alone(case):
     ca = np.stack([src.edge_curve(es).power_coeffs for es, _ in pairs])
     cb = np.stack([tgt.edge_curve(et).power_coeffs for _, et in pairs])
     whole = np.tile([0.0, 1.0], (len(pairs), 1))
-    pair, u, v, _res = newton_roots(ca, cb, whole, whole)
+    seeds, _grid = clipping._subdivision_seeds(ca, cb, whole, whole)
+    pair, u, v, _res = newton_roots(ca, cb, whole, whole, *seeds)
     found = 0
     for k in range(len(pairs)):
-        _p, u1, v1, _r = newton_roots(ca[k:k + 1], cb[k:k + 1],
-                                      whole[:1], whole[:1])
+        one = (ca[k:k + 1], cb[k:k + 1], whole[:1], whole[:1])
+        _p, u1, v1, _r = newton_roots(
+            *one, *clipping._subdivision_seeds(*one)[0])
         mine = pair == k
         assert mine.sum() == len(u1)
         assert np.abs(u[mine] - u1).max(initial=0.0) <= 1e-12

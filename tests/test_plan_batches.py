@@ -1,7 +1,8 @@
 """The plan's batched passes against the per-element code they replace.
 
 The Newton kernel stops seeds at fixed points and iterates only the moving
-ones; `reference_newton.py` keeps the kernel that stepped every seed. The
+ones; `reference_newton.py` keeps the kernel that stepped every seed of a
+uniform grid, and the kernel given the grid seeds must return its arrays. The
 edge roots are deduplicated in rounds and evaluated in stacked products;
 the cell pairs read their crossings from one table, where
 `reference_crossings.py` keeps the per-record loop; loop areas, cell areas
@@ -19,7 +20,7 @@ import pytest
 from curveremap import clipping
 from curveremap.clipping import CROSS_TOL, DEDUP_PARAM, _unit_cross
 from curveremap.experiments import accuracy_meshes
-from curveremap.geometry import gauss_rule_01
+from curveremap.geometry import CurveSpan, ParamCurve, gauss_rule_01
 from curveremap.mesh import (CurvilinearMesh, gen_deformed_square_mesh,
                              gen_disk_mesh, rotate_mesh)
 
@@ -61,17 +62,25 @@ _KERNEL_ARGS = {}
 
 
 def _kernel_args(name, monkeypatch):
-    """The arguments the plan passes to newton_roots on a mesh pair."""
+    """The span pairs (ca, cb, wa, wb) the plan passes to newton_roots on a
+    mesh pair."""
     if name not in _KERNEL_ARGS:
         calls = []
         kernel = clipping.newton_roots
         with monkeypatch.context() as mp:
             mp.setattr(clipping, "newton_roots",
-                       lambda *args: calls.append(args) or kernel(*args))
+                       lambda *args: calls.append(args[:4]) or kernel(*args))
             src, tgt = _mesh_pair(name)
             remap._edge_crossings(src, tgt, _cells(src, tgt))
         [_KERNEL_ARGS[name]] = calls
     return _KERNEL_ARGS[name]
+
+
+def _with_grid_seeds(ca, cb, wa, wb):
+    """newton_roots' arguments with the reference's grid seeds."""
+    seeds = clipping._grid_seeds(np.arange(len(ca)), ca.shape[1] - 1,
+                                 cb.shape[1] - 1)
+    return ca, cb, wa, wb, *seeds
 
 
 @pytest.mark.parametrize("lanes", [400_000, 5_000, 37])
@@ -81,7 +90,7 @@ def test_newton_roots_equal_the_reference_bitwise(name, lanes, monkeypatch):
     args = _kernel_args(name, monkeypatch)
     monkeypatch.setattr(clipping, "_SEED_LANES", lanes)
     monkeypatch.setattr(reference_newton, "_SEED_LANES", lanes)
-    got = clipping.newton_roots(*args)
+    got = clipping.newton_roots(*_with_grid_seeds(*args))
     ref = reference_newton_roots(*args)
     assert len(ref[0]) > 0
     for g, r in zip(got, ref):
@@ -97,11 +106,138 @@ def test_stopped_unconverged_seeds_keep_their_chunk_running(monkeypatch):
     ca, cb, wa, _wb = _kernel_args("accuracy", monkeypatch)
     a = np.stack([ca[20], 100.0 * ca[12]])
     b = np.stack([cb[20], 100.0 * cb[12]])
-    got = clipping.newton_roots(a, b, wa[:2], wa[:2])
+    got = clipping.newton_roots(*_with_grid_seeds(a, b, wa[:2], wa[:2]))
     ref = reference_newton_roots(a, b, wa[:2], wa[:2])
     assert len(ref[0]) > 0
     for g, r in zip(got, ref):
         assert g.tobytes() == r.tobytes()
+
+
+def _grid_only(ca, cb, wa, wb):
+    """_subdivision_seeds' result if every pair took the grid seeds."""
+    pairs = np.arange(len(ca))
+    return clipping._grid_seeds(pairs, ca.shape[1] - 1,
+                                cb.shape[1] - 1), len(pairs)
+
+
+def _curve(f, degree):
+    """The degree-d curve through f(t) at the d + 1 uniform parameters."""
+    return ParamCurve([f(t) for t in np.linspace(0.0, 1.0, degree + 1)])
+
+
+def _t3(z):
+    """The Chebyshev cubic, which sweeps [-1, 1] three times on [-1, 1]."""
+    return 4.0 * z ** 3 - 3.0 * z
+
+
+# constructed span pairs (a, b) and the rows (count, grid-seeded pairs)
+# that both seedings must find
+_SPAN_PAIRS = {
+    # y = p(x) and x = p(y) with p of three monotone branches that each
+    # sweep past the unit square: every branch of one crosses every branch
+    # of the other
+    "cubics_in_9_points": (
+        lambda: (CurveSpan(_curve(lambda t: (t, 0.5 + 0.6 * _t3(2 * t - 1)),
+                                  3)),
+                 CurveSpan(_curve(lambda s: (0.5 + 0.6 * _t3(2 * s - 1), s),
+                                  3))),
+        (9, 0)),
+    "shared_start": (
+        lambda: (CurveSpan(_curve(lambda t: (t, 0.3 * t * (1 - t)), 2)),
+                 CurveSpan(_curve(lambda s: (0.2 * s * (1 - s), s), 2))),
+        (1, 0)),
+    "start_on_the_other": (
+        lambda: (CurveSpan(_curve(lambda t: (0.5 + 0.1 * t * t, 0.05 + t),
+                                  2)),
+                 CurveSpan(_curve(lambda s: (s, 0.2 * s * (1 - s)), 2))),
+        (1, 0)),
+    # tangent at their common start, where both seedings have an exact
+    # corner seed; at an interior tangency both return clusters of rows
+    # that depend on the seeds
+    "tangent_parabolas": (
+        lambda: (CurveSpan(_curve(lambda t: (t, t * t), 2)),
+                 CurveSpan(_curve(lambda s: (s, -s * s), 2))),
+        (1, 0)),
+    "shifted_by_1e-10": (
+        lambda: (CurveSpan(_curve(lambda t: (t, t * t), 2)),
+                 CurveSpan(_curve(lambda s: (s + 1e-10, s * s), 2))),
+        (1, 1)),
+    "lifted_by_1e-10": (
+        lambda: (CurveSpan(_curve(lambda t: (t, t * t), 2)),
+                 CurveSpan(_curve(lambda s: (s, s * s + 1e-10), 2))),
+        (0, 1)),
+    "reversed_window": (
+        lambda: (CurveSpan(_curve(lambda t: (t, t * t), 3), 0.9, 0.05),
+                 CurveSpan(_curve(lambda s: (s, 0.8 - 0.7 * s + 0.3 * s ** 3),
+                                  3))),
+        (1, 0)),
+}
+
+
+def _seeding_case(name):
+    """The mesh pairs of the seeding comparison: the three benchmark
+    workloads' meshes, slivers and disks of higher edge degree."""
+    if name == "accuracy_n32":
+        return accuracy_meshes(32)
+    if name == "cubic_n16":
+        return accuracy_meshes(16, degree=3)
+    if name == "rotation_n16":
+        base = gen_disk_mesh(16)
+        return base, rotate_mesh(base, math.pi / 4.0)
+    if name.startswith("disk_d"):
+        degree = int(name[-1])
+        base = gen_disk_mesh(4 if degree == 6 else 8, degree=degree)
+        return base, rotate_mesh(base, 0.3)
+    if name.startswith("sliver_"):
+        base = gen_disk_mesh(8)
+        return base, rotate_mesh(base, float(name[7:]))
+    return _mesh_pair(name)
+
+
+@pytest.mark.parametrize("name", [
+    "accuracy_n32", "rotation_n16", "cubic_n16", "cubic", "identity",
+    "disk_pi4", "sliver_1e-12", "sliver_1e-9", "sliver_1e-6", "sliver_1e-3",
+    "disk_d3", "disk_d4", "disk_d5", "disk_d6", *_SPAN_PAIRS])
+def test_subdivision_seeds_find_the_grid_rows(name, monkeypatch):
+    if name in _SPAN_PAIRS:
+        make, (rows, grid) = _SPAN_PAIRS[name]
+        a, b = make()
+
+        def table():
+            return clipping.intersect_curves([a], [b], [0], [0])
+    else:
+        src, tgt = _seeding_case(name)
+        cells = _cells(src, tgt)
+
+        def table():
+            return remap._edge_crossings(src, tgt, cells)[2]
+    got = table()
+    with monkeypatch.context() as mp:
+        mp.setattr(clipping, "_subdivision_seeds", _grid_only)
+        ref = table()
+    assert got.pair.tolist() == ref.pair.tolist()
+    assert got.transversal.tolist() == ref.transversal.tolist()
+    assert np.abs(got.u - ref.u).max(initial=0.0) <= 1e-10
+    assert np.abs(got.v - ref.v).max(initial=0.0) <= 1e-10
+    assert np.abs(got.point - ref.point).max(initial=0.0) <= 1e-11
+    if name in _SPAN_PAIRS:
+        assert (len(got.pair), got.grid_seeded) == (rows, grid)
+        if name == "shared_start":
+            assert (got.u.tolist(), got.v.tolist()) == ([0.0], [0.0])
+    else:
+        assert len(got.pair) > 0
+        assert got.grid_seeded < ref.grid_seeded
+
+
+@pytest.mark.parametrize("angle, grid", [(1e-3, 32), (math.pi / 4.0, 0)])
+def test_plan_counts_the_grid_seeded_pairs(angle, grid):
+    # turned by 1e-3, each of the 16 boundary arcs nearly coincides with
+    # the two turned arcs it overlaps; turned by pi/4 no edges do
+    base = gen_disk_mesh(4)
+    plan = remap.build_plan(base, rotate_mesh(base, angle), k_max=1)
+    assert plan.grid_seeded_pairs == grid
+    rep = remap.apply_plan(plan, np.ones(base.n_cells), order=1)
+    assert f"split_loops=0\ngrid_seeded_pairs={grid}\n" in rep.to_text()
 
 
 def _greedy(pair, t, s):
@@ -175,7 +311,7 @@ def _bits(rows):
 def test_pair_rows_equal_the_record_loop_bitwise(name):
     src, tgt = _mesh_pair(name)
     pairs = remap.candidate_pairs(src, tgt)
-    got = remap._pair_rows(src, tgt, _cells(src, tgt))
+    got, _grid = remap._pair_rows(src, tgt, _cells(src, tgt))
     ref = reference_pair_rows(src, tgt, pairs)
     assert len(got) == len(ref) == len(pairs)
     assert sum(map(len, ref)) > len(pairs)

@@ -4,45 +4,52 @@ Every curve-curve intersection comes from intersect_curves, over span
 pairs given as index arrays: the remap plan passes every candidate pair of
 whole mesh edges in one call, a single clip the span pairs of its two
 polygons. It returns one Crossings table of arrays, a row per crossing,
-ordered by pair; event_rows alone turns table rows into the rows that the
-labelling reads, in a polygon's own span indices and directions. Curved
-pairs go to one seeded Newton kernel, newton_roots, on the 2x2 parametric
-system x_a(t) = x_b(s), y_a(t) = y_b(s), which iterates a batch of span
-pairs at once, each with its own parameter window, in chunks of whole
-pairs. Its seeds come from a batched Bezier subdivision of each pair's
-parameter square (_subdivision_seeds): the centres of the leaves whose
-control-point boxes still overlap, and the square's corners where such a
-leaf lies; a pair whose survivors crowd a near-coincident stretch takes a
-uniform grid of seeds instead. A seed stops at an exact fixed point of
-its step, and only the moving seeds are iterated, so the roots are those
-of running every seed to the end.
+ordered by pair; event_rows alone turns table rows into the EventRows that
+the clip pass reads, in a polygon's own span indices and directions.
+Curved pairs go to one seeded Newton kernel, newton_roots, on the 2x2
+parametric system x_a(t) = x_b(s), y_a(t) = y_b(s), which iterates a
+batch of span pairs at once, each with its own parameter window, in chunks
+of whole pairs. Its seeds come from a batched Bezier subdivision of each
+pair's parameter square (_subdivision_seeds): the centres of the leaves
+whose control-point boxes still overlap, and the square's corners where
+such a leaf lies; a pair whose survivors crowd a near-coincident stretch
+takes a uniform grid of seeds instead. A seed stops at an exact fixed
+point of its step, and only the moving seeds are iterated, so the roots
+are those of running every seed to the end.
 
-Entry/exit labels follow one rule (Weiler & Atherton 1977; Greiner &
-Hormann 1998): each subject arc between consecutive events is in, out or
-on the clip boundary, and an event is an entry or exit where the state
-passes into or out of "in". A clean crossing at either end of an arc,
-transversal and away from the corners of both polygons, gives the arc its
-state from the sign of the cross product of the two tangents, which
-intersect_curves records on each crossing. Point probes give the other
-arcs theirs, and every arc of a list with a tangency or an overlap end:
-they resolve corners, tangencies and shared or overlapping edges. A pair
-whose events change no state is nested or disjoint; a corner outside the
-other polygon's hull box settles it, and otherwise the same probe, run on
-the whole boundary as one arc, does.
+clip_table clips many polygon pairs at once, in array passes over all
+their event rows: it snaps the events to corners, sorts and merges each
+pair's events, labels them, walks the loops and emits each loop as a
+table of piece windows (polygon side, span, t0, t1). Entry/exit labels
+follow one rule (Weiler & Atherton 1977; Greiner & Hormann 1998): each
+subject arc between consecutive events is in, out or on the clip
+boundary, and an event is an entry or exit where the state passes into or
+out of "in". A clean crossing at either end of an arc, transversal and
+away from the corners of both polygons, gives the arc its state from the
+sign of the cross product of the two tangents, which intersect_curves
+records on each crossing. Point probes (_arc_state) give the other arcs
+theirs, and every arc of a pair with a tangency or an overlap end: they
+resolve corners, tangencies and shared or overlapping edges. A pair whose
+events change no state is nested or disjoint; a corner outside the other
+polygon's hull box settles it, and otherwise the same probe, run on the
+whole boundary as one arc, does. The probes are the pass's only per-pair
+work.
 
-wa_clip traces the loops; kept_loops checks their areas, which the remap
-plan fills for all its loops at once.
+wa_clip builds one pair's loops, as CurveSpan and CurvedPolygon objects,
+from its slice of the table; kept_mask checks loop areas, which the remap
+plan takes for all its loops at once from the windows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (SNAP_TOL, CurvedPolygon, CurveSpan,
+from .geometry import (SNAP_TOL, CurvedPolygon, CurveSpan, GeometryError,
                        _bezier_conversion, _hypot, _lagrange_basis,
                        _lagrange_dbasis, eval_rows, real_roots_in)
 
@@ -55,7 +62,12 @@ _NEWTON_STEPS = 30     # most Newton steps of a chunk of seeds
 
 
 class ClipTopologyError(RuntimeError):
-    """Inconsistent intersection topology (reported, never silent)."""
+    """Inconsistent intersection topology (reported, never silent); loop
+    is the index of the loop at fault in kept_mask's input, if any."""
+
+    def __init__(self, message: str, loop: int | None = None):
+        super().__init__(message)
+        self.loop = loop
 
 
 class Crossings(NamedTuple):
@@ -76,11 +88,11 @@ class Crossings(NamedTuple):
 
 @dataclass
 class ClipResult:
-    # the loops traced, before kept_loops checks their areas
+    # the loops traced, before kept_mask checks their areas
     loops: list[CurvedPolygon] = field(default_factory=list)
     containment: str = "none"  # none | subject_in_clip | clip_in_subject
-    # the labelled crossings, sorted by subject boundary coordinate
-    crossings: list[_Event] = field(default_factory=list)
+    # the labelled crossings, in subject boundary order
+    crossings: list[Crossing] = field(default_factory=list)
 
     @property
     def total_area(self) -> float:
@@ -390,27 +402,37 @@ def _line_span_roots(line: CurveSpan, span: CurveSpan) -> list[tuple[float, floa
     return roots
 
 
-def _first_of_close(pair: np.ndarray, t: np.ndarray,
-                    s: np.ndarray) -> np.ndarray:
-    """Mask of the roots kept of seeds sorted by (pair, t, s): a seed is
-    kept unless it lies within DEDUP_PARAM in both t and s of a kept seed
-    of its pair.
+def _merged_into(pair: np.ndarray, close) -> np.ndarray:
+    """For rows sorted by pair, the row each merges into: the first kept
+    row of its pair for which close(rows, kept rows) holds, or itself,
+    kept, where there is none.
 
-    Runs in rounds: each keeps every pair's first remaining seed and drops
-    the remaining seeds of that pair close to it. A seed before the one
-    kept was dropped by an earlier kept seed, so this is the greedy rule.
+    Runs in rounds: each keeps every pair's first remaining row and merges
+    the remaining rows of that pair close to it into it. A row before the
+    one kept merged into an earlier kept row, so this is the greedy rule.
     """
-    keep = np.zeros(len(pair), dtype=bool)
+    into = np.arange(len(pair))
     rem = np.arange(len(pair))
     while len(rem):
         p = pair[rem]
         head = np.ones(len(rem), dtype=bool)
         head[1:] = p[1:] != p[:-1]
-        keep[rem[head]] = True
         h = rem[head][np.cumsum(head) - 1]
-        rem = rem[(np.abs(t[rem] - t[h]) > DEDUP_PARAM)
-                  | (np.abs(s[rem] - s[h]) > DEDUP_PARAM)]
-    return keep
+        near = close(rem, h)
+        into[rem[near]] = h[near]
+        rem = rem[~near]
+    return into
+
+
+def _first_of_close(pair: np.ndarray, t: np.ndarray,
+                    s: np.ndarray) -> np.ndarray:
+    """Mask of the roots kept of seeds sorted by (pair, t, s): a seed is
+    kept unless it lies within DEDUP_PARAM in both t and s of a kept seed
+    of its pair (_merged_into)."""
+    into = _merged_into(pair, lambda i, h: (
+        (np.abs(t[i] - t[h]) <= DEDUP_PARAM)
+        & (np.abs(s[i] - s[h]) <= DEDUP_PARAM)))
+    return into == np.arange(len(pair))
 
 
 def _box_hits(spans_a, spans_b, ia: np.ndarray,
@@ -520,32 +542,145 @@ def intersect_curves(spans_a, spans_b, ia, ib) -> Crossings:
                      cross, grid_seeded)
 
 
-def event_rows(found: Crossings, ks, kc, ds, dt) -> list[tuple]:
-    """The rows (ks, t, kc, s, point, transversal, cross) _build_events
-    reads of the crossings found, on subject span ks and clip span kc (a
-    value per row), which run as intersect_curves saw them (+1) or reversed
-    (-1) as ds and dt say: a reversed span's parameter u is 1 - u, and the
-    cross product takes the sign of both directions."""
-    t = np.where(ds > 0, found.u, 1.0 - found.u)
-    s = np.where(dt > 0, found.v, 1.0 - found.v)
-    return list(zip(np.asarray(ks).tolist(), t.tolist(),
-                    np.asarray(kc).tolist(), s.tolist(),
-                    map(tuple, found.point.tolist()),
-                    found.transversal.tolist(),
-                    (found.cross * ds * dt).tolist()))
+class EventRows(NamedTuple):
+    """Crossings as the clip pass reads them, a row each, grouped by the
+    polygon pair they belong to (pair, ascending): the subject span ks and
+    its local parameter t, the clip span kc and its s, both in the
+    polygons' own traversal directions, the point (n, 2), the transversal
+    flag and the cross product, signed for those directions."""
+
+    pair: np.ndarray
+    ks: np.ndarray
+    t: np.ndarray
+    kc: np.ndarray
+    s: np.ndarray
+    point: np.ndarray
+    transversal: np.ndarray
+    cross: np.ndarray
+
+
+def event_rows(found: Crossings, pair, ks, kc, ds, dt) -> EventRows:
+    """The EventRows of the crossings found, of polygon pair pair, on
+    subject span ks and clip span kc (a value per row), which run as
+    intersect_curves saw them (+1) or reversed (-1) as ds and dt say: a
+    reversed span's parameter u is 1 - u, and the cross product takes the
+    sign of both directions."""
+    return EventRows(np.asarray(pair, int), np.asarray(ks, int),
+                     np.where(ds > 0, found.u, 1.0 - found.u),
+                     np.asarray(kc, int),
+                     np.where(dt > 0, found.v, 1.0 - found.v),
+                     found.point, found.transversal, found.cross * ds * dt)
 
 
 def _raw_intersections(subject: CurvedPolygon,
-                       clip: CurvedPolygon) -> list[tuple]:
-    """Event rows of every span pair of two polygons, subject major."""
+                       clip: CurvedPolygon) -> EventRows:
+    """Event rows of every span pair of two polygons, subject major, as
+    pair 0."""
     ns, nc = len(subject.spans), len(clip.spans)
     ia, ib = np.divmod(np.arange(ns * nc), nc)
     found = intersect_curves(subject.spans, clip.spans, ia, ib)
-    return event_rows(found, ia[found.pair], ib[found.pair], 1, 1)
+    return event_rows(found, np.zeros(len(found.pair), int), ia[found.pair],
+                      ib[found.pair], 1, 1)
+
+
+class PolygonTable(NamedTuple):
+    """The subject or the clip polygon of each pair of a clip pass, all
+    with the same number n of spans: the polygons, in which the probes
+    locate points, their corners (P, n, 2), their span windows (P, n, 2)
+    as (t0, t1) and their hull boxes (P, 4) as (xmin, ymin, xmax, ymax)."""
+
+    polys: list
+    corners: np.ndarray
+    windows: np.ndarray
+    boxes: np.ndarray
+
+
+def polygon_table(polys) -> PolygonTable:
+    """The PolygonTable of polygons with one span count."""
+    boxes = [p.bbox() for p in polys]
+    return PolygonTable(
+        list(polys), np.array([p.corners for p in polys], float),
+        np.array([[(s.t0, s.t1) for s in p.spans] for p in polys], float),
+        np.array([(b.xmin, b.ymin, b.xmax, b.ymax) for b in boxes], float))
+
+
+class Crossing(NamedTuple):
+    """A labelled crossing of a clip: its point and "entry" or "exit"."""
+
+    point: tuple[float, float]
+    kind: str
+
+
+class PairClip(NamedTuple):
+    """One pair's slice of a ClipTable, all wa_clip builds its result
+    from: the containment, the error the pair's clip raises or None, the
+    labelled crossings in subject order, and each loop's windows (side,
+    span, t0, t1), side 0 for a subject span and 1 for a clip span."""
+
+    containment: str
+    error: Exception | None
+    crossings: list[Crossing]
+    loops: list[list[tuple[int, int, float, float]]]
+
+
+@dataclass
+class ClipTable:
+    """The clips of many polygon pairs, from clip_table.
+
+    Events, a row per event left after snapping and merging, grouped by
+    pair and in subject boundary order: pair, point (m, 2), the boundary
+    coordinates sig_s and sig_c, and kind, 1 for an entry, -1 for an exit
+    and 0 for an event that changes no state. Per pair, containment and,
+    in errors, the exception of each pair whose clip failed. Loops, by
+    pair: loop_pair, and win_cut (L + 1,), where each loop's windows
+    start. Windows, a row per piece of a loop, in walk order: the polygon
+    side (0 the subject, 1 the clip), the span, and the piece's window
+    (t0, t1) on the span's curve. probes counts the _arc_state calls.
+    table[p] is pair p's PairClip.
+    """
+
+    pair: np.ndarray
+    point: np.ndarray
+    sig_s: np.ndarray
+    sig_c: np.ndarray
+    kind: np.ndarray
+    containment: list[str]
+    errors: dict[int, Exception]
+    loop_pair: np.ndarray
+    win_cut: np.ndarray
+    side: np.ndarray
+    span: np.ndarray
+    t0: np.ndarray
+    t1: np.ndarray
+    probes: int
+
+    def __post_init__(self):
+        # plain lists, which the per-pair slices cut
+        n = len(self.containment)
+        kept = np.flatnonzero(self.kind)
+        self._crossings = [
+            Crossing(tuple(pt), "entry" if k > 0 else "exit")
+            for pt, k in zip(self.point[kept].tolist(),
+                             self.kind[kept].tolist())]
+        self._crossing_cut = np.searchsorted(
+            self.pair[kept], np.arange(n + 1)).tolist()
+        self._loop_cut = np.searchsorted(self.loop_pair,
+                                         np.arange(n + 1)).tolist()
+        self._windows = list(zip(self.side.tolist(), self.span.tolist(),
+                                 self.t0.tolist(), self.t1.tolist()))
+        self._win_cut = self.win_cut.tolist()
+
+    def __getitem__(self, p: int) -> PairClip:
+        cut = self._win_cut
+        return PairClip(
+            self.containment[p], self.errors.get(p),
+            self._crossings[self._crossing_cut[p]:self._crossing_cut[p + 1]],
+            [self._windows[cut[i]:cut[i + 1]]
+             for i in range(self._loop_cut[p], self._loop_cut[p + 1])])
 
 
 # --------------------------------------------------------------------------
-# boundary coordinates and event cleaning
+# the clip pass: boundary coordinates, labels, walk and windows
 
 def _sigma_point(poly: CurvedPolygon, sig: float) -> np.ndarray:
     n = len(poly.spans)
@@ -558,50 +693,43 @@ def _sigma_point(poly: CurvedPolygon, sig: float) -> np.ndarray:
     return poly.spans[k].point_at(frac)
 
 
-def _snap_sigma(poly: CurvedPolygon, sig: float, point) -> float:
-    """Snap a boundary coordinate to the nearest corner within SNAP_TOL."""
-    n = len(poly.spans)
-    cx, cy = poly.corners[int(round(sig)) % n]
-    if math.hypot(point[0] - cx, point[1] - cy) <= SNAP_TOL:
-        return float(round(sig) % n)
-    return sig % n
+def _snapped(pair: np.ndarray, k: np.ndarray, u: np.ndarray,
+             point: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Boundary coordinates (k + u) mod n of rows at local parameter u of
+    span k of the polygons with corners (P, n, 2), each snapped to the
+    nearest corner (rounding half to even) where the row's point lies
+    within SNAP_TOL of it, measured as math.hypot rounds it."""
+    n = corners.shape[1]
+    sig = (k + u) % n
+    near = np.round(sig)
+    off = point - corners[pair, near.astype(int) % n]
+    # a length is at least its largest component: only rows within
+    # SNAP_TOL in both components need the rounded length
+    at = np.flatnonzero(np.abs(off).max(axis=1) <= SNAP_TOL)
+    at = at[_hypot(off[at]) <= SNAP_TOL]
+    sig[at] = near[at] % n
+    return sig
 
 
-@dataclass
-class _Event:
-    point: tuple[float, float]
-    sig_s: float
-    sig_c: float
-    transversal: bool
-    kind: str | None = None
-    visited: bool = False
-    cross: float = 0.0  # the crossing's cross product (Crossings.cross)
+def _close(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """Whether boundary coordinates x and y lie within _SIG_TOL of each
+    other, cyclically on n spans."""
+    d = np.abs(x - y) % n
+    return np.minimum(d, n - d) <= _SIG_TOL
 
 
-def _build_events(subject: CurvedPolygon, clip: CurvedPolygon,
-                  raw: list[tuple]) -> list[_Event]:
-    """Events of the event_rows raw, sorted, close ones merged."""
-    ns, nc = len(subject.spans), len(clip.spans)
-    events = []
-    for ks, t, kc, s, point, transversal, cross in raw:
-        sig_s = _snap_sigma(subject, (ks + t) % ns, point)
-        sig_c = _snap_sigma(clip, (kc + s) % nc, point)
-        events.append(_Event(point, sig_s, sig_c, transversal, cross=cross))
-    events.sort(key=lambda e: (e.sig_s, e.sig_c))
-    merged: list[_Event] = []
+def _cyclic_next(group: np.ndarray) -> np.ndarray:
+    """Index of the next row of the same group, cyclically, for rows
+    sorted by group."""
+    i = np.arange(len(group))
+    return np.where(i + 1 == np.searchsorted(group, group, "right"),
+                    np.searchsorted(group, group, "left"), i + 1)
 
-    def close(x, y, n):
-        d = abs(x - y) % n
-        return min(d, n - d) <= _SIG_TOL
 
-    for e in events:
-        for m in merged:
-            if close(e.sig_s, m.sig_s, ns) and close(e.sig_c, m.sig_c, nc):
-                m.transversal = m.transversal or e.transversal
-                break
-        else:
-            merged.append(e)
-    return merged
+def _near_corner(sig: np.ndarray) -> np.ndarray:
+    """Whether boundary coordinates sig lie within _SIG_TOL of a corner."""
+    u = sig - np.trunc(sig)
+    return (u <= _SIG_TOL) | (1.0 - u <= _SIG_TOL)
 
 
 def _arc_state(poly: CurvedPolygon, other: CurvedPolygon, sig_a: float,
@@ -628,183 +756,344 @@ def _arc_state(poly: CurvedPolygon, other: CurvedPolygon, sig_a: float,
     return "in" if votes["inside"] >= votes["outside"] else "out"
 
 
-def _near_corner(sig: float) -> bool:
-    """Whether boundary coordinate sig lies within _SIG_TOL of a corner."""
-    u = sig - int(sig)
-    return u <= _SIG_TOL or 1.0 - u <= _SIG_TOL
-
-
-def _label_events(subject: CurvedPolygon, clip: CurvedPolygon,
-                  events: list[_Event]) -> list[_Event]:
-    """Entry/exit labels of the events, sorted by subject boundary
-    coordinate; events with no state change are dropped.
+def _kinds(pair, sig_s, sig_c, transversal, cross, sub: PolygonTable,
+           clp: PolygonTable, state, errors: dict) -> np.ndarray:
+    """Entry/exit kinds (1, -1, or 0 for none) of events sorted by pair
+    and subject boundary coordinate.
 
     Each subject arc between consecutive events is in, out or bdry, and an
     event is an entry or exit where the state passes into or out of "in".
     An arc meets the clip only at its ends, so a clean crossing at either
     end (transversal, |cross| > CROSS_TOL, away from both polygons'
     corners) gives it its state: the subject enters the counterclockwise
-    clip where cross < 0. _arc_state probes the arcs with no clean end or
-    with ends that disagree, and every arc of a list with a tangential
-    event or an overlap end.
+    clip where cross < 0. state(subject, clip, sig_a, sig_b), _arc_state,
+    probes the arcs with no clean end or with clean ends that disagree,
+    and every arc of a pair with a tangential event or an overlap end; a
+    probe that fails gives its pair the error.
     """
-    if not events:
-        return []
-    events = sorted(events, key=lambda e: e.sig_s)
-    tangential = any(not e.transversal or abs(e.cross) <= CROSS_TOL
-                     for e in events)
-    # the states (before, after) that a clean crossing gives its two arcs
-    sides = [(None, None) if tangential or _near_corner(e.sig_s)
-             or _near_corner(e.sig_c)
-             else ("out", "in") if e.cross < 0.0 else ("in", "out")
-             for e in events]
-    states = []
-    for i, (a, b) in enumerate(zip(events, events[1:] + events[:1])):
-        ends = {sides[i][1], sides[(i + 1) % len(events)][0]} - {None}
-        states.append(ends.pop() if len(ends) == 1
-                      else _arc_state(subject, clip, a.sig_s, b.sig_s))
-    kept = []
-    for e, before, after in zip(events, states[-1:] + states[:-1], states):
-        if (before == "in") != (after == "in"):
-            e.kind = "entry" if after == "in" else "exit"
-            kept.append(e)
-    return kept
+    nxt = _cyclic_next(pair)
+    tangential = np.zeros(len(sub.polys), dtype=bool)
+    tangential[pair[~transversal | (np.abs(cross) <= CROSS_TOL)]] = True
+    clean = ~tangential[pair] & ~_near_corner(sig_s) & ~_near_corner(sig_c)
+    enters = cross < 0.0
+    # whether the arc from each event to the next is in: after a clean
+    # crossing that enters, or before one that leaves
+    arc_in = np.where(clean, enters, ~enters[nxt])
+    probe = (~(clean | clean[nxt])
+             | (clean & clean[nxt] & (enters == enters[nxt])))
+    at = np.flatnonzero(probe)
+    for i, p, a, b in zip(at.tolist(), pair[at].tolist(),
+                          sig_s[at].tolist(), sig_s[nxt[at]].tolist()):
+        if p in errors:
+            continue
+        try:
+            arc_in[i] = state(sub.polys[p], clp.polys[p], a, b) == "in"
+        except GeometryError as exc:
+            errors[p] = exc
+    before = np.empty_like(arc_in)
+    before[nxt] = arc_in
+    return np.where(before != arc_in, np.where(arc_in, 1, -1), 0)
 
 
-def _pieces_between(poly: CurvedPolygon, sig_a: float, sig_b: float) -> list[CurveSpan]:
-    """Boundary pieces walking forward from sig_a to sig_b (cyclic)."""
-    n = len(poly.spans)
-    sig_a = sig_a % n
-    sig_b = sig_b % n
-    if sig_b <= sig_a + 1e-12:
-        sig_b += n
-    pieces = []
-    k = math.floor(sig_a)
-    while k < sig_b:
-        u0 = max(sig_a - k, 0.0)
-        u1 = min(sig_b - k, 1.0)
-        if u1 - u0 > 1e-12:
-            pieces.append(poly.spans[k % n].sub(u0, u1))
-        k += 1
-    return pieces
+def _hull_holds(inner: PolygonTable, outer: PolygonTable) -> np.ndarray:
+    """Whether every corner of each inner polygon lies in its outer
+    polygon's hull box, inflated by SNAP_TOL. Corners lie on inner's
+    boundary and the hull box contains outer, so inner cannot lie inside
+    outer otherwise."""
+    lo = outer.boxes[:, None, :2] - SNAP_TOL
+    hi = outer.boxes[:, None, 2:] + SNAP_TOL
+    return ((lo <= inner.corners) & (inner.corners <= hi)).all(axis=(1, 2))
 
 
-def _corners_in_hull(inner: CurvedPolygon, outer: CurvedPolygon) -> bool:
-    """Whether every corner of inner lies in outer's hull box, inflated by
-    SNAP_TOL. Corners lie on inner's boundary and the hull box contains
-    outer, so inner cannot lie inside outer otherwise."""
-    box = outer.bbox().inflate(SNAP_TOL)
-    return all(box.contains(x, y) for x, y in inner.corners)
+def _containment(pairs, sub: PolygonTable, clp: PolygonTable, state,
+                 errors: dict) -> list[tuple[int, str]]:
+    """(pair, containment) of the pairs given, whose events change no
+    state, where one polygon lies inside the other.
+
+    One lies inside the other when its corners lie in the other's hull
+    box and state, probing its whole boundary as one arc, does not read
+    "out". An arc on the other's boundary counts as held, so polygons that
+    share the probed points, identical ones among them, nest both ways,
+    and then the smaller comes back, the subject on a tie.
+    """
+    out = []
+    hull_s = _hull_holds(sub, clp).tolist()
+    hull_c = _hull_holds(clp, sub).tolist()
+    for p in pairs:
+        s, c = sub.polys[p], clp.polys[p]
+        try:
+            sub_in = hull_s[p] and state(s, c, 0.5, 0.5) != "out"
+            clip_in = hull_c[p] and state(c, s, 0.5, 0.5) != "out"
+        except GeometryError as exc:
+            errors[p] = exc
+            continue
+        if sub_in and (not clip_in or s.signed_area() <= c.signed_area()):
+            out.append((p, "subject_in_clip"))
+        elif clip_in:
+            out.append((p, "clip_in_subject"))
+    return out
+
+
+def _point(point: np.ndarray, i: int) -> tuple[float, float]:
+    return tuple(point[i].tolist())
+
+
+def _points(point: np.ndarray, mask: np.ndarray) -> list[tuple]:
+    return [tuple(pt) for pt in point[mask].tolist()]
+
+
+def _walk(pair, sig_s, sig_c, entry, point, errors: dict):
+    """The loops of the entries and exits of each pair (arrays sorted by
+    pair and subject boundary coordinate), walked as Weiler and Atherton
+    walk them: from each entry not yet visited, in subject order, along
+    the subject boundary to the next exit, then along the clip boundary to
+    the next entry, until the loop closes.
+
+    Returns the pair of each loop and the walk's boundary segments in walk
+    order: (loop, side, sig_a, sig_b), side 0 from an entry to its exit on
+    the subject, 1 from an exit to the next entry on the clip. A pair with
+    unequal numbers of entries and exits, or whose walk meets an entry
+    where it needs an exit or the reverse, gets its ClipTopologyError, with
+    the message of the first failure the sequential walk would meet.
+
+    Within a pair, the step from an entry to the entry after its exit is
+    one-to-one, so the walk from an entry either closes or reaches an
+    entry whose step fails. The first entry, in subject order, whose walk
+    fails names the pair's error; otherwise every loop is a cycle of the
+    step, traced from its first entry in subject order, all loops at once.
+    """
+    count = np.bincount(pair)
+    n_in = np.bincount(pair, weights=entry, minlength=len(count)).astype(int)
+    for p in np.flatnonzero(count != 2 * n_in).tolist():
+        errors[p] = ClipTopologyError(
+            f"unbalanced entry/exit events: {n_in[p]} entries, "
+            f"{count[p] - n_in[p]} exits (points "
+            f"{_points(point, pair == p)})")
+    ok = (count == 2 * n_in)[pair]
+    pair, sig_s, sig_c, entry, point = (a[ok] for a in
+                                        (pair, sig_s, sig_c, entry, point))
+    next_s = _cyclic_next(pair)
+    by_c = np.lexsort((sig_c, pair))  # stable: ties keep subject order
+    next_c = np.empty(len(pair), int)
+    next_c[by_c] = by_c[_cyclic_next(pair[by_c])]
+    ent = np.flatnonzero(entry)
+    ex = next_s[ent]
+    back = next_c[ex]
+    fails = entry[ex] | ~entry[back]
+    step = np.arange(len(pair))
+    step[ent] = np.where(fails, ent, back)
+    failed = np.zeros(len(pair), dtype=bool)
+    failed[ent] = fails
+    # by doubling: where each entry's walk ends (an entry whose step
+    # fails, or a point of its cycle), and the first event of its cycle
+    end, first = step.copy(), np.arange(len(pair))
+    for _ in range(int(np.bincount(pair[ent]).max(initial=0)).bit_length()):
+        first = np.minimum(first, first[end])
+        end = end[end]
+    stuck = ent[failed[end[ent]]]
+    _, at = np.unique(pair[stuck], return_index=True)
+    for e in end[stuck[at]].tolist():
+        x = next_s[e]
+        if entry[x]:
+            msg = (f"expected exit after entry at {_point(point, e)}, "
+                   f"got entry at {_point(point, x)}")
+        else:
+            msg = (f"expected entry after exit at {_point(point, x)} on "
+                   f"clip walk, got exit at {_point(point, next_c[x])}")
+        errors[int(pair[e])] = ClipTopologyError(msg)
+    good = ~np.isin(pair, pair[stuck])
+    start = ent[(first[ent] == ent) & good[ent]]
+    # every loop at once, a step each round; the bound is the sequential
+    # walk's, which a cycle of the step never reaches
+    limit = 4 * np.bincount(pair)[pair] + 8
+    loop, cur, segs = np.arange(len(start)), start, []
+    seen = np.zeros(len(pair), dtype=bool)
+    for n in itertools.count():
+        if not len(loop):
+            break
+        ex = next_s[cur]
+        back = next_c[ex]
+        seen[cur] = seen[ex] = True
+        segs.append((loop, np.full(len(loop), n), cur, ex, back))
+        go = back != start[loop]
+        over = go & (n + 1 >= limit[cur])
+        for p in np.unique(pair[cur[over]]).tolist():
+            errors[p] = ClipTopologyError("clip traversal did not close")
+        loop, cur = loop[go & ~over], back[go & ~over]
+    # once the walk's checks pass every event is visited: the step is
+    # then a permutation of the entries, and the subject successor maps
+    # them onto the exits; kept as a check
+    unused = good & ~seen
+    for p in np.unique(pair[unused]).tolist():
+        errors[p] = ClipTopologyError(
+            f"unused intersection points after traversal: "
+            f"{_points(point, unused & (pair == p))}")
+    loop, n, e, x, y = (np.concatenate(c) for c in
+                        zip((np.zeros(0, int),) * 5, *segs))
+    order = np.lexsort((n, loop))
+    loop, e, x, y = loop[order], e[order], x[order], y[order]
+    loop_pair = pair[start]
+    live = ~np.isin(loop_pair, list(errors))
+    renum = np.cumsum(live) - 1
+    keep = live[loop]
+    loop, e, x, y = renum[loop[keep]], e[keep], x[keep], y[keep]
+    return (loop_pair[live], np.repeat(loop, 2),
+            np.tile([0, 1], len(loop)),
+            np.stack([sig_s[e], sig_c[x]], axis=1).ravel(),
+            np.stack([sig_s[x], sig_c[y]], axis=1).ravel())
+
+
+def _pieces(a: np.ndarray, b: np.ndarray, n: np.ndarray):
+    """The pieces of boundary segments from boundary coordinate a forward
+    to b, cyclically, on polygons of n spans (a value per segment): each
+    stretch of a span between local parameters u0 < u1 more than 1e-12
+    apart, as (segment, span, u0, u1), in segment order."""
+    a, b = a % n, b % n
+    b = np.where(b <= a + 1e-12, b + n, b)
+    k0 = np.floor(a)
+    count = (np.ceil(b) - k0).astype(int)
+    seg = np.repeat(np.arange(len(a)), count)
+    k = k0[seg] + (np.arange(len(seg))
+                   - np.repeat(np.cumsum(count) - count, count))
+    u0 = np.maximum(a[seg] - k, 0.0)
+    u1 = np.minimum(b[seg] - k, 1.0)
+    keep = u1 - u0 > 1e-12
+    seg = seg[keep]
+    return seg, (k[keep] % n[seg]).astype(int), u0[keep], u1[keep]
+
+
+def clip_table(rows: EventRows, sub: PolygonTable,
+               clp: PolygonTable) -> ClipTable:
+    """The Weiler-Atherton clip of every polygon pair (sub.polys[p],
+    clp.polys[p]) on its rows, in array passes over all pairs at once.
+
+    1. Each row's boundary coordinates, its span index plus its local
+       parameter, snap to the corner its point lies within SNAP_TOL of
+       (_snapped).
+    2. Each pair's events are sorted by (sig_s, sig_c), stably, and each
+       merges into the first kept event within _SIG_TOL of it in both
+       cyclic coordinates, which is transversal if either was
+       (_merged_into).
+    3. Events are labelled entry or exit from the states of the arcs
+       between them (_kinds); only arcs that no clean crossing settles are
+       probed. A pair without entries or exits is nested or disjoint
+       (_containment).
+    4. Entries and exits are walked into loops (_walk).
+    5. Each loop becomes its windows: the pieces of its boundary segments
+       (_pieces), sub-spans of the polygons' own spans; a nested pair's
+       loop is the inner polygon's whole boundary.
+    A pair whose clip fails keeps its error, which wa_clip raises.
+    """
+    n_pairs = len(sub.polys)
+    ns, nc = sub.corners.shape[1], clp.corners.shape[1]
+    errors: dict[int, Exception] = {}
+    probes = 0
+
+    def state(poly, other, sig_a, sig_b):
+        nonlocal probes
+        probes += 1
+        return _arc_state(poly, other, sig_a, sig_b)
+
+    sig_s = _snapped(rows.pair, rows.ks, rows.t, rows.point, sub.corners)
+    sig_c = _snapped(rows.pair, rows.kc, rows.s, rows.point, clp.corners)
+    order = np.lexsort((sig_c, sig_s, rows.pair))
+    sig_s, sig_c = sig_s[order], sig_c[order]
+    into = _merged_into(rows.pair[order], lambda i, h: (
+        _close(sig_s[i], sig_s[h], ns) & _close(sig_c[i], sig_c[h], nc)))
+    head = into == np.arange(len(into))
+    transversal = np.bincount(into, weights=rows.transversal[order],
+                              minlength=len(into))[head] > 0
+    ev = order[head]
+    pair, point, cross = rows.pair[ev], rows.point[ev], rows.cross[ev]
+    sig_s, sig_c = sig_s[head], sig_c[head]
+    kind = _kinds(pair, sig_s, sig_c, transversal, cross, sub, clp, state,
+                  errors)
+    moved = np.zeros(n_pairs, dtype=bool)
+    moved[pair[kind != 0]] = True
+    nested = _containment(
+        [p for p in np.flatnonzero(~moved).tolist() if p not in errors],
+        sub, clp, state, errors)
+    at = np.flatnonzero((kind != 0) & ~np.isin(pair, list(errors)))
+    walked, seg_loop, seg_side, a, b = _walk(
+        pair[at], sig_s[at], sig_c[at], kind[at] > 0, point[at], errors)
+    # a nested pair's loop is the inner polygon's whole boundary: one
+    # segment from its first corner round to itself
+    c_side = np.array([c == "clip_in_subject" for _, c in nested], int)
+    loop_pair = np.concatenate([walked, [p for p, _ in nested]]).astype(int)
+    seg_loop = np.concatenate([seg_loop, len(walked) + np.arange(len(nested))])
+    seg_side = np.concatenate([seg_side, c_side])
+    a, b = (np.concatenate([x, np.zeros(len(nested))]) for x in (a, b))
+    # the loops by pair, each one's segments in walk order
+    rank = np.empty(len(loop_pair), int)
+    rank[np.argsort(loop_pair, kind="stable")] = np.arange(len(loop_pair))
+    by_loop = np.argsort(rank[seg_loop], kind="stable")
+    seg_loop, seg_side = rank[seg_loop][by_loop], seg_side[by_loop]
+    seg, span, u0, u1 = _pieces(a[by_loop], b[by_loop],
+                                np.where(seg_side == 0, ns, nc))
+    loop, side = seg_loop[seg], seg_side[seg]
+    loop_pair = np.sort(loop_pair)
+    t0, t1 = np.empty(len(seg)), np.empty(len(seg))
+    for k, tab in enumerate((sub, clp)):
+        on = side == k
+        w0, w1 = tab.windows[loop_pair[loop[on]], span[on]].T
+        t0[on], t1[on] = w0 + u0[on] * (w1 - w0), w0 + u1[on] * (w1 - w0)
+    containment = ["none"] * n_pairs
+    for p, c in nested:
+        containment[p] = c
+    return ClipTable(pair, point, sig_s, sig_c, kind, containment, errors,
+                     loop_pair,
+                     np.searchsorted(loop, np.arange(len(loop_pair) + 1)),
+                     side, span, t0, t1, probes)
 
 
 def wa_clip(subject: CurvedPolygon, clip: CurvedPolygon,
-            raw: list[tuple] | None = None) -> ClipResult:
+            raw: PairClip | None = None) -> ClipResult:
     """Intersection of two curved polygons by Weiler-Atherton traversal.
 
-    Without entry/exit events the polygons are nested or disjoint. One
-    lies inside the other when its corners lie in the other's hull box and
-    _arc_state, probing its whole boundary as one arc, does not read "out";
-    when both do, the smaller comes back, the subject on a tie. Otherwise
-    entry/exit events are placed in two circular lists and loops are traced
-    by walking the subject list from each entry to the next exit, then the
-    clip list to the next entry, until the loop closes; unused entries seed
-    further loops. Loop geometry reuses sub-spans of the original edges,
-    never a re-approximation.
-
-    raw holds the crossings as event_rows, _raw_intersections' by default.
+    raw is the pair's slice of a ClipTable, in which clip_table labelled
+    the crossings, walked the loops and cut their windows; by default the
+    pass runs on this pair alone, on _raw_intersections. This builds the
+    loops: each window is a sub-span of the subject's or the clip's own
+    edge curve, never a re-approximation. A nested pair gives back its
+    inner polygon itself, and a pair whose clip failed raises its error.
     The result holds every loop traced, without looking at its area: the
     intersection is kept_loops(result.loops, subject, clip).
     """
     if raw is None:
-        raw = _raw_intersections(subject, clip)
-    events = _label_events(subject, clip, _build_events(subject, clip, raw))
+        raw = clip_table(_raw_intersections(subject, clip),
+                         polygon_table([subject]), polygon_table([clip]))[0]
+    if raw.error is not None:
+        raise raw.error
+    if raw.containment == "subject_in_clip":
+        return ClipResult([subject], raw.containment)
+    if raw.containment == "clip_in_subject":
+        return ClipResult([clip], raw.containment)
+    spans = (subject.spans, clip.spans)
+    return ClipResult([CurvedPolygon([CurveSpan(spans[side][k].curve, t0, t1)
+                                      for side, k, t0, t1 in lp])
+                       for lp in raw.loops], crossings=raw.crossings)
 
-    if not events:
-        # No state changes: the cells are nested or disjoint. Each
-        # direction probes the whole boundary of the would-be inner cell
-        # as one arc. An arc on the other's boundary counts as held, so
-        # cells that share the probed points, identical ones among them,
-        # nest both ways and the smaller comes back.
-        sub_in = (_corners_in_hull(subject, clip)
-                  and _arc_state(subject, clip, 0.5, 0.5) != "out")
-        clip_in = (_corners_in_hull(clip, subject)
-                   and _arc_state(clip, subject, 0.5, 0.5) != "out")
-        if sub_in and clip_in:
-            if subject.signed_area() <= clip.signed_area():
-                return ClipResult([subject], "subject_in_clip")
-            return ClipResult([clip], "clip_in_subject")
-        if sub_in:
-            return ClipResult([subject], "subject_in_clip")
-        if clip_in:
-            return ClipResult([clip], "clip_in_subject")
-        return ClipResult()
 
-    n_entry = sum(1 for e in events if e.kind == "entry")
-    n_exit = len(events) - n_entry
-    if n_entry != n_exit:
+def kept_mask(area, scale) -> np.ndarray:
+    """Which loops of the given areas bound area, each measured against
+    scale, the area of the smaller polygon of its clip (a value per loop
+    or one for all): a loop below -1e-9 of it raises ClipTopologyError
+    naming the loop, and one at or below 1e-12 of it is dropped, a sliver
+    of boundaries that touch."""
+    area, scale = np.asarray(area, float), np.asarray(scale, float)
+    bad = np.flatnonzero(area < -1e-9 * scale)
+    if len(bad):
         raise ClipTopologyError(
-            f"unbalanced entry/exit events: {n_entry} entries, {n_exit} exits "
-            f"(points {[e.point for e in events]})")
-
-    order_s = sorted(events, key=lambda e: e.sig_s)
-    order_c = sorted(events, key=lambda e: e.sig_c)
-    next_s = {id(e): order_s[(i + 1) % len(order_s)] for i, e in enumerate(order_s)}
-    next_c = {id(e): order_c[(i + 1) % len(order_c)] for i, e in enumerate(order_c)}
-
-    loops = []
-    max_steps = 4 * len(events) + 8
-    for start in order_s:
-        if start.kind != "entry" or start.visited:
-            continue
-        pieces: list[CurveSpan] = []
-        cur = start
-        start.visited = True
-        for _ in range(max_steps):
-            nxt = next_s[id(cur)]
-            if nxt.kind != "exit":
-                raise ClipTopologyError(
-                    f"expected exit after entry at {cur.point}, got "
-                    f"{nxt.kind} at {nxt.point}")
-            pieces += _pieces_between(subject, cur.sig_s, nxt.sig_s)
-            nxt.visited = True
-            cur = nxt
-            nxt = next_c[id(cur)]
-            if nxt.kind != "entry":
-                raise ClipTopologyError(
-                    f"expected entry after exit at {cur.point} on clip walk, "
-                    f"got {nxt.kind} at {nxt.point}")
-            pieces += _pieces_between(clip, cur.sig_c, nxt.sig_c)
-            cur = nxt
-            if cur is start:
-                break
-            cur.visited = True
-        else:
-            raise ClipTopologyError("clip traversal did not close")
-        loops.append(CurvedPolygon(pieces))
-
-    if any(not e.visited for e in events):
-        raise ClipTopologyError(
-            f"unused intersection points after traversal: "
-            f"{[e.point for e in events if not e.visited]}")
-    return ClipResult(loops, crossings=events)
+            f"negative-area loop ({area[bad[0]]:.3e}) emitted", int(bad[0]))
+    return area > 1e-12 * np.maximum(scale, 1e-30)
 
 
 def kept_loops(loops: list[CurvedPolygon], subject: CurvedPolygon,
                clip: CurvedPolygon) -> list[CurvedPolygon]:
-    """The loops of a clip of subject by clip that bound area.
-
-    Relative to the smaller polygon's area, a loop below -1e-9 of it
-    raises ClipTopologyError, and one at or below 1e-12 of it is dropped:
-    a sliver of boundaries that touch. A loop without a cached area gets
-    it on its own; fill_areas gives many loops theirs in one pass.
-    """
+    """The loops of a clip of subject by clip that bound area, by
+    kept_mask against the smaller polygon's area. A loop without a cached
+    area gets it on its own; the remap plan takes the areas of all its
+    loops from its window table and applies kept_mask to them at once."""
     scale = min(abs(subject.signed_area()), abs(clip.signed_area()))
-    drop_tol = 1e-12 * max(scale, 1e-30)
-    kept = []
-    for lp in loops:
-        area = lp.signed_area()
-        if area < -1e-9 * scale:
-            raise ClipTopologyError(f"negative-area loop ({area:.3e}) emitted")
-        if area > drop_tol:
-            kept.append(lp)
-    return kept
+    keep = kept_mask([lp.signed_area() for lp in loops], scale)
+    return [lp for lp, k in zip(loops, keep.tolist()) if k]

@@ -578,20 +578,27 @@ def by_degree(spans):
     return groups.items()
 
 
-def span_samples(spans, u: np.ndarray):
-    """Samples of spans of one degree at local parameters u (m,): points
-    and curve derivatives (k, m, 2) and the window lengths t1 - t0 (k,).
+def window_samples(nodes: np.ndarray, t0: np.ndarray, t1: np.ndarray,
+                   u: np.ndarray):
+    """Samples of the curves through nodes (k, d+1, 2) on the windows
+    (t0, t1) (k,) at local parameters u (m,): points and curve derivatives
+    (k, m, 2) and the window lengths t1 - t0 (k,).
 
-    One stacked (m, d+1) @ (d+1, 2) product per span, so every span's
+    One stacked (m, d+1) @ (d+1, 2) product per window, so every window's
     samples are bitwise those of curve.eval and curve.deriv on its own
     parameters.
     """
-    win = np.array([(s.t0, s.t1 - s.t0) for s in spans])
-    h = win[:, 1]
-    t = win[:, :1] + u * win[:, 1:]
-    nodes = np.array([s.curve.nodes for s in spans])
-    d = spans[0].degree
+    h = t1 - t0
+    t = t0[:, None] + u * h[:, None]
+    d = nodes.shape[1] - 1
     return _lagrange_basis(d, t) @ nodes, _lagrange_dbasis(d, t) @ nodes, h
+
+
+def span_samples(spans, u: np.ndarray):
+    """window_samples of spans of one degree, on their own windows."""
+    win = np.array([(s.t0, s.t1) for s in spans])
+    return window_samples(np.array([s.curve.nodes for s in spans]),
+                          win[:, 0], win[:, 1], u)
 
 
 def span_gauss(spans, npts: int):
@@ -602,21 +609,27 @@ def span_gauss(spans, npts: int):
     return p, dp, w, h
 
 
+def contour_terms(p: np.ndarray, dp: np.ndarray, w: np.ndarray,
+                  h: np.ndarray) -> np.ndarray:
+    """Each window's part of the contour integral of x dy - y dx from its
+    span_gauss samples at d + 1 points (points, derivatives, weights,
+    lengths), bitwise CurveSpan.contour_term: its weight dot is a
+    (1, q) @ (q, 1) product, as np.dot of two vectors computes it."""
+    f = p[..., 0] * dp[..., 1] - p[..., 1] * dp[..., 0]
+    return h * (w[None, :] @ f[:, :, None])[:, 0, 0]
+
+
 def fill_areas(polys) -> None:
     """Cache the signed area of every polygon that has none yet.
 
     The contour terms of all their spans come from one stacked pass per
-    degree, each bitwise CurveSpan.contour_term: its weight dot is a
-    (1, q) @ (q, 1) product, as np.dot of two vectors computes it. Each
-    area sums its terms in span order.
+    degree (contour_terms). Each area sums its terms in span order.
     """
     todo = [p for p in polys if p._area is None]
     spans = [s for p in todo for s in p.spans]
     terms = np.empty(len(spans))
     for d, ids in by_degree(spans):
-        pt, dp, w, h = span_gauss([spans[i] for i in ids], d + 1)
-        f = pt[..., 0] * dp[..., 1] - pt[..., 1] * dp[..., 0]
-        terms[ids] = h * (w[None, :] @ f[:, :, None])[:, 0, 0]
+        terms[ids] = contour_terms(*span_gauss([spans[i] for i in ids], d + 1))
     it = iter(terms.tolist())
     for p in todo:
         total = 0.0

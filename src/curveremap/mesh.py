@@ -56,7 +56,7 @@ class CurvilinearMesh:
             raise MeshError("mesh points must be finite")
         self.edge_degree = self.edges.shape[1] - 1
         self._tables: tuple[list[ParamCurve], list[CurvedPolygon],
-                            np.ndarray] | None = None
+                            np.ndarray, np.ndarray] | None = None
         self._areas: np.ndarray | None = None
         self._adjacency = None
         if validate:
@@ -91,6 +91,12 @@ class CurvilinearMesh:
         """Read-only (C, 4) rows (xmin, ymin, xmax, ymax) of the cell boxes."""
         return self._curves_and_polygons()[2]
 
+    @property
+    def cell_corners(self) -> np.ndarray:
+        """Read-only (C, 4, 2) corners of the cells, as their polygons'
+        corners give them."""
+        return self._curves_and_polygons()[3]
+
     def cell_areas(self) -> np.ndarray:
         if self._areas is None:
             polys = self._curves_and_polygons()[1]
@@ -111,7 +117,8 @@ class CurvilinearMesh:
 
 def _mesh_tables(mesh: CurvilinearMesh):
     """Every edge curve and cell polygon of a mesh, from stacked passes,
-    and the cell boxes (C, 4) as (xmin, ymin, xmax, ymax) rows.
+    the cell boxes (C, 4) as (xmin, ymin, xmax, ymax) rows and the cell
+    corners (C, 4, 2).
 
     The curves get their power coefficients (one solve for all edges),
     Bezier points and hull boxes; each cell polygon gets its corners, from
@@ -143,7 +150,8 @@ def _mesh_tables(mesh: CurvilinearMesh):
         poly._corners, poly._bbox = tuple(map(tuple, pts)), Aabb(*box)
         polys.append(poly)
     cell_boxes.flags.writeable = False
-    return curves, polys, cell_boxes
+    corners.flags.writeable = False
+    return curves, polys, cell_boxes, corners
 
 
 @dataclass

@@ -18,13 +18,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .clipping import (ClipTopologyError, Crossings, event_rows,
-                       intersect_curves, kept_loops, wa_clip)
-from .geometry import (CurvedPolygon, CurveSpan, GeometryError, by_degree,
-                       fill_areas, span_gauss)
+from .clipping import (ClipTopologyError, Crossings, EventRows,
+                       PolygonTable, clip_table, event_rows,
+                       intersect_curves, kept_mask, wa_clip)
+from .geometry import (CurvedPolygon, CurveSpan, GeometryError,
+                       contour_terms, gauss_rule_01, window_samples)
 from .integrate import TriangulationError, triangulate
 from .limiter import POSITIVITY_FLOOR, positivity_limit
 from .mesh import CurvilinearMesh, Field
@@ -64,6 +66,7 @@ class RemapReport:
     n_pairs: int
     split_loops: int
     grid_seeded_pairs: int
+    arc_probes: int
     timings: dict[str, float]
     warnings: list[str] = field(default_factory=list)
 
@@ -78,6 +81,7 @@ class RemapReport:
             f"clipped_pairs={self.n_pairs}",
             f"split_loops={self.split_loops}",
             f"grid_seeded_pairs={self.grid_seeded_pairs}",
+            f"arc_probes={self.arc_probes}",
         ]
         lines += [f"time_{k}={v:.6f}" for k, v in sorted(self.timings.items())]
         lines += [f"warning={w}" for w in self.warnings]
@@ -131,12 +135,13 @@ def _edge_crossings(source: CurvilinearMesh, target: CurvilinearMesh,
 
 
 def _pair_rows(source: CurvilinearMesh, target: CurvilinearMesh,
-               cells: np.ndarray) -> tuple[list[list[tuple]], int]:
-    """The event_rows of each cell pair of cells (P, 2), a list per pair
-    in (subject edge, clip edge) order and then in table order, and the
-    table's count of grid-seeded edge pairs. Every cell pair that meets an
-    edge pair reads the same rows, so neighbouring cells cut a shared edge
-    at the same floats and their pieces tile exactly."""
+               cells: np.ndarray) -> tuple[EventRows, int]:
+    """The EventRows of the cell pairs cells (P, 2), pair p for cells[p],
+    each pair's rows in (subject edge, clip edge) order and then in table
+    order, and the table's count of grid-seeded edge pairs. Every cell
+    pair that meets an edge pair reads the same rows, so neighbouring
+    cells cut a shared edge at the same floats and their pieces tile
+    exactly."""
     es, _, found, slot = _edge_crossings(source, target, cells)
     bounds = np.searchsorted(found.pair, np.arange(len(es) + 1))
     start, count = bounds[slot], np.diff(bounds)[slot]
@@ -146,12 +151,20 @@ def _pair_rows(source: CurvilinearMesh, target: CurvilinearMesh,
     pair, k = np.divmod(np.repeat(np.arange(len(slot)), count), 16)
     ks, kc = np.divmod(k, 4)
     # the row columns, all but the trailing grid count
-    raw = event_rows(Crossings(*(col[rows] for col in found[:-1])), ks, kc,
-                     source.cell_dirs[cells[pair, 0], ks],
-                     target.cell_dirs[cells[pair, 1], kc])
-    cut = np.searchsorted(pair, np.arange(len(cells) + 1)).tolist()
-    return ([raw[lo:hi] for lo, hi in zip(cut[:-1], cut[1:])],
+    return (event_rows(Crossings(*(col[rows] for col in found[:-1])), pair,
+                       ks, kc, source.cell_dirs[cells[pair, 0], ks],
+                       target.cell_dirs[cells[pair, 1], kc]),
             found.grid_seeded)
+
+
+def _cell_table(mesh: CurvilinearMesh, cells: np.ndarray) -> PolygonTable:
+    """The PolygonTable of the mesh's cells cells, from its arrays: a
+    span runs over its whole edge, forward or reversed."""
+    back = (mesh.cell_dirs[cells] < 0).astype(float)
+    return PolygonTable([mesh.cell_polygon(i) for i in cells.tolist()],
+                        mesh.cell_corners[cells],
+                        np.stack([back, 1.0 - back], axis=-1),
+                        mesh.cell_boxes[cells])
 
 
 # --------------------------------------------------------------------------
@@ -186,32 +199,86 @@ class RemapPlan:
     warnings: list[str]
     split_loops: int  # loops whose own fan was not certified
     grid_seeded_pairs: int  # edge pairs whose Newton seeds were the grid
+    arc_probes: int  # arcs whose state a point probe gave (_arc_state)
 
     @property
     def n_pairs(self) -> int:
         return sum(len(p) for p in self.per_target)
 
 
-def _a_samples(polys: list[CurvedPolygon], k_max: int):
-    """Approach A samples (x, y, w dy) of each polygon, in span order: the
-    Gauss points of each span, enough for degree k_max + 1 integrands along
-    it. The polygons are sampled _LOOPS_PER_CHUNK at a time, one stacked
-    pass per span degree: work arrays the size of a whole plan's samples
-    raised the traced memory peak of an n=32 accuracy plan by 5.5 MiB."""
-    for lo in range(0, len(polys), _LOOPS_PER_CHUNK):
-        chunk = polys[lo:lo + _LOOPS_PER_CHUNK]
-        spans = [s for p in chunk for s in p.spans]
-        npts = [max(1, math.ceil(((k_max + 2) * s.degree) / 2)) for s in spans]
-        start = np.cumsum([0] + npts)
+class LoopWindows(NamedTuple):
+    """Loops as windows on curves: window w is the stretch (t0[w], t1[w])
+    of the curve through nodes[group[w]][row[w]], one stack of nodes
+    (k, d+1, 2) per group, and loop i's windows are cut[i]:cut[i + 1]."""
+
+    nodes: list[np.ndarray]
+    group: np.ndarray
+    row: np.ndarray
+    t0: np.ndarray
+    t1: np.ndarray
+    cut: np.ndarray
+
+
+def _by_group(windows: LoopWindows, win: np.ndarray):
+    """(group, positions, nodes) of the windows win in each group: the
+    positions in win of the group's windows and their curves' nodes."""
+    for g, stack in enumerate(windows.nodes):
+        at = np.flatnonzero(windows.group[win] == g)
+        if len(at):
+            yield g, at, stack[windows.row[win[at]]]
+
+
+def _loop_areas(windows: LoopWindows) -> np.ndarray:
+    """The signed area of every loop, bitwise fill_areas on its polygon:
+    the contour terms come from one stacked pass per group and chunk of
+    _LOOPS_PER_CHUNK loops, and each loop sums its terms in window order,
+    a slot at a time for all loops (a pairwise sum would round
+    differently)."""
+    cut = windows.cut
+    terms = np.empty(len(windows.group))
+    for lo in range(0, len(cut) - 1, _LOOPS_PER_CHUNK):
+        win = np.arange(cut[lo], cut[min(lo + _LOOPS_PER_CHUNK, len(cut) - 1)])
+        for _, at, nodes in _by_group(windows, win):
+            xi, w = gauss_rule_01(nodes.shape[1])
+            p, dp, h = window_samples(nodes, windows.t0[win[at]],
+                                      windows.t1[win[at]], xi)
+            terms[win[at]] = contour_terms(p, dp, w, h)
+    count = np.diff(cut)
+    total = np.zeros(len(count))
+    for slot in range(count.max(initial=0)):
+        on = np.flatnonzero(count > slot)
+        total[on] += terms[cut[on] + slot]
+    return 0.5 * total
+
+
+def _a_samples(windows: LoopWindows, loops: np.ndarray, k_max: int):
+    """Approach A samples (x, y, w dy) of each of the loops given, in
+    window order: the Gauss points of each window, enough for degree
+    k_max + 1 integrands along it. The loops are sampled _LOOPS_PER_CHUNK
+    at a time, one stacked pass per group: work arrays the size of a whole
+    plan's samples raised the traced memory peak of an n=32 accuracy plan
+    by 5.5 MiB. Each loop's samples are views of its chunk's arrays."""
+    npts = np.array([max(1, math.ceil((k_max + 2) * (stack.shape[1] - 1) / 2))
+                     for stack in windows.nodes], int)
+    cut = windows.cut
+    for lo in range(0, len(loops), _LOOPS_PER_CHUNK):
+        chunk = loops[lo:lo + _LOOPS_PER_CHUNK]
+        count = cut[chunk + 1] - cut[chunk]
+        win = (np.repeat(cut[chunk] - np.cumsum(count) + count, count)
+               + np.arange(count.sum()))
+        start = np.concatenate([[0], np.cumsum(npts[windows.group[win]])])
         x, y, wdy = (np.empty(start[-1]) for _ in range(3))
-        for _d, ids in by_degree(spans):
-            n = npts[ids[0]]
-            p, dp, w, h = span_gauss([spans[i] for i in ids], n)
-            at = start[ids][:, None] + np.arange(n)
-            x[at], y[at] = p[..., 0], p[..., 1]
-            wdy[at] = dp[..., 1] * w * h[:, None]
-        cut = start[np.cumsum([len(p.spans) for p in chunk])[:-1]]
-        yield from zip(np.split(x, cut), np.split(y, cut), np.split(wdy, cut))
+        for g, at, nodes in _by_group(windows, win):
+            n = int(npts[g])
+            xi, w = gauss_rule_01(n)
+            p, dp, h = window_samples(nodes, windows.t0[win[at]],
+                                      windows.t1[win[at]], xi)
+            pos = start[at][:, None] + np.arange(n)
+            x[pos], y[pos] = p[..., 0], p[..., 1]
+            wdy[pos] = dp[..., 1] * w * h[:, None]
+        ends = start[np.cumsum(count)].tolist()
+        for a, b in zip([0] + ends[:-1], ends):
+            yield x[a:b], y[a:b], wdy[a:b]
 
 
 def build_plan(source: CurvilinearMesh, target: CurvilinearMesh,
@@ -236,34 +303,52 @@ def build_plan(source: CurvilinearMesh, target: CurvilinearMesh,
     timings["pairs"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    raws, grid_seeded = _pair_rows(source, target,
-                                   np.array(pairs, int).reshape(-1, 2))
+    cells = np.array(pairs, int).reshape(-1, 2)
+    rows, grid_seeded = _pair_rows(source, target, cells)
     timings["newton"] = time.monotonic() - t0
 
     t0 = time.monotonic()
+    subjects = _cell_table(source, cells[:, 0])
+    clips = _cell_table(target, cells[:, 1])
+    table = clip_table(rows, subjects, clips)
+    loop_cells = cells[table.loop_pair]
+    # each window lies on the edge of its side's cell: a group per mesh
+    cell = loop_cells[np.repeat(np.arange(len(loop_cells)),
+                                np.diff(table.win_cut))]
+    windows = LoopWindows(
+        [source.points[source.edges], target.points[target.edges]],
+        table.side, np.where(table.side == 0,
+                             source.cell_edges[cell[:, 0], table.span],
+                             target.cell_edges[cell[:, 1], table.span]),
+        table.t0, table.t1, table.win_cut)
     traced = []  # (source cell, target cell, loops traced)
     ci = ct = -1  # the cell pair a failure names
     try:
-        for (ci, ct), raw in zip(pairs, raws):
-            res = wa_clip(source.cell_polygon(ci), target.cell_polygon(ct),
-                          raw=raw)
+        for p, (ci, ct) in enumerate(pairs):
+            res = wa_clip(subjects.polys[p], clips.polys[p], raw=table[p])
             if res.loops:
                 traced.append((ci, ct, res.loops))
-        polys = [lp for _, _, loops in traced for lp in loops]
-        for lo in range(0, len(polys), _LOOPS_PER_CHUNK):
-            fill_areas(polys[lo:lo + _LOOPS_PER_CHUNK])
-        clipped = []  # (source cell, target cell, loops kept)
-        for ci, ct, loops in traced:
-            loops = kept_loops(loops, source.cell_polygon(ci),
-                               target.cell_polygon(ct))
-            if loops:
-                clipped.append((ci, ct, loops))
+        # the per-pair slices are built: free their lists before the area
+        # and sample passes
+        probes, table = table.probes, None
+        area = _loop_areas(windows)
+        keep = kept_mask(area, np.minimum(np.abs(area_s[loop_cells[:, 0]]),
+                                          np.abs(area_t[loop_cells[:, 1]])))
     except (ClipTopologyError, GeometryError) as exc:
+        if getattr(exc, "loop", None) is not None:
+            ci, ct = loop_cells[exc.loop].tolist()
         raise type(exc)(
             f"clipping failed for source cell {ci} vs target cell {ct}: "
             f"{exc}") from exc
+    kept = iter(keep.tolist())
+    clipped = []  # (source cell, target cell, loops kept)
+    for ci, ct, loops in traced:
+        loops = [lp for lp in loops if next(kept)]
+        if loops:
+            clipped.append((ci, ct, loops))
     polys = [lp for _, _, loops in clipped for lp in loops]
-    samples = _a_samples(polys, k_max)
+    areas = iter(area[keep].tolist())
+    samples = _a_samples(windows, np.flatnonzero(keep), k_max)
     s0 = time.monotonic()
     try:
         fans = iter(triangulate(polys, k_max) if with_tris else ())
@@ -279,7 +364,7 @@ def build_plan(source: CurvilinearMesh, target: CurvilinearMesh,
     for (ci, ct, loops) in clipped:
         geoms = []
         for lp, (ax, ay, awdy) in zip(loops, samples):
-            geom = _LoopGeom(lp, lp.signed_area(), ax, ay, awdy)
+            geom = _LoopGeom(lp, next(areas), ax, ay, awdy)
             if with_tris:
                 geom.bpts, geom.bjw, pieces = next(fans)
                 split_loops += len(pieces) > 1
@@ -289,7 +374,8 @@ def build_plan(source: CurvilinearMesh, target: CurvilinearMesh,
     if with_tris:
         timings["triangulate"] = t_tri
     return RemapPlan(source, target, per_target, k_max, with_tris,
-                     len(pairs), timings, warnings, split_loops, grid_seeded)
+                     len(pairs), timings, warnings, split_loops, grid_seeded,
+                     probes)
 
 
 def apply_plan(plan: RemapPlan, averages, order: int = 3,
@@ -370,7 +456,7 @@ def apply_plan(plan: RemapPlan, averages, order: int = 3,
     return RemapReport(Field(out, target), e_area, e_cons,
                        float(out.min()), max_gap, plan.n_candidates,
                        plan.n_pairs, plan.split_loops, plan.grid_seeded_pairs,
-                       timings, warnings)
+                       plan.arc_probes, timings, warnings)
 
 
 def _gather(loops: list, src: np.ndarray, samples):

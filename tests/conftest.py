@@ -5,6 +5,7 @@ from hypothesis import settings
 from curveremap.geometry import CurvedPolygon, CurveSpan, ParamCurve, \
     polygon_from_points
 from curveremap.experiments import demo_quads
+from curveremap.remap import LoopWindows
 
 # property tests draw the same examples on every run and keep no example
 # database in the checkout
@@ -71,3 +72,31 @@ def sample_curved_quads(seed, count, offset=(0.0, 0.0), curliness=0.12):
         out.append(poly)
     assert len(out) == count, "random quad generator starved"
     return out
+
+
+def polygon_windows(polys) -> tuple[LoopWindows, np.ndarray]:
+    """The LoopWindows of polygons, a loop each and a group per span
+    degree, and the indices of all the loops."""
+    spans = [s for p in polys for s in p.spans]
+    degrees = sorted({s.degree for s in spans})
+    group = np.array([degrees.index(s.degree) for s in spans], int)
+    row = np.zeros(len(spans), int)
+    for g in range(len(degrees)):
+        row[group == g] = np.arange((group == g).sum())
+    cut = np.cumsum([0] + [len(p.spans) for p in polys])
+    return (LoopWindows([np.array([s.curve.nodes for s in spans
+                                   if s.degree == d]) for d in degrees],
+                        group, row, np.array([s.t0 for s in spans], float),
+                        np.array([s.t1 for s in spans], float), cut),
+            np.arange(len(polys)))
+
+
+def row_lists(rows, n):
+    """EventRows of n pairs as a list per pair of rows (ks, t, kc, s,
+    point, transversal, cross), in plain Python values."""
+    assert np.all(np.diff(rows.pair) >= 0)
+    tuples = list(zip(rows.ks.tolist(), rows.t.tolist(), rows.kc.tolist(),
+                      rows.s.tolist(), map(tuple, rows.point.tolist()),
+                      rows.transversal.tolist(), rows.cross.tolist()))
+    cut = np.searchsorted(rows.pair, np.arange(n + 1)).tolist()
+    return [tuples[a:b] for a, b in zip(cut[:-1], cut[1:])]

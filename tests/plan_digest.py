@@ -3,15 +3,17 @@ fixed list of mesh pairs, so that two checkouts can be compared:
 
     python3 tests/plan_digest.py > a.txt     # in each checkout
     diff a.txt b.txt
+    python3 tests/plan_digest.py accuracy_n32_k4 sliver_1e-9   # some cases
 
 Each line reads: name, crossing rows, table digest, clipped loops, plan
-digest. The table digest covers the edge pairs and every row's pair, u,
-v, point, transversal flag and cross product; the plan digest covers, per
-target cell and source cell, every loop's span nodes and windows, its
-area, its Approach A samples and, with triangles, its Approach B samples.
-A plan that raises prints the error in place of its digest. The package
-is imported from `src/` of the checkout this file sits in. pytest does not
-collect this file.
+digest, arc probes. The table digest covers the edge pairs and every
+row's pair, u, v, point, transversal flag and cross product; the plan
+digest covers, per target cell and source cell, every loop's span nodes
+and windows, its area, its Approach A samples and, with triangles, its
+Approach B samples. The probes are the plan's calls of
+`clipping._arc_state`. A plan that raises prints the error in place of
+its digest. The package is imported from `src/` of the checkout this file
+sits in. pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from curveremap import clipping  # noqa: E402
 from curveremap.experiments import accuracy_meshes  # noqa: E402
-from curveremap.mesh import gen_disk_mesh, rotate_mesh  # noqa: E402
+from curveremap.mesh import (  # noqa: E402
+    gen_deformed_square_mesh, gen_disk_mesh, rotate_mesh)
 
 remap = importlib.import_module("curveremap.remap")
 
@@ -39,9 +43,17 @@ def _turned(n, angle, degree=2):
     return base, rotate_mesh(base, angle)
 
 
-# name: (meshes, with_tris); k_max is 2 throughout
+def _straight(degrees):
+    return (gen_deformed_square_mesh(8, "gresho_like", 0.3, degrees[0],
+                                     roughen=0.1),
+            gen_deformed_square_mesh(8, "taylor_green_like", 0.04,
+                                     degrees[1], roughen=0.1))
+
+
+# name: (meshes, with_tris, k_max)
 CASES = {
     "accuracy_n32": (lambda: accuracy_meshes(32), False),
+    "accuracy_n32_k4": (lambda: accuracy_meshes(32), False, 4),
     "rotation_n16_step1": (lambda: _turned(16, math.pi / 4.0), True),
     "rotation_n16_step2": (
         lambda: (rotate_mesh(gen_disk_mesh(16), math.pi / 4.0),
@@ -58,6 +70,8 @@ CASES = {
     "disk_n8_degree4": (lambda: _turned(8, 0.3, 4), True),
     "disk_n8_degree5": (lambda: _turned(8, 0.3, 5), False),
     "disk_n4_degree6": (lambda: _turned(4, 0.3, 6), False),
+    "straight_11": (lambda: _straight((1, 1)), False),
+    "straight_21": (lambda: _straight((2, 1)), False),
 }
 
 
@@ -76,8 +90,8 @@ def table_digest(src, tgt) -> tuple[int, str]:
     return len(found.pair), h.hexdigest()
 
 
-def plan_digest(src, tgt, with_tris) -> tuple[int, str]:
-    plan = remap.build_plan(src, tgt, k_max=2, with_tris=with_tris)
+def plan_digest(src, tgt, with_tris, k_max=2) -> tuple[int, str]:
+    plan = remap.build_plan(src, tgt, k_max=k_max, with_tris=with_tris)
     h = hashlib.sha256()
     loops = 0
     for ct, per in enumerate(plan.per_target):
@@ -93,17 +107,33 @@ def plan_digest(src, tgt, with_tris) -> tuple[int, str]:
     return loops, h.hexdigest()
 
 
-def main() -> None:
-    for name, (meshes, with_tris) in CASES.items():
+def main(names) -> None:
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown cases: {' '.join(unknown)}")
+    state = clipping._arc_state
+    probes = 0
+
+    def counted(*args):
+        nonlocal probes
+        probes += 1
+        return state(*args)
+
+    for name in names or CASES:
+        meshes, with_tris, *k_max = CASES[name]
         src, tgt = meshes()
         rows, table = table_digest(src, tgt)
+        probes = 0
+        clipping._arc_state = counted
         try:
-            loops, plan = plan_digest(src, tgt, with_tris)
+            loops, plan = plan_digest(src, tgt, with_tris, *k_max)
         except (ArithmeticError, RuntimeError, ValueError) as exc:
             loops, plan = 0, f"{type(exc).__name__}: {exc}"
-        print(f"{name} rows={rows} table={table} loops={loops} plan={plan}",
-              flush=True)
+        finally:
+            clipping._arc_state = state
+        print(f"{name} rows={rows} table={table} loops={loops} plan={plan} "
+              f"probes={probes}", flush=True)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -7,8 +7,9 @@ floats, as `clipping.intersect_curves` did before it returned one table.
 and `reference_pair_rows` the plan's loop that re-wrapped the records of
 each cell pair's 16 edge pairs in the cells' own span indices and
 directions, as the rows (ks, t, kc, s, point, transversal, cross) that
-`clipping._build_events` reads. The root passes are the clipping module's
-own helpers, `_curved_roots` among them, which the table did not change.
+`clipping.EventRows` holds as arrays. The root passes are the clipping
+module's own helpers, `_curved_roots` among them, which the table did not
+change.
 """
 
 from __future__ import annotations

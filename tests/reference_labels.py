@@ -4,7 +4,7 @@ containment of cell pairs without events.
 `probe_labels` gives every subject arc between consecutive events its state
 by point location and labels an event entry or exit where the state enters
 or leaves "in", as the clipper did for every event list that was not a run
-of clean, alternating crossings. The package's `_label_events` takes an
+of clean, alternating crossings. The package's `clip_table` takes an
 arc's state from a clean crossing at its ends instead, and must give the
 same labels.
 
@@ -12,8 +12,8 @@ same labels.
 no state: a representative interior point of each polygon whose corners
 lie in the other's hull box, found by a walk inward from the span
 midpoints and then by grid scans, is located in the other polygon. The
-package's `wa_clip` probes the would-be inner polygon's whole boundary as
-one arc instead, and must give the same containment.
+package's `clip_table` probes the would-be inner polygon's whole boundary
+as one arc instead, and must give the same containment.
 """
 
 from __future__ import annotations

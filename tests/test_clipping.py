@@ -1,15 +1,15 @@
-import dataclasses
 import importlib
 import math
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from curveremap import clipping
-from curveremap.clipping import (ClipTopologyError, curve_flip,
-                                 intersect_curves, kept_loops, newton_roots,
-                                 wa_clip,
-                                 _build_events, _label_events,
+from curveremap.clipping import (ClipTopologyError, EventRows, clip_table,
+                                 curve_flip, intersect_curves, kept_loops,
+                                 newton_roots, polygon_table, wa_clip,
                                  _raw_intersections, _unit_cross)
 from curveremap.geometry import (SNAP_TOL, CurvedPolygon, CurveSpan,
                                  ParamCurve, polygon_from_points,
@@ -19,7 +19,8 @@ from curveremap.mesh import (gen_deformed_square_mesh, gen_disk_mesh,
                              rotate_mesh)
 from curveremap.remap import build_plan
 
-from conftest import elevated_demo_quads, sample_curved_quads
+from conftest import elevated_demo_quads, row_lists, sample_curved_quads
+from reference_clip import Event, reference_clip, walk
 from reference_labels import containment as point_containment
 from reference_labels import probe_labels
 
@@ -67,9 +68,28 @@ def test_table2_point1_found(quad_pair):
     assert abs(best[1] + 1.29598616) < 1e-7
 
 
+class _PairEvent(NamedTuple):
+    point: tuple[float, float]
+    sig_s: float
+    sig_c: float
+    kind: str | None
+
+
+_KINDS = {1: "entry", -1: "exit", 0: None}
+
+
+def _events(sub, clp, rows=None):
+    """The pair's events as clip_table leaves them after merging, in
+    subject order, each with its kind, None where it changes no state."""
+    table = clip_table(_raw_intersections(sub, clp) if rows is None else rows,
+                       polygon_table([sub]), polygon_table([clp]))
+    return [_PairEvent(tuple(pt), a, b, _KINDS[k]) for pt, a, b, k in zip(
+        table.point.tolist(), table.sig_s.tolist(), table.sig_c.tolist(),
+        table.kind.tolist())]
+
+
 def _labelled_events(sub, clp):
-    return _label_events(sub, clp,
-                         _build_events(sub, clp, _raw_intersections(sub, clp)))
+    return [e for e in _events(sub, clp) if e.kind]
 
 
 def _tangent_label(event, sub, clp):
@@ -258,10 +278,10 @@ def test_nested_cells_that_touch_return_the_inner_cell(kind, monkeypatch):
     # the boundaries meet, so there are events, but the state never
     # changes on them: no event is kept and the whole-loop probe decides
     outer, inner = _touching_quads(kind)
+    assert _events(inner, outer) and _events(outer, inner)
     probed = _spy_arc_state(monkeypatch)
     for a, b, nested in ((inner, outer, "subject_in_clip"),
                          (outer, inner, "clip_in_subject")):
-        assert _build_events(a, b, _raw_intersections(a, b))
         res = wa_clip(a, b)
         assert res.crossings == []
         assert res.containment == nested and res.loops == [inner]
@@ -294,19 +314,21 @@ def test_cells_sharing_three_sides_return_the_smaller_cell(monkeypatch):
 def test_only_arcs_without_an_agreeing_clean_end_are_probed(quad_pair,
                                                            monkeypatch):
     qp, qq = quad_pair
-    events = sorted(clipping._build_events(qp, qq, _raw_intersections(qp, qq)),
-                    key=lambda e: e.sig_s)
+    rows = _raw_intersections(qp, qq)
     probed = []
     state = clipping._arc_state
     monkeypatch.setattr(clipping, "_arc_state",
                         lambda *args: probed.append(args[2:]) or state(*args))
-    kinds = [e.kind for e in _label_events(
-        qp, qq, [dataclasses.replace(e) for e in events])]
+    events = _events(qp, qq, rows)
+    kinds = [e.kind for e in events]
     assert kinds == ["exit", "entry"] * 4 or kinds == ["entry", "exit"] * 4
     assert probed == []
     # with a crossing missing, its two neighbours carry the same label, so
     # the arc between them has ends that disagree, and only it is probed
-    _label_events(qp, qq, events[:3] + events[4:])
+    kept = np.flatnonzero(
+        [tuple(pt) != events[3].point for pt in rows.point.tolist()])
+    assert len(kept) == len(events) - 1
+    _events(qp, qq, EventRows(*(col[kept] for col in rows)))
     assert probed == [(events[2].sig_s, events[4].sig_s)]
 
 
@@ -327,24 +349,28 @@ def test_tangent_labels_equal_the_arc_state_labels(case, monkeypatch):
     # the labels of every pair's events equal those of the frozen labeller
     # that probes every arc
     name, src, tgt = _label_cases()[case]
-    label, state = clipping._label_events, clipping._arc_state
+    table_of, state = remap_module.clip_table, clipping._arc_state
     counts = {"arcs": 0, "probes": 0}
 
-    def checked(subject, clip, events):
-        ordered = sorted(events, key=lambda e: e.sig_s)
-        oracle = probe_labels(
-            subject, clip, [dataclasses.replace(e) for e in ordered])
-        counts["arcs"] += len(events)
-        got = label(subject, clip, events)
-        assert [(e.sig_s, e.sig_c, e.kind) for e in got] == \
-            [(e.sig_s, e.sig_c, e.kind) for e in oracle]
-        return got
+    def checked(rows, subjects, clips):
+        table = table_of(rows, subjects, clips)
+        for p, (subject, clip) in enumerate(zip(subjects.polys, clips.polys)):
+            mine = np.flatnonzero(table.pair == p)
+            events = [SimpleNamespace(sig_s=a, sig_c=b, kind=None) for a, b in
+                      zip(table.sig_s[mine].tolist(),
+                          table.sig_c[mine].tolist())]
+            oracle = probe_labels(subject, clip, events)
+            counts["arcs"] += len(events)
+            got = [(e.sig_s, e.sig_c, _KINDS[k]) for e, k in
+                   zip(events, table.kind[mine].tolist()) if k]
+            assert got == [(e.sig_s, e.sig_c, e.kind) for e in oracle]
+        return table
 
     def probe(*args):
         counts["probes"] += 1
         return state(*args)
 
-    monkeypatch.setattr(clipping, "_label_events", checked)
+    monkeypatch.setattr(remap_module, "clip_table", checked)
     monkeypatch.setattr(clipping, "_arc_state", probe)
     build_plan(src, tgt, k_max=0)
     # every plan has corner events, whose arcs are probed; on the identity
@@ -378,6 +404,144 @@ def test_whole_loop_probe_equals_the_interior_point_rule(case, monkeypatch):
                            "disk_turned_1e-12": 128, "identity": 32}[name]
 
 
+def _reference_cases():
+    """The label cases, the straight-edged pairs, the disk turned by 0.3
+    at degrees 4 and 5 and the disk turned by 1e-6."""
+    disk = gen_disk_mesh(8)
+    straight = [(f"straight_{a}{b}",
+                 gen_deformed_square_mesh(8, "gresho_like", 0.3, a,
+                                          roughen=0.1),
+                 gen_deformed_square_mesh(8, "taylor_green_like", 0.04, b,
+                                          roughen=0.1))
+                for a, b in ((1, 1), (2, 1))]
+    turned = [(f"disk_degree{d}", m, rotate_mesh(m, 0.3))
+              for d in (4, 5) for m in [gen_disk_mesh(8, degree=d)]]
+    return (_label_cases() + straight + turned
+            + [("disk_turned_1e-06", disk, rotate_mesh(disk, 1e-6))])
+
+
+def _hexed(values):
+    return tuple(v.hex() if isinstance(v, float) else v for v in values)
+
+
+@pytest.mark.parametrize("case", range(11))
+def test_clip_table_equals_the_per_pair_reference(case, monkeypatch):
+    # every pair's merged events with their kinds, its containment and its
+    # loops' windows equal those of the frozen per-pair clip, bit for bit
+    name, src, tgt = _reference_cases()[case]
+    table_of, seen = remap_module.clip_table, []
+
+    def spy(rows, subjects, clips):
+        seen.append((rows, subjects.polys, clips.polys,
+                     table_of(rows, subjects, clips)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(remap_module, "clip_table", spy)
+    build_plan(src, tgt, k_max=0)
+    [(rows, subjects, clips, table)] = seen
+    assert not table.errors
+    loops = 0
+    for p, raw in enumerate(row_lists(rows, len(subjects))):
+        events, windows, containment = reference_clip(subjects[p], clips[p],
+                                                      raw)
+        mine = table.pair == p
+        assert [_hexed(e) for e in zip(
+            table.sig_s[mine].tolist(), table.sig_c[mine].tolist(),
+            [_KINDS[k] for k in table.kind[mine].tolist()])] == \
+            [_hexed(e) for e in events]
+        got = table[p]
+        assert got.containment == containment
+        assert [[_hexed(w) for w in lp] for lp in got.loops] == \
+            [[_hexed(w) for w in lp] for lp in windows]
+        loops += len(windows)
+    assert loops >= len(table.loop_pair) > 0
+
+
+def test_merged_event_is_transversal_if_either_row_is(monkeypatch):
+    # a tangential copy of a crossing, 1e-9 before it on both boundaries,
+    # is the kept event of their merge and takes the crossing's
+    # transversal flag, so the pair's labels need no probe
+    sub = polygon_from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
+    clp = polygon_from_points([(1, 1), (3, 1), (3, 3), (1, 3)])
+    rows = _raw_intersections(sub, clp)
+    at = np.r_[0, np.arange(len(rows.pair))]
+    copy = EventRows(*(col[at] for col in rows))
+    copy.t[0] -= 1e-9
+    copy.s[0] -= 1e-9
+    copy.transversal[0] = False
+    probed = _spy_arc_state(monkeypatch)
+    events = _events(sub, clp, copy)
+    assert probed == []
+    assert [e.kind for e in events] == [e.kind for e in _events(sub, clp)]
+    assert events[0].sig_s < _events(sub, clp)[0].sig_s
+    [raw] = row_lists(copy, 1)
+    ref = reference_clip(sub, clp, raw)[0]
+    assert [(e.sig_s, e.sig_c, e.kind) for e in events] == ref
+
+
+def _walked(kinds, sig_c):
+    """clipping._walk on one pair's labelled events, in subject order at
+    sig_s = 0.5, 1.5, ..., with clip coordinates sig_c and points (k, 2k):
+    the pair's error message, or the boundary segments of each loop."""
+    m = len(kinds)
+    errors = {}
+    loop_pair, loop, side, a, b = clipping._walk(
+        np.zeros(m, int), np.arange(m) + 0.5, np.asarray(sig_c, float),
+        np.array([k == "entry" for k in kinds], bool),
+        np.array([(k, 2 * k) for k in range(m)], float), errors)
+    if errors:
+        assert len(loop_pair) == 0
+        return str(errors[0])
+    return [[(s, x, y) for i, s, x, y in zip(loop.tolist(), side.tolist(),
+                                             a.tolist(), b.tolist()) if i == j]
+            for j in range(len(loop_pair))]
+
+
+def _reference_walked(kinds, sig_c):
+    events = [Event((float(k), 2.0 * k), k + 0.5, float(c), True, kind)
+              for k, (kind, c) in enumerate(zip(kinds, sig_c))]
+    try:
+        return walk(events)
+    except ClipTopologyError as exc:
+        return str(exc)
+
+
+def test_walk_reports_an_entry_where_it_needs_an_exit():
+    kinds = ["entry", "entry", "exit", "exit"]
+    msg = ("expected exit after entry at (0.0, 0.0), got entry at "
+           "(1.0, 2.0)")
+    assert _walked(kinds, [0.5, 1.5, 2.5, 3.5]) == msg
+    assert _reference_walked(kinds, [0.5, 1.5, 2.5, 3.5]) == msg
+
+
+def test_walk_reports_an_exit_where_the_clip_walk_needs_an_entry():
+    # the clip order is exit, exit, entry, entry: the clip walk from the
+    # first exit meets the other exit
+    kinds = ["entry", "exit", "entry", "exit"]
+    sig_c = [2.5, 0.5, 3.5, 1.5]
+    msg = ("expected entry after exit at (1.0, 2.0) on clip walk, got exit "
+           "at (3.0, 6.0)")
+    assert _walked(kinds, sig_c) == msg
+    assert _reference_walked(kinds, sig_c) == msg
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_walk_equals_the_sequential_walk_on_random_labels(seed):
+    # loops, or the first error, of random labels and clip orders, ties
+    # in the clip coordinate among them
+    rng = np.random.default_rng(seed)
+    outcomes = set()
+    for _ in range(200):
+        m = int(rng.integers(1, 9))
+        kinds = rng.choice(["entry", "exit"], m).tolist()
+        sig_c = (rng.integers(0, m, m) + 0.5).tolist()
+        want = _reference_walked(kinds, sig_c)
+        assert _walked(kinds, sig_c) == want, (kinds, sig_c)
+        outcomes.add(want.split(":")[0].split(" at ")[0]
+                     if isinstance(want, str) else "loops")
+    assert len(outcomes) == 4
+
+
 def test_clip_symmetry_and_boundedness_random():
     quads_a = sample_curved_quads(101, 12)
     quads_b = sample_curved_quads(707, 12, offset=(0.35, 0.2))
@@ -407,9 +571,9 @@ def test_topology_error_reports_points(monkeypatch):
     # refuse the unbalanced list and name its points
     sub = polygon_from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
     clp = polygon_from_points([(1, 1), (3, 1), (3, 3), (1, 3)])
-    events = [clipping._Event((2.0, 1.0), 1.5, 0.5, True, "entry"),
-              clipping._Event((1.0, 2.0), 2.5, 3.5, True, "entry")]
-    monkeypatch.setattr(clipping, "_label_events", lambda *args: events)
+    assert len(_events(sub, clp)) == 2
+    monkeypatch.setattr(clipping, "_kinds",
+                        lambda pair, *args: np.ones(len(pair), int))
     with pytest.raises(ClipTopologyError) as info:
         wa_clip(sub, clp)
     msg = str(info.value)

@@ -23,6 +23,8 @@ from curveremap.mesh import exact_cell_averages, gen_disk_mesh, rotate_mesh
 from curveremap.remap import _a_samples, _loop_integrals, apply_plan, \
     build_plan
 
+from conftest import polygon_windows
+
 # the package attribute curveremap.remap is the function
 remap_module = importlib.import_module("curveremap.remap")
 
@@ -55,8 +57,10 @@ def test_fan_integrates_monomials_as_approach_a(name, degree, k):
     frames = np.array([[0.5 * (b.xmin + b.xmax), 0.5 * (b.ymin + b.ymax),
                         0.5 * b.diag] for b in boxes])
     cells = np.arange(len(polys))
-    a_cols = [np.concatenate(c) for c in zip(*_a_samples(polys, k))]
-    a_counts = np.array([len(x) for x, _, _ in _a_samples(polys, k)])
+    a_cols = [np.concatenate(c) for c in
+              zip(*_a_samples(*polygon_windows(polys), k))]
+    a_counts = np.array([len(x) for x, _, _ in
+                         _a_samples(*polygon_windows(polys), k)])
     b_counts = np.array([len(w) for _, w, _ in fans])
     bx, by = np.vstack([p for p, _, _ in fans]).T
     bw = np.concatenate([w for _, w, _ in fans])

@@ -645,10 +645,15 @@ def test_flipped_cell_map_errors_match_per_cell_loop(flipped_first, strict):
 
 
 def test_cell_boxes_are_the_polygon_boxes_and_read_only():
+    # the cell corners too: the polygons' own, and read-only
     for mesh in (gen_disk_mesh(4), rotate_mesh(gen_disk_mesh(4), 0.3)):
         assert mesh.cell_boxes.tolist() == [
             [b.xmin, b.ymin, b.xmax, b.ymax]
             for b in (mesh.cell_polygon(i).bbox()
                       for i in range(mesh.n_cells))]
+        assert [tuple(map(tuple, c)) for c in mesh.cell_corners.tolist()] \
+            == [mesh.cell_polygon(i).corners for i in range(mesh.n_cells)]
         with pytest.raises(ValueError, match="read-only"):
             mesh.cell_boxes[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.cell_corners[0, 0, 0] = 0.0

@@ -25,6 +25,7 @@ from curveremap.mesh import (CurvilinearMesh, gen_deformed_square_mesh,
                              gen_disk_mesh, rotate_mesh)
 
 import reference_newton
+from conftest import row_lists
 from reference_crossings import reference_pair_rows
 from reference_newton import reference_newton_roots
 
@@ -240,6 +241,35 @@ def test_plan_counts_the_grid_seeded_pairs(angle, grid):
     assert f"split_loops=0\ngrid_seeded_pairs={grid}\n" in rep.to_text()
 
 
+def _workload_meshes(name):
+    """The benchmark's three workloads' mesh pairs, at the study's own
+    amplitudes."""
+    if name == "accuracy":
+        return accuracy_meshes(32)
+    if name == "cubic":
+        return accuracy_meshes(16, degree=3)
+    step = int(name[-1])
+    return tuple(rotate_mesh(gen_disk_mesh(16), k * math.pi / 4.0)
+                 for k in (step - 1, step))
+
+
+@pytest.mark.parametrize("name, probes", [
+    ("accuracy", 532), ("rotation_step1", 318), ("rotation_step2", 325),
+    ("cubic", 264)])
+def test_plan_counts_its_arc_probes(name, probes, monkeypatch):
+    # every arc state and whole-loop containment that a point probe gave;
+    # the counts are those of the per-pair clipper the table replaced
+    state, calls = clipping._arc_state, []
+    monkeypatch.setattr(clipping, "_arc_state",
+                        lambda *args: calls.append(args) or state(*args))
+    src, tgt = _workload_meshes(name)
+    plan = remap.build_plan(src, tgt, k_max=0)
+    assert len(calls) == plan.arc_probes == probes
+    rep = remap.apply_plan(plan, np.ones(src.n_cells), order=1)
+    assert (f"grid_seeded_pairs={plan.grid_seeded_pairs}\n"
+            f"arc_probes={probes}\n") in rep.to_text()
+
+
 def _greedy(pair, t, s):
     """The plain keep-first rule over seeds sorted by (pair, t, s)."""
     kept = []
@@ -311,7 +341,8 @@ def _bits(rows):
 def test_pair_rows_equal_the_record_loop_bitwise(name):
     src, tgt = _mesh_pair(name)
     pairs = remap.candidate_pairs(src, tgt)
-    got, _grid = remap._pair_rows(src, tgt, _cells(src, tgt))
+    rows, _grid = remap._pair_rows(src, tgt, _cells(src, tgt))
+    got = row_lists(rows, len(pairs))
     ref = reference_pair_rows(src, tgt, pairs)
     assert len(got) == len(ref) == len(pairs)
     assert sum(map(len, ref)) > len(pairs)

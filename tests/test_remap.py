@@ -13,6 +13,7 @@ from curveremap.remap import (RemapRequest, _a_samples, _loop_integrals,
                               apply_plan, build_plan, candidate_pairs, remap)
 from curveremap.experiments import sin_field, cone_field
 
+from conftest import polygon_windows
 from reference_integrate import Poly2
 
 
@@ -115,7 +116,7 @@ def test_plan_kernels_integrate_monomials_exactly(unit_square):
     # X^a Y^b, a + b <= 4, in the frame (cx, cy, h) = (0.5, 0.5, 0.5) over
     # the unit square, where X = 2x - 1 and Y = 2y - 1 span [-1, 1]
     frames = np.array([[0.5, 0.5, 0.5]])
-    [(ax, ay, awdy)] = _a_samples([unit_square], 4)
+    [(ax, ay, awdy)] = _a_samples(*polygon_windows([unit_square]), 4)
     [(bp, bw, _)] = triangulate([unit_square], 4)
     bx, by = bp.T
     cell = np.array([0])
@@ -270,17 +271,24 @@ def test_plan_failure_names_the_cell_pair(monkeypatch):
 
 
 def test_plan_refuses_a_clockwise_loop_and_names_the_cell_pair(monkeypatch):
+    import dataclasses
     import importlib
-    from curveremap import ClipResult, ClipTopologyError
-    from curveremap.geometry import CurvedPolygon
+    from curveremap import ClipTopologyError
     remap_module = importlib.import_module("curveremap.remap")
     m = gen_deformed_square_mesh(2, "identity", degree=2)
+    clip_table = remap_module.clip_table
 
-    def clockwise(subject, clip, raw=None):
-        return ClipResult([CurvedPolygon([s.flipped()
-                                          for s in reversed(subject.spans)])])
+    def clockwise(*args):
+        # the plan's first loop, cell 0 in itself, walked backwards: its
+        # windows in reverse order, each from its end to its start
+        table = clip_table(*args)
+        lo, hi = table.win_cut[:2]
+        at = np.r_[hi - 1:lo - 1:-1, hi:len(table.side)]
+        return dataclasses.replace(table, side=table.side[at],
+                                   span=table.span[at], t0=table.t1[at],
+                                   t1=table.t0[at])
 
-    monkeypatch.setattr(remap_module, "wa_clip", clockwise)
+    monkeypatch.setattr(remap_module, "clip_table", clockwise)
     with pytest.raises(ClipTopologyError,
                        match=r"^clipping failed for source cell 0 vs target "
                              r"cell 0: negative-area loop") as info:
@@ -300,20 +308,26 @@ def test_straight_edged_plan_shares_every_crossing(degrees, monkeypatch):
     tgt = gen_deformed_square_mesh(8, "taylor_green_like", 0.04, degrees[1],
                                    roughen=0.1)
     calls = []
+    clip_table = remap_module.clip_table
 
-    def spy(subject, clip, raw=None):
-        calls.append((subject, clip, raw))
-        return wa_clip(subject, clip, raw=raw)
+    def spy(rows, subjects, clips):
+        calls.append((rows, subjects.polys, clips.polys))
+        return clip_table(rows, subjects, clips)
 
-    monkeypatch.setattr(remap_module, "wa_clip", spy)
+    monkeypatch.setattr(remap_module, "clip_table", spy)
     plan = build_plan(src, tgt, k_max=2)
+    [(rows, subjects, clips)] = calls
     cell_s = {id(src.cell_polygon(i)): i for i in range(src.n_cells)}
     cell_t = {id(tgt.cell_polygon(i)): i for i in range(tgt.n_cells)}
     seen = {}
-    for subject, clip, raw in calls:
+    for p, (subject, clip) in enumerate(zip(subjects, clips)):
         ci, ct = cell_s[id(subject)], cell_t[id(clip)]
         per_edges = {}
-        for ks, _t, kc, _s, point, transversal, _cross in raw:
+        mine = rows.pair == p
+        for ks, kc, point, transversal in zip(
+                rows.ks[mine].tolist(), rows.kc[mine].tolist(),
+                map(tuple, rows.point[mine].tolist()),
+                rows.transversal[mine].tolist()):
             key = (src.cell_edges[ci, ks], tgt.cell_edges[ct, kc])
             per_edges.setdefault(key, []).append((point, transversal))
         for key, found in per_edges.items():

@@ -8,12 +8,15 @@ tiles each piece by a fan of curved triangles from one apex and gives
 collapsed-coordinate Gauss samples on them (`triangulate`, all pieces of a
 plan at once). A piece whose fan is not certified positive is cut in two
 by the exact clipper, along the line that halves its bounding box, and
-each half is fanned again. `remap._loop_integrals` sums the samples.
+each half is fanned again. The samples of all pieces come back as one
+SampleTable, in input order, a split loop's pieces together;
+`remap._loop_integrals` sums them over slices of the table.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,13 +46,37 @@ FAN_MARGIN = 1e-12
 MAX_SPLITS = 8
 
 
+@dataclass
+class SampleTable:
+    """Quadrature samples of a sequence of loops in one table: points
+    pts (M, 2) and weights w (M,), loop i's in rows cut[i]:cut[i + 1].
+    fans, where given, lists per loop the (piece, apex) of each certified
+    fan its samples come from. The table's length is its number of loops,
+    and iterating it gives each loop's (points, weights, fans), the arrays
+    as views of the table's."""
+
+    pts: np.ndarray
+    w: np.ndarray
+    cut: np.ndarray
+    fans: list | None = None
+
+    def __len__(self) -> int:
+        return len(self.cut) - 1
+
+    def __iter__(self):
+        cut = self.cut.tolist()
+        fans = self.fans if self.fans is not None else [None] * len(self)
+        for a, b, f in zip(cut[:-1], cut[1:], fans):
+            yield self.pts[a:b], self.w[a:b], f
+
+
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def triangulate(polys: list[CurvedPolygon], k_max: int) -> list:
-    """Approach B samples of each loop: (points (m, 2), weights (m,),
-    fans), where fans lists the (piece, apex) of each certified fan the
+def triangulate(polys: list[CurvedPolygon], k_max: int) -> SampleTable:
+    """Approach B samples of the loops as one SampleTable, loop by loop;
+    its fans list per loop the (piece, apex) of each certified fan the
     samples come from: [(loop, apex)] where the loop's own fan serves.
 
     A loop whose own fan (`_fans`) is not certified is cut in two by
@@ -61,17 +88,31 @@ def triangulate(polys: list[CurvedPolygon], k_max: int) -> list:
     positive weights and points inside its piece. A loop still declined
     after MAX_SPLITS rounds, or a cut the clipper cannot make, raises
     TriangulationError naming the loop's index.
+
+    Where every fan is certified, the table is `_fans`' own; otherwise the
+    certified loops' runs of rows and the split loops' samples are copied
+    into a new one once.
     """
-    out = _fans(polys, k_max)
-    for i, fan in enumerate(out):
-        if fan is None:
-            out[i] = _split_fans(polys[i], k_max, i)
-    return out
+    table, ok = _fans(polys, k_max)
+    bad = np.flatnonzero(~ok).tolist()
+    if not bad:
+        return table
+    cut, count = table.cut.tolist(), np.diff(table.cut)
+    pts, w, lo = [], [], 0
+    for i in bad:
+        p, wi, table.fans[i] = _split_fans(polys[i], k_max, i)
+        pts += [table.pts[cut[lo]:cut[i]], p]
+        w += [table.w[cut[lo]:cut[i]], wi]
+        count[i], lo = len(wi), i + 1
+    pts.append(table.pts[cut[lo]:])
+    w.append(table.w[cut[lo]:])
+    return SampleTable(np.concatenate(pts), np.concatenate(w),
+                       np.concatenate([[0], np.cumsum(count)]), table.fans)
 
 
 def _split_fans(poly: CurvedPolygon, k_max: int, loop: int):
     """Samples of the certified fans of the pieces that cutting poly by
-    `_halves` leaves, round by round."""
+    `_halves` leaves, round by round: (points, weights, fans)."""
     done, pieces = [], [poly]
     for _ in range(MAX_SPLITS):
         try:
@@ -79,9 +120,9 @@ def _split_fans(poly: CurvedPolygon, k_max: int, loop: int):
         except (ClipTopologyError, GeometryError) as exc:
             raise TriangulationError(f"cutting the loop failed: {exc}",
                                      loop) from exc
-        fans = _fans(pieces, k_max)
-        done += [f for f in fans if f is not None]
-        pieces = [p for p, f in zip(pieces, fans) if f is None]
+        table, ok = _fans(pieces, k_max)
+        done += [f for f, good in zip(table, ok.tolist()) if good]
+        pieces = [p for p, good in zip(pieces, ok.tolist()) if not good]
         if not pieces:
             pts, wts, fans = zip(*done)
             return np.vstack(pts), np.concatenate(wts), sum(fans, [])
@@ -114,9 +155,10 @@ def _halves(poly: CurvedPolygon) -> list[CurvedPolygon]:
     return loops
 
 
-def _fans(polys: list[CurvedPolygon], k_max: int) -> list:
-    """Fan-rule samples of each loop: (points (m, 2), weights (m,),
-    [(loop, apex)]), or None where the fan is not certified.
+def _fans(polys: list[CurvedPolygon], k_max: int):
+    """Fan-rule samples of the loops, (SampleTable, ok): the table holds
+    every loop's samples and [(loop, apex)] as its fans, and ok marks the
+    loops whose fan is certified.
 
     The fan's apex c is the loop's area centroid, from contour moments
     taken relative to its first span's start, so that a small loop far
@@ -135,7 +177,8 @@ def _fans(polys: list[CurvedPolygon], k_max: int) -> list:
     the centroids, the samples and the certificates.
     """
     if not polys:
-        return []
+        return (SampleTable(np.empty((0, 2)), np.empty(0), np.zeros(1, int),
+                            []), np.zeros(0, bool))
     spans = [s for p in polys for s in p.spans]
     counts = [len(p.spans) for p in polys]
     first = np.cumsum([0] + counts[:-1])
@@ -179,7 +222,5 @@ def _fans(polys: list[CurvedPolygon], k_max: int) -> list:
         top[ids] = np.abs(bern).max(axis=1)
     ok = (np.minimum.reduceat(low, first)
           > FAN_MARGIN * np.maximum.reduceat(top, first))
-    cut = start[first[1:]]
-    return [(p, w, [(poly, c)]) if good else None for p, w, poly, c, good in
-            zip(np.split(pts, cut), np.split(jw, cut), polys, apex,
-                ok.tolist())]
+    return (SampleTable(pts, jw, start[np.append(first, len(spans))],
+                        [[(poly, c)] for poly, c in zip(polys, apex)]), ok)

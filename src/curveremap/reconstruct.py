@@ -6,15 +6,19 @@ hierarchy of fits through smoothness-driven nonlinear weights: order 1 is
 the cell average itself, order 3 adds a quadratic fit on the one-ring,
 order 5 adds a quartic fit on the two-ring.
 
-Every step runs on arrays of cells at once. The boundary of every cell is
-sampled from all edges in one product of the Lagrange basis with the edge
-nodes. The monomial moments of each (stencil cell, frame cell) pair come
-from one matrix product over boundary powers. The constraint-eliminated
-least-squares systems are padded with zero rows to a common height and
-solved by one stacked SVD. Cells whose system fails the rank test are
-solved again, in the same way, on a stencil grown by a ring and then at a
-lower degree. The smoothness indicators are quadratic forms c^T B c in
-the coefficients, with B built from each cell's self-moments. Cells are
+Every step runs on arrays of cells at once. The stencils are tables of
+cell indices, built once per call from the cells at each corner vertex:
+a row per cell, its one-ring or two-ring sorted and padded with the cell
+count. The boundary of every cell is sampled from all edges in one
+product of the Lagrange basis with the edge nodes. The monomial moments
+of each (stencil cell, frame cell) pair come from one matrix product
+over boundary powers. The constraint-eliminated least-squares systems are
+padded with zero rows to a common height and solved by one stacked SVD.
+Cells whose system fails the rank test are solved again, in the same
+way, on a stencil grown by a ring (the union of its cells' one-rings,
+from the same table) and then at a lower degree. The smoothness
+indicators are quadratic forms c^T B c in the coefficients, with B built
+from each cell's self-moments. Cells are
 processed in chunks so that the transient arrays stay small. Nothing is
 stored on the mesh or between calls: each call computes the geometry it
 needs from the mesh's points and edges.
@@ -22,7 +26,6 @@ needs from the mesh's points and edges.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -79,28 +82,61 @@ class ReconField:
     betas: np.ndarray | None = None
 
 
-def _one_ring(adj, cells: set[int]) -> set[int]:
-    out = set(cells)
-    for j in cells:
-        out |= set(adj.edge_neighbors[j]) | set(adj.vertex_neighbors[j])
-    return out
-
-
 def build_stencil(mesh: CurvilinearMesh, i: int,
                   order: int) -> list[list[int]]:
     """Nested stencils [S0, S1] (and S2 for order 5): S0 = [i]; S1 = the
-    one-ring (edge + vertex neighbors); S2 = the two-ring.
+    one-ring (edge + vertex neighbors); S2 = the two-ring: cell i's rows
+    of the tables of _rings.
 
     Boundary cells keep whatever neighbors exist; the fitting layer grows a
     stencil by extra rings when its normal matrix is rank-deficient, so
     degree reduction is the last resort, not the first.
     """
-    adj = mesh.adjacency
-    s1 = _one_ring(adj, {i})
-    levels = [[i], sorted(s1)]
+    return [[i]] + [[j for j in table[i].tolist() if j < mesh.n_cells]
+                    for table in _rings(mesh, order)]
+
+
+def _union_rows(rows: np.ndarray, fill: int) -> np.ndarray:
+    """Per row of cell indices padded with fill, its distinct cells sorted
+    and padded at the end with fill, trimmed to the widest row."""
+    a = np.sort(rows, axis=1)
+    a[:, 1:][a[:, 1:] == a[:, :-1]] = fill
+    a.sort(axis=1)
+    return a[:, :(a < fill).sum(axis=1).max(initial=0)]
+
+
+def _grow(ring: np.ndarray, stencils: np.ndarray) -> np.ndarray:
+    """The union of the one-rings of each padded stencil's cells; ring is
+    the one-ring table of _rings."""
+    return _union_rows(ring[stencils].reshape(len(stencils), -1),
+                       len(ring) - 1)
+
+
+def _rings(mesh: CurvilinearMesh, order: int) -> list[np.ndarray]:
+    """The one-ring table and, for order 5, the two-ring table of every
+    cell: (C + 1, W) cell indices, row i the sorted cells of cell i's ring
+    padded with C, and row C all padding, so that indexing a table by
+    padded rows gives padding. The one-ring of a cell is the
+    cells that share a corner vertex with it, which are itself and its edge
+    and vertex neighbours."""
+    C = mesh.n_cells
+    corners = np.where(mesh.cell_dirs > 0, mesh.edges[mesh.cell_edges, 0],
+                       mesh.edges[mesh.cell_edges, -1])
+    vert, cell = np.divmod(np.unique(corners.ravel() * C
+                                     + np.repeat(np.arange(C), 4)), C)
+    count = np.bincount(vert, minlength=mesh.n_points)
+    at = np.full((mesh.n_points, count.max()), C)
+    at[vert, np.arange(len(vert)) - (np.cumsum(count) - count)[vert]] = cell
+    ring = _union_rows(at[corners].reshape(C, -1), C)
+    rings = [np.vstack([ring, np.full((1, ring.shape[1]), C)])]
     if order >= 5:
-        levels.append(sorted(_one_ring(adj, s1)))
-    return levels
+        two = _grow(rings[0], rings[0][:C])
+        rings.append(np.vstack([two, np.full((1, two.shape[1]), C)]))
+    return rings
+
+
+def _pad(a: np.ndarray, width: int, fill: int) -> np.ndarray:
+    return np.pad(a, ((0, 0), (0, width - a.shape[1])), constant_values=fill)
 
 
 @lru_cache(maxsize=None)
@@ -180,12 +216,13 @@ def _moments(geo: _Geometry, j: np.ndarray, i: np.ndarray, q: int) -> np.ndarray
 
 
 def _fit(geo: _Geometry, avg: np.ndarray, cells: np.ndarray,
-         stencils: list[list[int]], k: int) -> tuple[np.ndarray, np.ndarray]:
+         stencils: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Conservative least-squares fits of degree k, one per cell.
 
-    Each cell's stencil averages are fitted subject to exact reproduction
-    of its own average, which is eliminated by substituting the constant
-    coefficient. Returns the coefficients (n, k+1, k+1) and a mask of the
+    Each cell's stencil, a row of stencils padded with the cell count, is
+    fitted subject to exact reproduction of its own average, which is
+    eliminated by substituting the constant coefficient. Returns the
+    coefficients (n, k+1, k+1) and a mask of the
     cells whose fit stands: enough rows, no zero column, full rank under
     _RCOND after column scaling, and a finite solution.
     """
@@ -195,18 +232,16 @@ def _fit(geo: _Geometry, avg: np.ndarray, cells: np.ndarray,
     coeffs = np.zeros((n, k + 1, k + 1))
     if n == 0:
         return coeffs, np.zeros(0, dtype=bool)
-    rows = [[j for j in st if j != i] for i, st in zip(cells.tolist(), stencils)]
-    counts = np.array([len(r) for r in rows])
-    J = np.fromiter(itertools.chain.from_iterable(rows), dtype=int,
-                    count=int(counts.sum()))
-    owner = np.repeat(np.arange(n), counts)
-    I = cells[owner]
+    use = (stencils < len(avg)) & (stencils != cells[:, None])
+    counts = use.sum(axis=1)
+    owner = np.nonzero(use)[0]
+    J, I = stencils[use], cells[owner]
     area_i = geo.area[cells]
     mi = _moments(geo, cells, cells, k)[:, pa, pb]          # (n, nm)
     R = max(nm, int(counts.max()))
     A = np.zeros((n, R, nm))
     b = np.zeros((n, R))
-    pos = np.arange(len(J)) - np.repeat(np.cumsum(counts) - counts, counts)
+    pos = np.cumsum(use, axis=1)[use] - 1
     A[owner, pos] = (_moments(geo, J, I, k)[:, pa, pb]
                      - geo.area[J, None] * mi[owner] / area_i[owner, None])
     b[owner, pos] = (avg[J] - avg[I]) * geo.area[J]
@@ -230,8 +265,8 @@ def _fit(geo: _Geometry, avg: np.ndarray, cells: np.ndarray,
     return coeffs, ok
 
 
-def _fit_with_growth(adj, geo: _Geometry, avg: np.ndarray, cells: np.ndarray,
-                     stencils: list[list[int]], degree: int):
+def _fit_with_growth(ring: np.ndarray, geo: _Geometry, avg: np.ndarray,
+                     cells: np.ndarray, stencils: np.ndarray, degree: int):
     """Fits at the requested degree, growing the stencil before giving up.
 
     Truncated boundary stencils can be exactly rank-deficient (too few
@@ -242,29 +277,26 @@ def _fit_with_growth(adj, geo: _Geometry, avg: np.ndarray, cells: np.ndarray,
     average. Returns coefficients (n, degree+1, degree+1) and the fitted
     degree of each cell.
     """
-    n = len(cells)
+    n, C = len(cells), len(avg)
     out = np.zeros((n, degree + 1, degree + 1))
     got = np.full(n, degree)
-    st = list(stencils)
-    todo = np.arange(n)
-    lower: list[int] = []
+    st, todo, lower = stencils, np.arange(n), []
     for attempt in range(3):
-        c, ok = _fit(geo, avg, cells[todo], [st[t] for t in todo], degree)
+        c, ok = _fit(geo, avg, cells[todo], st[todo], degree)
         out[todo[ok]] = c[ok]
-        retry = []
-        for t in todo[~ok].tolist():
-            bigger = _one_ring(adj, set(st[t])) if attempt < 2 else None
-            if bigger is None or len(bigger) == len(st[t]):
-                lower.append(t)
-            else:
-                st[t] = sorted(bigger)
-                retry.append(t)
-        todo = np.array(retry, dtype=int)
-        if not retry:
+        todo = todo[~ok]
+        if attempt == 2 or not len(todo):
             break
-    todo = np.array(sorted(lower), dtype=int)
+        bigger = _grow(ring, st[todo])
+        grew = (bigger < C).sum(axis=1) > (st[todo] < C).sum(axis=1)
+        width = max(st.shape[1], bigger.shape[1])
+        st = _pad(st, width, C)
+        st[todo[grew]] = _pad(bigger[grew], width, C)
+        lower.append(todo[~grew])
+        todo = todo[grew]
+    todo = np.sort(np.concatenate([todo, *lower]))
     for k in range(degree - 1, 0, -1):
-        c, ok = _fit(geo, avg, cells[todo], [st[t] for t in todo], k)
+        c, ok = _fit(geo, avg, cells[todo], st[todo], k)
         out[todo[ok], :k + 1, :k + 1] = c[ok]
         got[todo[ok]] = k
         todo = todo[~ok]
@@ -328,25 +360,27 @@ def _nonlinear_weights(gammas, betas: np.ndarray,
     return wbar / tot[:, None]
 
 
-def _beta0(avg: np.ndarray, cells: np.ndarray, rings: list[list[int]]) -> np.ndarray:
-    """Per cell, the minimum squared average difference to its one-ring."""
-    others = [[j for j in ring if j != i] for i, ring in zip(cells.tolist(), rings)]
-    for i, o in zip(cells.tolist(), others):
-        if not o:
-            raise ReconstructionError(f"cell {i} has no stencil neighbors")
-    width = max(len(o) for o in others)
-    idx = np.array([o + [o[0]] * (width - len(o)) for o in others])
-    return np.min((avg[cells][:, None] - avg[idx]) ** 2, axis=1)
+def _beta0(avg: np.ndarray, cells: np.ndarray, rings: np.ndarray) -> np.ndarray:
+    """Per cell, the minimum squared average difference to its one-ring,
+    a row of rings padded with the cell count."""
+    C = len(avg)
+    use = (rings < C) & (rings != cells[:, None])
+    alone = np.flatnonzero(~use.any(axis=1))
+    if len(alone):
+        raise ReconstructionError(
+            f"cell {cells[alone[0]]} has no stencil neighbors")
+    d2 = (avg[cells][:, None] - avg[np.minimum(rings, C - 1)]) ** 2
+    return np.min(np.where(use, d2, np.inf), axis=1)
 
 
-def _blend_chunk(mesh, geo: _Geometry, avg: np.ndarray, cells: np.ndarray,
-                 levels: list[list[list[int]]], order: int):
-    """Polynomial coefficients, weights, betas and warnings of some cells."""
+def _blend_chunk(geo: _Geometry, avg: np.ndarray, cells: np.ndarray,
+                 rings: list[np.ndarray], order: int):
+    """Polynomial coefficients, weights, betas and warnings of some cells;
+    rings are the tables of _rings."""
     K = _ORDER_DEGREE[order]
-    adj = mesh.adjacency
     a0 = avg[cells]
-    b0 = _beta0(avg, cells, [lv[1] for lv in levels])
-    q1, got1 = _fit_with_growth(adj, geo, avg, cells, [lv[1] for lv in levels], 2)
+    b0 = _beta0(avg, cells, rings[0][cells])
+    q1, got1 = _fit_with_growth(rings[0], geo, avg, cells, rings[0][cells], 2)
     B = _indicator_matrices(_moments(geo, cells, cells, 2 * K - 2),
                             geo.h[cells], geo.area[cells], K)
     warns = {int(c): [f"cell {c}: quadratic fit reduced to degree {g}"]
@@ -373,11 +407,12 @@ def _blend_chunk(mesh, geo: _Geometry, avg: np.ndarray, cells: np.ndarray,
         # irregular meshes, and an O(h^4) band of width h keeps L1 at h^5
         g0, g1, g2 = GAMMAS[5]
         q2 = np.zeros((len(cells), K + 1, K + 1))
-        top = np.array([4 if len(lv[2]) >= 25 else 3 for lv in levels])
+        two = rings[1][cells]
+        top = np.where((two < len(avg)).sum(axis=1) >= 25, 4, 3)
         for deg in (4, 3):
             sel = np.flatnonzero(top == deg)
-            c, got2 = _fit_with_growth(adj, geo, avg, cells[sel],
-                                       [levels[t][2] for t in sel], deg)
+            c, got2 = _fit_with_growth(rings[0], geo, avg, cells[sel],
+                                       two[sel], deg)
             q2[sel, :deg + 1, :deg + 1] = c
             for t, g in zip(sel.tolist(), got2.tolist()):
                 if g < deg:
@@ -436,12 +471,12 @@ def weno_reconstruct(mesh: CurvilinearMesh, averages,
     betas = np.zeros((C, nlev))
     warnings: list[str] = []
     if order > 1:
-        levels = [build_stencil(mesh, i, order) for i in range(C)]
-        step = max(1, _PAIRS_PER_CHUNK // max(len(lv[-1]) for lv in levels))
+        rings = _rings(mesh, order)
+        # the tables are as wide as their widest row
+        step = max(1, _PAIRS_PER_CHUNK // rings[-1].shape[1])
         for lo in range(0, C, step):
             cells = np.arange(lo, min(lo + step, C))
-            c, w, b, warns = _blend_chunk(mesh, geo, avg, cells,
-                                          levels[lo:lo + step], order)
+            c, w, b, warns = _blend_chunk(geo, avg, cells, rings, order)
             coeffs[cells], weights[cells], betas[cells] = c, w, b
             for i in sorted(warns):
                 warnings.extend(warns[i])

@@ -10,7 +10,12 @@ diagnostics.
 
 The geometry phase (clipping, triangulation, quadrature samples) depends
 only on the two meshes; RemapPlan captures it so several reconstructions
-(orders, limiter settings) can reuse one plan.
+(orders, limiter settings) can reuse one plan. The plan keeps its clipped
+loops in one order, by target cell and then by source cell, with a source
+cell, target cell and area column, and the loops' Approach A and Approach
+B samples in one SampleTable each, in that order. apply_plan reads these
+arrays: the limiter and the integration sweep walk slices of whole loops
+of the tables.
 """
 
 from __future__ import annotations
@@ -27,15 +32,21 @@ from .clipping import (ClipTopologyError, Crossings, EventRows,
                        intersect_curves, kept_mask, wa_clip)
 from .geometry import (CurvedPolygon, CurveSpan, GeometryError,
                        contour_terms, gauss_rule_01, window_samples)
-from .integrate import TriangulationError, triangulate
+from .integrate import SampleTable, TriangulationError, triangulate
 from .limiter import POSITIVITY_FLOOR, positivity_limit
 from .mesh import CurvilinearMesh, Field
 from .reconstruct import _order_degree, weno_reconstruct
 
 _APPROACHES = ("A", "B", "both")
 # clipped loops evaluated together in build_plan's loop areas and Approach A
-# samples and in apply_plan's integration sweep
+# samples; the samples go straight into the plan's table
 _LOOPS_PER_CHUNK = 64
+# samples per slice of apply_plan's limiter and integration sweeps over a
+# sample table: a slice starts at the first loop at or after each multiple,
+# which bounds the sweeps' per-sample arrays. On the pi/4 disk step (n=16)
+# 2 ** 13 keeps an apply's traced peak at its reconstruction's, 0.68 MiB;
+# 2 ** 14 raised it to 1.08 MiB, and both ran at the same speed
+_SWEEP_POINTS = 2 ** 13
 # target cells whose boxes candidate_pairs tests together
 _TARGETS_PER_BLOCK = 64
 
@@ -192,6 +203,12 @@ class RemapPlan:
     source: CurvilinearMesh
     target: CurvilinearMesh
     per_target: list[list[_PairGeom]]
+    # per loop, in per_target's order: source cell, target cell, area
+    loop_src: np.ndarray
+    loop_tgt: np.ndarray
+    loop_area: np.ndarray
+    a_samples: SampleTable  # the _LoopGeom arrays are views of these tables
+    b_samples: SampleTable | None
     k_max: int
     with_tris: bool
     n_candidates: int
@@ -251,34 +268,36 @@ def _loop_areas(windows: LoopWindows) -> np.ndarray:
     return 0.5 * total
 
 
-def _a_samples(windows: LoopWindows, loops: np.ndarray, k_max: int):
-    """Approach A samples (x, y, w dy) of each of the loops given, in
-    window order: the Gauss points of each window, enough for degree
-    k_max + 1 integrands along it. The loops are sampled _LOOPS_PER_CHUNK
-    at a time, one stacked pass per group: work arrays the size of a whole
-    plan's samples raised the traced memory peak of an n=32 accuracy plan
-    by 5.5 MiB. Each loop's samples are views of its chunk's arrays."""
+def _a_samples(windows: LoopWindows, loops: np.ndarray,
+               k_max: int) -> SampleTable:
+    """Approach A samples of the loops given, as one SampleTable with the
+    weights w dy: the Gauss points of each window, in window order, enough
+    for degree k_max + 1 integrands along it. The loops are sampled
+    _LOOPS_PER_CHUNK at a time, one stacked pass per group, straight into
+    the table: work arrays the size of a whole plan's samples raised the
+    traced memory peak of an n=32 accuracy plan by 5.5 MiB."""
     npts = np.array([max(1, math.ceil((k_max + 2) * (stack.shape[1] - 1) / 2))
                      for stack in windows.nodes], int)
     cut = windows.cut
+    count = cut[loops + 1] - cut[loops]
+    # the loops' windows in order, and where each window's samples start
+    win = (np.repeat(cut[loops] - np.cumsum(count) + count, count)
+           + np.arange(count.sum()))
+    start = np.concatenate([[0], np.cumsum(npts[windows.group[win]])])
+    first = np.concatenate([[0], np.cumsum(count)])
+    pts, wdy = np.empty((start[-1], 2)), np.empty(start[-1])
     for lo in range(0, len(loops), _LOOPS_PER_CHUNK):
-        chunk = loops[lo:lo + _LOOPS_PER_CHUNK]
-        count = cut[chunk + 1] - cut[chunk]
-        win = (np.repeat(cut[chunk] - np.cumsum(count) + count, count)
-               + np.arange(count.sum()))
-        start = np.concatenate([[0], np.cumsum(npts[windows.group[win]])])
-        x, y, wdy = (np.empty(start[-1]) for _ in range(3))
-        for g, at, nodes in _by_group(windows, win):
+        ws = np.arange(first[lo], first[min(lo + _LOOPS_PER_CHUNK,
+                                            len(loops))])
+        for g, at, nodes in _by_group(windows, win[ws]):
             n = int(npts[g])
             xi, w = gauss_rule_01(n)
-            p, dp, h = window_samples(nodes, windows.t0[win[at]],
-                                      windows.t1[win[at]], xi)
-            pos = start[at][:, None] + np.arange(n)
-            x[pos], y[pos] = p[..., 0], p[..., 1]
+            p, dp, h = window_samples(nodes, windows.t0[win[ws[at]]],
+                                      windows.t1[win[ws[at]]], xi)
+            pos = start[ws[at]][:, None] + np.arange(n)
+            pts[pos] = p
             wdy[pos] = dp[..., 1] * w * h[:, None]
-        ends = start[np.cumsum(count)].tolist()
-        for a, b in zip([0] + ends[:-1], ends):
-            yield x[a:b], y[a:b], wdy[a:b]
+    return SampleTable(pts, wdy, start[first])
 
 
 def build_plan(source: CurvilinearMesh, target: CurvilinearMesh,
@@ -346,34 +365,42 @@ def build_plan(source: CurvilinearMesh, target: CurvilinearMesh,
         loops = [lp for lp in loops if next(kept)]
         if loops:
             clipped.append((ci, ct, loops))
-    polys = [lp for _, _, loops in clipped for lp in loops]
-    areas = iter(area[keep].tolist())
-    samples = _a_samples(windows, np.flatnonzero(keep), k_max)
+    # the kept loops in clipped's order, which is per_target's
+    (loop_src, loop_tgt), loop_area = loop_cells[keep].T, area[keep]
     s0 = time.monotonic()
-    try:
-        fans = iter(triangulate(polys, k_max) if with_tris else ())
-    except TriangulationError as exc:
-        owners = [(ci, ct) for ci, ct, loops in clipped for _ in loops]
-        ci, ct = owners[exc.loop]
-        raise TriangulationError(
-            f"triangulation failed for source cell {ci} vs target cell {ct}: "
-            f"{exc}") from exc
+    b_samples, split_loops = None, 0
+    if with_tris:
+        try:
+            tris = triangulate([lp for _, _, loops in clipped
+                                for lp in loops], k_max)
+        except TriangulationError as exc:
+            ci, ct = loop_src[exc.loop], loop_tgt[exc.loop]
+            raise TriangulationError(
+                f"triangulation failed for source cell {ci} vs target cell "
+                f"{ct}: {exc}") from exc
+        # the plan keeps the samples, not the fan records
+        split_loops = sum(len(pieces) > 1 for pieces in tris.fans)
+        b_samples = SampleTable(tris.pts, tris.w, tris.cut)
     t_tri = time.monotonic() - s0
-    split_loops = 0
+    # after triangulate, whose work arrays would otherwise come on top
+    a_samples = _a_samples(windows, np.flatnonzero(keep), k_max)
+    areas, a_rows = iter(loop_area.tolist()), iter(a_samples)
+    b_rows = iter(b_samples if with_tris else ())
     per_target: list[list[_PairGeom]] = [[] for _ in range(target.n_cells)]
     for (ci, ct, loops) in clipped:
         geoms = []
-        for lp, (ax, ay, awdy) in zip(loops, samples):
-            geom = _LoopGeom(lp, next(areas), ax, ay, awdy)
+        for lp in loops:
+            a_pts, awdy, _ = next(a_rows)
+            geom = _LoopGeom(lp, next(areas), a_pts[:, 0], a_pts[:, 1], awdy)
             if with_tris:
-                geom.bpts, geom.bjw, pieces = next(fans)
-                split_loops += len(pieces) > 1
+                geom.bpts, geom.bjw, _ = next(b_rows)
             geoms.append(geom)
         per_target[ct].append(_PairGeom(ci, geoms))
     timings["clip"] = time.monotonic() - t0 - t_tri
     if with_tris:
         timings["triangulate"] = t_tri
-    return RemapPlan(source, target, per_target, k_max, with_tris,
+    return RemapPlan(source, target, per_target, loop_src, loop_tgt,
+                     loop_area, a_samples, b_samples, k_max, with_tris,
                      len(pairs), timings, warnings, split_loops, grid_seeded,
                      probes)
 
@@ -405,10 +432,7 @@ def apply_plan(plan: RemapPlan, averages, order: int = 3,
 
     t0 = time.monotonic()
     coeffs, frames = recon.coeffs, recon.frames
-    loops = [(ct, pg.src, lp) for ct, per in enumerate(plan.per_target)
-             for pg in per for lp in pg.loops]
-    tgt = np.array([ct for ct, _, _ in loops], dtype=int)
-    src = np.array([s for _, s, _ in loops], dtype=int)
+    src, tgt = plan.loop_src, plan.loop_tgt
     if positivity:
         if avg.min() < POSITIVITY_FLOOR:
             warnings.append(
@@ -417,7 +441,7 @@ def apply_plan(plan: RemapPlan, averages, order: int = 3,
         else:
             coeffs = positivity_limit(
                 coeffs, frames, avg,
-                _gather(loops, src, lambda lp: (lp.bpts[:, 0], lp.bpts[:, 1])))
+                (sl[:4] for sl in _slices(plan.b_samples, src)))
     timings["limit"] = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -427,18 +451,16 @@ def apply_plan(plan: RemapPlan, averages, order: int = 3,
         anti = np.zeros((len(coeffs), na + 1, coeffs.shape[2]))
         anti[:, 1:] = (frames[:, 2, None, None] * coeffs
                        / np.arange(1, na + 1)[None, :, None])
-        val_a = _loop_integrals(anti, frames, _gather(
-            loops, src, lambda lp: (lp.ax, lp.ay, lp.awdy)))
+        val_a = _loop_integrals(anti, frames, _slices(plan.a_samples, src))
     if approach in ("B", "both"):
-        val_b = _loop_integrals(coeffs, frames, _gather(
-            loops, src, lambda lp: (lp.bpts[:, 0], lp.bpts[:, 1], lp.bjw)))
+        val_b = _loop_integrals(coeffs, frames, _slices(plan.b_samples, src))
     max_gap = 0.0
-    if approach == "both" and loops:
+    if approach == "both" and len(src):
         max_gap = float(np.max(np.abs(val_a - val_b)
                                / np.maximum(1.0, np.abs(val_a))))
     vals = val_b if approach == "B" else val_a
     mass = np.bincount(tgt, weights=vals, minlength=target.n_cells)
-    clip_area = np.bincount(tgt, weights=[lp.area for _, _, lp in loops],
+    clip_area = np.bincount(tgt, weights=plan.loop_area,
                             minlength=target.n_cells)
     area_t = target.cell_areas()
     covered = clip_area > 1e-14 * area_t
@@ -459,29 +481,31 @@ def apply_plan(plan: RemapPlan, averages, order: int = 3,
                        plan.arc_probes, timings, warnings)
 
 
-def _gather(loops: list, src: np.ndarray, samples):
-    """Per chunk of _LOOPS_PER_CHUNK loops: (cells, counts, *columns).
-
-    samples(loop) gives a tuple of per-sample arrays of the loop; each
-    column is their concatenation over the chunk's loops, whose source
-    cells and sample counts come first. The chunks bound the per-sample
-    arrays of the limiter and the integration sweep.
-    """
-    for lo in range(0, len(loops), _LOOPS_PER_CHUNK):
-        sl = slice(lo, lo + _LOOPS_PER_CHUNK)
-        cols = list(zip(*(samples(lp) for _, _, lp in loops[sl])))
-        counts = np.array([len(x) for x in cols[0]])
-        yield (src[sl], counts, *(np.concatenate(c) for c in cols))
+def _slices(table: SampleTable, cells: np.ndarray):
+    """The samples of table in slices of whole loops, a slice from the
+    first loop at or after each multiple of _SWEEP_POINTS samples: per
+    slice (cells, counts, x, y, weights), the source cells and sample
+    counts of its loops and views of its rows."""
+    cut = table.cut
+    at = np.unique(np.append(
+        np.searchsorted(cut, np.arange(0, cut[-1], _SWEEP_POINTS)),
+        len(cut) - 1)).tolist()
+    for lo, hi in zip(at[:-1], at[1:]):
+        a, b = cut[lo], cut[hi]
+        yield (cells[lo:hi], np.diff(cut[lo:hi + 1]), table.pts[a:b, 0],
+               table.pts[a:b, 1], table.w[a:b])
 
 
 def _loop_integrals(coeffs: np.ndarray, frames: np.ndarray,
                     chunks) -> np.ndarray:
     """Per loop, the weighted sum of its source polynomial at its samples.
 
-    chunks yields _gather's (cells, counts, x, y, weights). The samples of
-    a chunk are evaluated together, term by term over the gathered
-    coefficients, and summed per loop.
+    chunks yields (cells, counts, x, y, weights) as _slices does: some
+    loops' samples, each loop's together, with the loop's cell and its
+    sample count. The samples of a chunk are evaluated together, term by
+    term over the gathered coefficients, and summed per loop.
     """
+    live = coeffs.any(axis=0).tolist()
     out = [np.zeros(0)]
     for cells, counts, x, y, w in chunks:
         owner = np.repeat(cells, counts)
@@ -492,7 +516,7 @@ def _loop_integrals(coeffs: np.ndarray, frames: np.ndarray,
         for b in range(coeffs.shape[2]):
             Xa = Yb.copy()
             for a in range(coeffs.shape[1]):
-                if coeffs[:, a, b].any():
+                if live[a][b]:
                     vals += coeffs[owner, a, b] * Xa
                 Xa *= X
             Yb *= Y

@@ -1,18 +1,23 @@
-"""Print a sha256 digest of the crossing table and of the plan of each of a
-fixed list of mesh pairs, so that two checkouts can be compared:
+"""Print sha256 digests of the crossing table, the plan and the applies of
+each of a fixed list of mesh pairs, so that two checkouts can be compared:
 
     python3 tests/plan_digest.py > a.txt     # in each checkout
     diff a.txt b.txt
     python3 tests/plan_digest.py accuracy_n32_k4 sliver_1e-9   # some cases
 
 Each line reads: name, crossing rows, table digest, clipped loops, plan
-digest, arc probes. The table digest covers the edge pairs and every
+digest, arc probes, apply digest. The table digest covers the edge pairs and every
 row's pair, u, v, point, transversal flag and cross product; the plan
 digest covers, per target cell and source cell, every loop's span nodes
 and windows, its area, its Approach A samples and, with triangles, its
 Approach B samples. The probes are the plan's calls of
-`clipping._arc_state`. A plan that raises prints the error in place of
-its digest. The package is imported from `src/` of the checkout this file
+`clipping._arc_state`. The apply digest covers `apply_plan` on the plan
+at every order its k_max allows, and, where it has triangles, with the
+limiter off and on and for approaches A, B and both: the `float.hex` of
+every remapped average and the report's text without its `time_` lines.
+The field is 1 on the source cells whose box centre lies within 0.3 of
+(0.1, 0.2) and 1e-10 elsewhere, so the limiter has work. A plan that
+raises prints the error in place of its digest. The package is imported from `src/` of the checkout this file
 sits in. pytest does not collect this file.
 """
 
@@ -34,6 +39,7 @@ from curveremap.mesh import (  # noqa: E402
     gen_deformed_square_mesh, gen_disk_mesh, rotate_mesh)
 
 remap = importlib.import_module("curveremap.remap")
+reconstruct = importlib.import_module("curveremap.reconstruct")
 
 _TABLE_COLUMNS = ("pair", "u", "v", "point", "transversal", "cross")
 
@@ -90,8 +96,7 @@ def table_digest(src, tgt) -> tuple[int, str]:
     return len(found.pair), h.hexdigest()
 
 
-def plan_digest(src, tgt, with_tris, k_max=2) -> tuple[int, str]:
-    plan = remap.build_plan(src, tgt, k_max=k_max, with_tris=with_tris)
+def plan_digest(plan) -> tuple[int, str]:
     h = hashlib.sha256()
     loops = 0
     for ct, per in enumerate(plan.per_target):
@@ -105,6 +110,28 @@ def plan_digest(src, tgt, with_tris, k_max=2) -> tuple[int, str]:
                 if lp.bpts is not None:
                     _update(h, lp.bpts, lp.bjw)
     return loops, h.hexdigest()
+
+
+def apply_digest(plan) -> str:
+    box = plan.source.cell_boxes
+    inside = np.hypot(0.5 * (box[:, 0] + box[:, 2]) - 0.1,
+                      0.5 * (box[:, 1] + box[:, 3]) - 0.2) < 0.3
+    avg = np.where(inside, 1.0, 1e-10)
+    settings = [(False, "A")]
+    if plan.with_tris:
+        settings = [(lim, ap) for lim in (False, True)
+                    for ap in ("A", "B", "both")]
+    h = hashlib.sha256()
+    for order, degree in sorted(reconstruct._ORDER_DEGREE.items()):
+        if degree > plan.k_max:
+            continue
+        for positivity, approach in settings:
+            rep = remap.apply_plan(plan, avg, order, positivity, approach)
+            h.update(" ".join(map(float.hex, rep.field.averages.tolist()))
+                     .encode())
+            h.update("".join(line for line in rep.to_text().splitlines(True)
+                             if not line.startswith("time_")).encode())
+    return h.hexdigest()
 
 
 def main(names) -> None:
@@ -126,13 +153,16 @@ def main(names) -> None:
         probes = 0
         clipping._arc_state = counted
         try:
-            loops, plan = plan_digest(src, tgt, with_tris, *k_max)
+            plan = remap.build_plan(src, tgt, k_max=(k_max or [2])[0],
+                                    with_tris=with_tris)
+            loops, digest = plan_digest(plan)
         except (ArithmeticError, RuntimeError, ValueError) as exc:
-            loops, plan = 0, f"{type(exc).__name__}: {exc}"
+            plan, loops, digest = None, 0, f"{type(exc).__name__}: {exc}"
         finally:
             clipping._arc_state = state
-        print(f"{name} rows={rows} table={table} loops={loops} plan={plan} "
-              f"probes={probes}", flush=True)
+        applied = "-" if plan is None else apply_digest(plan)
+        print(f"{name} rows={rows} table={table} loops={loops} plan={digest} "
+              f"probes={probes} apply={applied}", flush=True)
 
 
 if __name__ == "__main__":

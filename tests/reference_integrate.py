@@ -159,7 +159,7 @@ def constrained_lsq_fit(mesh: CurvilinearMesh, averages: np.ndarray, i: int,
     geo = _geometry(mesh, max(2 * degree - 2, degree))
     cell = np.array([i])
     for k in range(degree, 0, -1):
-        c, ok = _fit(geo, avg, cell, [list(cells)], k)
+        c, ok = _fit(geo, avg, cell, np.array([list(cells)]), k)
         if ok[0]:
             return Poly2(c[0], geo.cx[i], geo.cy[i], geo.h[i]), k
     return Poly2.constant(avg[i], geo.cx[i], geo.cy[i], geo.h[i]), 0

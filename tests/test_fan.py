@@ -52,18 +52,17 @@ def test_fan_integrates_monomials_as_approach_a(name, degree, k):
     # which needs no triangle map and so serves degrees 4 and 5
     polys = _cells(name, degree)
     fans = triangulate(polys, k)
-    assert all(len(pieces) == 1 for _, _, pieces in fans)
+    assert all(len(pieces) == 1 for pieces in fans.fans)
     boxes = [p.bbox() for p in polys]
     frames = np.array([[0.5 * (b.xmin + b.xmax), 0.5 * (b.ymin + b.ymax),
                         0.5 * b.diag] for b in boxes])
     cells = np.arange(len(polys))
-    a_cols = [np.concatenate(c) for c in
-              zip(*_a_samples(*polygon_windows(polys), k))]
-    a_counts = np.array([len(x) for x, _, _ in
-                         _a_samples(*polygon_windows(polys), k)])
-    b_counts = np.array([len(w) for _, w, _ in fans])
-    bx, by = np.vstack([p for p, _, _ in fans]).T
-    bw = np.concatenate([w for _, w, _ in fans])
+    a_table = _a_samples(*polygon_windows(polys), k)
+    a_cols = [*a_table.pts.T, a_table.w]
+    a_counts = np.diff(a_table.cut)
+    b_counts = np.diff(fans.cut)
+    bx, by = fans.pts.T
+    bw = fans.w
     area = np.array([p.signed_area() for p in polys])
     for a in range(k + 1):
         for b in range(k + 1 - a):
@@ -113,7 +112,7 @@ def test_crescent_fan_is_declined():
     plan = build_plan(src, tgt, k_max=2)
     [lp] = [lp for ci, ct, lp in _plan_loops(plan) if (ci, ct) == (27, 35)]
     assert lp.poly.locate(*_centroid(lp.poly)) == "outside"
-    assert _fans([lp.poly], 2) == [None]
+    assert _fans([lp.poly], 2)[1].tolist() == [False]
     [(_, jw, pieces)] = triangulate([lp.poly], 2)
     assert 1 < len(pieces) <= 5
     assert abs(jw.sum() - lp.area) <= 1e-15 * len(pieces)
@@ -126,10 +125,11 @@ def test_small_loop_far_from_the_origin_is_fanned_whole():
     src, tgt = accuracy_meshes(32)
     [poly] = wa_clip(src.cell_polygon(211), tgt.cell_polygon(177)).loops
     assert 9e-12 < poly.signed_area() < 1e-11
-    [fan] = _fans([poly], 2)
-    assert fan is not None
-    assert np.all(fan[1] > 0.0)
-    for x, y in fan[0].tolist():
+    table, ok = _fans([poly], 2)
+    assert ok.tolist() == [True]
+    [(pts, w, _)] = table
+    assert np.all(w > 0.0)
+    for x, y in pts.tolist():
         assert poly.locate(x, y) != "outside"
 
 

@@ -11,7 +11,7 @@ from curveremap.geometry import polygon_from_points
 from curveremap.limiter import LimiterError, positivity_limit
 from curveremap.mesh import exact_cell_averages, gen_disk_mesh, rotate_mesh
 from curveremap.reconstruct import weno_reconstruct
-from curveremap.remap import _gather, build_plan
+from curveremap.remap import _slices, build_plan
 
 from reference_integrate import Poly2, green_integral
 from reference_limiter import limit_one, reference_limit
@@ -155,11 +155,8 @@ def _oracle_case(name):
 def test_limited_coefficients_equal_the_per_cell_oracle(name):
     plan, avg = _oracle_case(name)
     recon = weno_reconstruct(plan.source, avg, order=3)
-    loops = [(ct, pg.src, lp) for ct, per in enumerate(plan.per_target)
-             for pg in per for lp in pg.loops]
-    src = np.array([s for _, s, _ in loops])
-    got = positivity_limit(recon.coeffs, recon.frames, avg, _gather(
-        loops, src, lambda lp: (lp.bpts[:, 0], lp.bpts[:, 1])))
+    got = positivity_limit(recon.coeffs, recon.frames, avg, (
+        sl[:4] for sl in _slices(plan.b_samples, plan.loop_src)))
     want, active = reference_limit(plan, recon.coeffs, recon.frames, avg)
     assert active > 0
     assert got.tobytes() == want.tobytes()

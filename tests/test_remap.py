@@ -116,7 +116,8 @@ def test_plan_kernels_integrate_monomials_exactly(unit_square):
     # X^a Y^b, a + b <= 4, in the frame (cx, cy, h) = (0.5, 0.5, 0.5) over
     # the unit square, where X = 2x - 1 and Y = 2y - 1 span [-1, 1]
     frames = np.array([[0.5, 0.5, 0.5]])
-    [(ax, ay, awdy)] = _a_samples(*polygon_windows([unit_square]), 4)
+    a_table = _a_samples(*polygon_windows([unit_square]), 4)
+    (ax, ay), awdy = a_table.pts.T, a_table.w
     [(bp, bw, _)] = triangulate([unit_square], 4)
     bx, by = bp.T
     cell = np.array([0])
